@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .errors import (
     DimensionMismatch,
@@ -21,6 +20,7 @@ from .errors import (
     NoConvergence,
     ShapeError,
 )
+from .sampling import complex_times_real
 
 _HERMITIAN_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -80,6 +80,8 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
         nperseg = min(m, 1 << max(3, int(np.ceil(np.log2(max(m // 8, 1))))))
     if not 1 <= nperseg <= m:
         raise InvalidArgument("nperseg must lie in [1, n_samples]")
+    import scipy.signal  # about 1 s; most runs never need it
+
     freqs_hz, pxy = scipy.signal.csd(
         u[:, None, :],
         u[None, :, :],
@@ -132,9 +134,11 @@ class SparseRecovery:
     """Result of a compressed-domain sparse reconstruction.
 
     ``coefficients`` live in the unitary DFT basis; ``signal`` is their time
-    domain synthesis.  ``l1_history`` records the coefficient l1 norm after
-    every inner iteration, grouped by threshold stage; within each stage the
-    norm never increases (up to roundoff), which is checked on construction.
+    domain synthesis; both keep the leading shape of the measurements.
+    ``relative_residual`` is the worst over rows.  ``l1_history`` records the
+    coefficient l1 norm, summed over rows, after every inner iteration,
+    grouped by threshold stage; within each stage the norm never increases
+    (up to roundoff), which is checked on construction.
     """
 
     coefficients: np.ndarray
@@ -155,35 +159,38 @@ class SparseRecovery:
 def sparse_reconstruct(measurements, phi, n_stages: int = 30,
                        iters_per_stage: int = 10, threshold_ratio: float = 0.7,
                        tol: float = 1e-8) -> SparseRecovery:
-    """Recover a frequency-sparse length-M signal u from y = Phi^T u.
+    """Recover frequency-sparse length-M signals u from y = Phi^T u.
 
-    Works in the unitary DFT basis u = W alpha and drives alpha toward the
-    minimum-l1 feasible point by alternating complex soft thresholding with
-    reprojection onto the affine constraint set {alpha : A alpha = y},
-    A = Phi^T W.  The threshold starts at 0.9 max|A^+ y| and decays
+    ``measurements`` is one (M',) vector or a (K, M') batch; rows are
+    independent problems that share Phi and are solved together.  Works in
+    the unitary DFT basis u = W alpha and drives each row of alpha toward
+    the minimum-l1 feasible point by alternating complex soft thresholding
+    with reprojection onto the affine constraint set {alpha : A alpha = y},
+    A = Phi^T W.  A row's threshold starts at 0.9 max|A^+ y| and decays
     geometrically by ``threshold_ratio`` per stage, a standard fixed-point
     continuation schedule.  All iterates after a projection are feasible, so
     the returned residual measures only the linear-solve accuracy.
     """
     y = np.asarray(measurements, dtype=complex)
     entries = np.asarray(getattr(phi, "entries", phi), dtype=float)
-    if y.ndim != 1 or entries.ndim != 2:
-        raise ShapeError("measurements must be (M',), phi must be (M, M')")
+    if y.ndim not in (1, 2) or entries.ndim != 2:
+        raise ShapeError("measurements must be (M',) or (K, M'), phi must be (M, M')")
     m, m_prime = entries.shape
-    if y.size != m_prime:
+    if y.shape[-1] != m_prime:
         raise DimensionMismatch(
-            f"measurement length {y.size} does not match phi columns {m_prime}"
+            f"measurement length {y.shape[-1]} does not match phi columns {m_prime}"
         )
     if not (n_stages >= 1 and iters_per_stage >= 1 and 0.0 < threshold_ratio < 1.0):
         raise InvalidArgument("need n_stages, iters_per_stage >= 1 and ratio in (0, 1)")
 
-    root_m = np.sqrt(m)
+    rows = y.reshape(-1, m_prime)
+    out_shape = y.shape[:-1] + (m,)
 
     def apply_a(alpha):
-        return entries.T @ (root_m * np.fft.ifft(alpha))
+        return complex_times_real(np.fft.ifft(alpha, axis=1, norm="ortho"), entries)
 
     def apply_a_star(z):
-        return np.fft.fft(entries @ z) / root_m
+        return np.fft.fft(complex_times_real(z, entries.T), axis=1, norm="ortho")
 
     # A A* = Phi^T Phi since the DFT factor is unitary.
     try:
@@ -191,33 +198,39 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     except np.linalg.LinAlgError as exc:
         raise InvalidArgument("compression matrix is rank deficient") from exc
 
-    def project(alpha):
-        return alpha + apply_a_star(scipy.linalg.cho_solve(gram, y - apply_a(alpha)))
+    def solve(r):
+        return scipy.linalg.cho_solve(gram, r.T).T
 
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
-        zeros = np.zeros(m, dtype=complex)
+    def project(alpha):
+        return alpha + apply_a_star(solve(rows - apply_a(alpha)))
+
+    y_norms = np.linalg.norm(rows, axis=1)
+    if not y_norms.any():
+        zeros = np.zeros(out_shape, dtype=complex)
         return SparseRecovery(zeros, zeros.copy(), True, 0.0, ())
 
-    alpha = apply_a_star(scipy.linalg.cho_solve(gram, y))  # min-norm feasible start
-    theta = 0.9 * float(np.abs(alpha).max())
+    alpha = apply_a_star(solve(rows))  # min-norm feasible start
+    mags = np.abs(alpha)
+    # All-zero rows get theta = 0 and stay exactly zero: nothing exceeds it.
+    theta = 0.9 * mags.max(axis=1, keepdims=True)
     history = []
     for _ in range(n_stages):
         stage = []
         for _ in range(iters_per_stage):
-            mags = np.abs(alpha)
             with np.errstate(divide="ignore", invalid="ignore"):
                 shrink = np.where(mags > theta, 1.0 - theta / mags, 0.0)
             alpha = project(alpha * shrink)
-            stage.append(float(np.abs(alpha).sum()))
+            mags = np.abs(alpha)
+            stage.append(float(mags.sum()))
         history.append(tuple(stage))
         theta *= threshold_ratio
 
-    residual = float(np.linalg.norm(y - apply_a(alpha)))
-    rel = residual / y_norm
+    residuals = np.linalg.norm(rows - apply_a(alpha), axis=1)
+    nonzero = y_norms > 0.0
+    rel = float((residuals[nonzero] / y_norms[nonzero]).max())
     return SparseRecovery(
-        alpha,
-        root_m * np.fft.ifft(alpha),
+        alpha.reshape(out_shape),
+        np.fft.ifft(alpha, axis=1, norm="ortho").reshape(out_shape),
         bool(rel <= tol),
         rel,
         tuple(history),

@@ -97,7 +97,8 @@ def estimate_modes(data: DataMatrix) -> ModeEstimate:
     u, vh = _canonical_phase(u, vh)
     est = ModeEstimate(u, s, vh, schedule=data.schedule, kind=data.kind)
     # Reconstruction post-condition: the truncation is exact for rank <= N.
-    scale = np.linalg.norm(entries, 2)
+    # The spectral norm of the data is s[0]; no second SVD is needed for it.
+    scale = s[0] if s.size else 0.0
     err = np.linalg.norm(entries - (u * s) @ vh, 2)
     if scale > 0.0 and err > _RECONSTRUCTION_RTOL * scale:
         raise InvalidArgument(f"SVD reconstruction error {err:.3e} exceeds tolerance")

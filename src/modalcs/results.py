@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -76,8 +77,8 @@ def write_result_csv(table: ResultTable, path: str) -> None:
 def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
     """Read a rectangular numeric CSV, one sensor per row, into an (N, M) array.
 
-    Line and column numbers in errors are 1-based and count the header row.
-    Blank lines are ignored.
+    Every cell must be a finite number.  Line and column numbers in errors
+    are 1-based and count the header row.  Blank lines are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -101,11 +102,15 @@ def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
         parsed = []
         for j, cell in enumerate(row):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            # float() also accepts "nan" and "inf", which no sensor records.
+            if not math.isfinite(value):
                 raise ParseError(
                     f"invalid number {cell.strip()!r}", line=line_no, column=j + 1
-                ) from None
+                )
+            parsed.append(value)
         values.append(parsed)
     if not values:
         raise ParseError(f"no data rows in {path}")

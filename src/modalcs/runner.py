@@ -260,7 +260,7 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     highest spectral peak.
     """
     samples = load_sensor_csv(config.data_path, header=config.header)
-    n_sensors, m = samples.shape
+    m = samples.shape[1]
     t_s = config.sampling["t_s"]
     m_prime = config.sampling["m_prime"]
     n_bench = config.n_benchmark_modes
@@ -275,10 +275,7 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     estimate = estimate_modes(compressed)
     svd_shapes = estimate.mode_shapes_hat[:, :n_bench]
 
-    reconstructed = np.empty((n_sensors, m))
-    for l in range(n_sensors):
-        recovery = sparse_reconstruct(compressed.entries[l], phi)
-        reconstructed[l] = recovery.signal.real
+    reconstructed = sparse_reconstruct(compressed.entries, phi).signal.real
     csfdd_freqs, csfdd_shapes = fdd_peaks(welch_csd(reconstructed, t_s), n_bench)
 
     rows = []

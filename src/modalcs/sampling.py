@@ -225,12 +225,21 @@ def draw_jl_matrix(m: int, m_prime: int, kind: str = "gaussian", seed: int = 0) 
     return JlMatrix(entries, kind, seed=int(seed))
 
 
-def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
-    """[Y] = [V] [Phi]; each row of [V] is compressed by the same [Phi].
+def complex_times_real(z: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """z @ real for complex z and real ``real``, as two real products.
 
-    The matrix product is cross-checked against explicit row-by-row
-    application, which must agree to near machine precision.
+    ``z @ real`` would first copy ``real`` to complex, doubling its memory,
+    and then spend half of a complex product's flops on its zero imaginary
+    part.
     """
+    out = np.empty(z.shape[:-1] + real.shape[1:], dtype=complex)
+    out.real = z.real @ real
+    out.imag = z.imag @ real
+    return out
+
+
+def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
+    """[Y] = [V] [Phi]; each row of [V] is compressed by the same [Phi]."""
     if data.kind != "raw":
         raise InvalidArgument("only raw data matrices can be compressed")
     if data.entries.shape[1] != phi.entries.shape[0]:
@@ -238,9 +247,5 @@ def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
             f"data has {data.entries.shape[1]} columns but Phi has "
             f"{phi.entries.shape[0]} rows"
         )
-    y = data.entries @ phi.entries
-    rowwise = np.vstack([row @ phi.entries for row in data.entries])
-    scale = max(1.0, np.abs(y).max())
-    if np.abs(y - rowwise).max() > 1e-10 * scale:
-        raise InvalidArgument("row-wise compression disagrees with the matrix product")
+    y = complex_times_real(data.entries, phi.entries)
     return DataMatrix(y, "compressed", schedule=data.schedule, compression_seed=phi.seed)

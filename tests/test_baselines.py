@@ -249,6 +249,31 @@ class TestSparseReconstruct:
         with pytest.raises(DimensionMismatch):
             sparse_reconstruct(np.ones(self.M_PRIME + 1), phi)
         with pytest.raises(ShapeError):
-            sparse_reconstruct(np.ones((2, self.M_PRIME)), phi)
+            sparse_reconstruct(np.ones((2, 2, self.M_PRIME)), phi)
         with pytest.raises(InvalidArgument):
             sparse_reconstruct(np.ones(self.M_PRIME), phi, threshold_ratio=1.0)
+
+    def test_batch_rows_match_single_calls(self):
+        rng = np.random.Generator(np.random.Philox(23))
+        alpha0 = np.zeros(self.M, dtype=complex)
+        alpha0[7] = 3.0 * np.exp(1j * 0.8)
+        phi = self.phi()
+        batch_y = np.vstack([
+            phi.entries.T @ (math.sqrt(self.M) * np.fft.ifft(alpha0)),
+            np.zeros(self.M_PRIME),
+            rng.normal(size=self.M_PRIME) + 1j * rng.normal(size=self.M_PRIME),
+        ])
+        batch = sparse_reconstruct(batch_y, phi, n_stages=8)
+        assert batch.coefficients.shape == batch.signal.shape == (3, self.M)
+        assert np.isfinite(batch.coefficients).all()
+        npt.assert_array_equal(batch.coefficients[1], np.zeros(self.M))
+        singles = [sparse_reconstruct(row, phi, n_stages=8) for row in batch_y]
+        for k, single in enumerate(singles):
+            for got, want in [(batch.coefficients[k], single.coefficients),
+                              (batch.signal[k], single.signal)]:
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert batch.relative_residual == pytest.approx(
+            max(single.relative_residual for single in singles), abs=1e-14
+        )
+        summed = np.sum([single.l1_history for single in singles if single.l1_history], axis=0)
+        npt.assert_allclose(batch.l1_history, summed, rtol=1e-12)

@@ -211,6 +211,14 @@ class TestSensorCsv:
         assert info.value.column == 2
         assert "oops" in str(info.value)
 
+    @pytest.mark.parametrize("cell", ["nan", " inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_position(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2,3\r\n4,5,{cell}\r\n")
+        with pytest.raises(ParseError) as info:
+            load_sensor_csv(str(path))
+        assert (info.value.line, info.value.column) == (2, 3)
+
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,3\r\n4,5\r\n")
@@ -466,6 +474,19 @@ class TestCli:
             )
         )
         assert cli_run(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+
+    def test_non_finite_sensor_data_exit_code(self, tmp_path, capsys):
+        data = rng_from_seed(41).normal(size=(4, 200))
+        data[2, 17] = np.nan
+        data_path = str(tmp_path / "sensors.csv")
+        save_sensor_csv(data, data_path)
+        cfg = tmp_path / "rd.json"
+        cfg.write_text(json.dumps({"data_path": data_path, "sampling": {"t_s": 0.01}}))
+        code = cli_run(
+            ["run", "--experiment", "realdata", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == 4
+        assert "line 3, column 18" in capsys.readouterr().err
 
     def test_seed_flag_controls_output_bytes(self, tmp_path, capsys):
         overlay = self.overlay(tmp_path)

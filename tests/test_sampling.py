@@ -229,6 +229,14 @@ class TestCompress:
                 compressed.entries[row], phi.entries.T @ data.entries[row], atol=1e-10
             )
 
+    def test_matches_complex_product(self, set1_basis):
+        data = build_data_matrix(set1_basis, uniform_schedule(0.002, 1001))
+        phi = draw_jl_matrix(1001, 32, "gaussian", seed=4)
+        want = data.entries @ phi.entries.astype(complex)
+        npt.assert_allclose(
+            compress(data, phi).entries, want, rtol=0, atol=1e-12 * np.abs(want).max()
+        )
+
     def test_single_row_linearity(self):
         basis = ModalBasis(np.eye(1), np.array([2.0]), np.array([1.5]))
         data = build_data_matrix(basis, uniform_schedule(0.1, 16))
