@@ -30,6 +30,13 @@ PAPER_4DOF_STIFFNESS = (
     (0.0, 0.0, -1.0, 2.0),
 )
 
+# Ceilings on config-driven work, so that no config can ask for an unbounded
+# allocation.  The presets stay two or more orders of magnitude below each:
+# at most 250 sweep points, trials or Phi seeds (exp3's 5 x 50 trials) and
+# 1616 samples per schedule (exp5's 202 samples padded 8 times).
+MAX_POINTS = 100_000
+MAX_SAMPLES = 1_000_000
+
 _MATRIX_SCHEMA = {
     "type": "array",
     "minItems": 1,
@@ -124,6 +131,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        bad = _non_finite_field(raw)
+        if bad is not None:
+            # JSON parsers accept NaN and Infinity, and every schema bound
+            # lets NaN through.
+            raise ConfigError(f"{bad}: must be a finite number")
         try:
             jsonschema.validate(raw, CONFIG_SCHEMA)
         except jsonschema.ValidationError as exc:
@@ -166,6 +178,28 @@ class ExperimentConfig:
         return out
 
 
+def _non_finite_field(value, path=()):
+    """Dotted path of the first NaN or infinite number in a JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ".".join(path) or "<top level>"
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_field(item, path + (str(key),))
+        if found is not None:
+            return found
+    return None
+
+
+def _cap(name: str, count: float, limit: int, what: str):
+    if count > limit:
+        raise ConfigError(f"{name}: asks for {count:.3g} {what}; the limit is {limit}")
+
+
 def _opt_tuple(values):
     return None if values is None else tuple(float(v) for v in values)
 
@@ -199,8 +233,12 @@ def _validate_semantics(cfg: ExperimentConfig):
         _validate_modal_lists(cfg)
         _need_sampling(cfg, "t_s", "t_max_step", "t_max_stop")
         start = cfg.sampling.get("t_max_start", 0.0)
-        if cfg.sampling["t_max_stop"] < start:
+        stop = cfg.sampling["t_max_stop"]
+        if stop < start:
             raise ConfigError("sampling.t_max_stop: must be >= t_max_start")
+        points = (stop - start) / cfg.sampling["t_max_step"] + 1
+        _cap("sampling.t_max_step", points, MAX_POINTS, "sweep points")
+        _cap("sampling.t_s", stop / cfg.sampling["t_s"], MAX_SAMPLES, "samples")
     elif cfg.experiment == "exp3":
         _validate_modal_lists(cfg)
         _need_sampling(cfg, "t_s", "m_values")
@@ -212,14 +250,24 @@ def _validate_semantics(cfg: ExperimentConfig):
             )
         if cfg.n_trials is None:
             raise ConfigError("exp3: field 'n_trials' is required")
+        trials = cfg.n_trials * len(cfg.sampling["m_values"])
+        _cap("n_trials", trials, MAX_POINTS, "trials over all m_values")
+        _cap("sampling.m_values", max(cfg.sampling["m_values"]), MAX_SAMPLES, "samples")
     elif cfg.experiment == "exp4":
         _validate_modal_lists(cfg)
         _need_sampling(cfg, "t_s_sub", "t_s_super", "t_max", "m_prime")
         if cfg.n_phi_seeds is None:
             raise ConfigError("exp4: field 'n_phi_seeds' is required")
+        _cap("n_phi_seeds", cfg.n_phi_seeds, MAX_POINTS, "Phi seeds")
+        for key in ("t_s_sub", "t_s_super"):
+            samples = cfg.sampling["t_max"] / cfg.sampling[key]
+            _cap(f"sampling.{key}", samples, MAX_SAMPLES, "samples")
     elif cfg.experiment == "exp5":
         _validate_modal_lists(cfg)
         _need_sampling(cfg, "t_s", "t_max")
+        samples = cfg.sampling["t_max"] / cfg.sampling["t_s"]
+        padded = cfg.sampling.get("zero_pad_factor", 8) * samples
+        _cap("sampling.t_s", padded, MAX_SAMPLES, "padded FFT bins")
     elif cfg.experiment == "realdata":
         _need(cfg, "data_path", "n_benchmark_modes")
         _need_sampling(cfg, "t_s", "m_prime")

@@ -11,6 +11,7 @@ random M x M' matrix with the distributional Johnson-Lindenstrauss property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,10 @@ from .errors import DimensionMismatch, InvalidArgument, ShapeError
 from .mdof import ModalBasis
 
 _UNIFORM_KINDS = ("uniform", "random")
-_JL_KINDS = ("gaussian", "bernoulli", "identity")
+_JL_KINDS = ("gaussian", "bernoulli")
+# Working-set size of one streamed block: Phi rows in compress, V columns
+# in build_data_matrix.  About one L2 cache; 512 Phi rows at M' = 256.
+_BLOCK_BYTES = 1 << 20
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -169,60 +173,80 @@ def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix
     """[V] with columns v(t_m) = sum_n psi_n A_n e^{i w_n t_m}.
 
     Equals [Psi] (sqrt(M) diag(A)) [S] for the steering matrix of the same
-    frequencies and schedule.
+    frequencies and schedule.  Filled one column block at a time, so the
+    N x M phase matrix is never held whole.
     """
     if basis.amplitudes is None:
         raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")
-    phases = np.exp(1j * np.outer(basis.frequencies, schedule.times))
-    v = (basis.mode_shapes * basis.amplitudes) @ phases
+    coef = basis.mode_shapes * basis.amplitudes
+    times = schedule.times
+    v = np.empty((coef.shape[0], times.size), dtype=complex)
+    cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1]))
+    for start in range(0, times.size, cols):
+        stop = start + cols
+        v[:, start:stop] = coef @ np.exp(1j * np.outer(basis.frequencies, times[start:stop]))
     return DataMatrix(v, "raw", schedule=schedule)
 
 
 @dataclass(frozen=True)
 class JlMatrix:
-    """Random compression matrix of shape M x M' with M' <= M.
+    """Seeded description of a random M x M' compression matrix, M' <= M.
 
     Entry scaling gives E ||Phi* x||^2 = ||x||^2 for any fixed x: Gaussian
-    entries are N(0, 1/M'), Bernoulli entries are +/- 1/sqrt(M').
+    entries are N(0, 1/M'), Bernoulli entries are +/- 1/sqrt(M').  The rows
+    are one stream of ``rng_from_seed(seed)`` in row-major order, so they can
+    be drawn block by block as samples arrive; ``entries`` draws the whole
+    matrix on first access and keeps it.
     """
 
-    entries: np.ndarray
+    m: int
+    m_prime: int
     kind: str
-    seed: int | None = None
+    seed: int
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ShapeError("compression matrix must be 2-d")
-        m, m_prime = entries.shape
-        if m_prime > m:
-            raise InvalidArgument(f"M'={m_prime} must not exceed M={m}")
+        if not 1 <= self.m_prime <= self.m:
+            raise InvalidArgument(f"need 1 <= M' <= M, got M'={self.m_prime}, M={self.m}")
         if self.kind not in _JL_KINDS:
             raise InvalidArgument(f"unknown compression kind {self.kind!r}")
-        object.__setattr__(self, "entries", entries)
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
     @property
     def shape(self):
-        return self.entries.shape
+        return (self.m, self.m_prime)
 
-    @classmethod
-    def identity(cls, m: int) -> "JlMatrix":
-        """Degenerate M' = M case, useful as a no-op in tests."""
-        return cls(np.eye(m), "identity")
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        # Draws the next out.shape[0] rows of the stream into out, with the
+        # same arithmetic as rng.normal(0, 1/sqrt(M')) and (2 b - 1)/sqrt(M').
+        if self.kind == "gaussian":
+            rng.standard_normal(out=out)
+            out *= 1.0 / np.sqrt(self.m_prime)
+        else:
+            np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+            out -= 1.0
+            out /= np.sqrt(self.m_prime)
+        return out
+
+    def row_blocks(self):
+        """Yield (start, block) for consecutive row blocks of about 1 MB.
+
+        ``block`` is one buffer reused from block to block: copy it to keep it.
+        """
+        rng = rng_from_seed(self.seed)
+        rows = max(1, _BLOCK_BYTES // (8 * self.m_prime))
+        buf = np.empty((min(rows, self.m), self.m_prime))
+        for start in range(0, self.m, rows):
+            yield start, self._fill(rng, buf[: min(rows, self.m - start)])
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self._fill(rng_from_seed(self.seed), np.empty(self.shape))
 
 
 def draw_jl_matrix(m: int, m_prime: int, kind: str = "gaussian", seed: int = 0) -> JlMatrix:
-    """Draw an M x M' compression matrix of the given kind."""
-    if m_prime < 1 or m_prime > m:
-        raise InvalidArgument(f"need 1 <= M' <= M, got M'={m_prime}, M={m}")
-    rng = rng_from_seed(seed)
-    if kind == "gaussian":
-        entries = rng.normal(0.0, 1.0 / np.sqrt(m_prime), size=(m, m_prime))
-    elif kind == "bernoulli":
-        entries = (2.0 * rng.integers(0, 2, size=(m, m_prime)) - 1.0) / np.sqrt(m_prime)
-    else:
-        raise InvalidArgument(f"cannot draw kind {kind!r}")
-    return JlMatrix(entries, kind, seed=int(seed))
+    """Describe an M x M' compression matrix of the given kind; nothing is drawn yet."""
+    return JlMatrix(int(m), int(m_prime), kind, int(seed))
 
 
 def complex_times_real(z: np.ndarray, real: np.ndarray) -> np.ndarray:
@@ -239,13 +263,18 @@ def complex_times_real(z: np.ndarray, real: np.ndarray) -> np.ndarray:
 
 
 def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
-    """[Y] = [V] [Phi]; each row of [V] is compressed by the same [Phi]."""
+    """[Y] = [V] [Phi]; each row of [V] is compressed by the same [Phi].
+
+    [Phi] is drawn and applied one row block at a time; the full matrix is
+    never held.
+    """
     if data.kind != "raw":
         raise InvalidArgument("only raw data matrices can be compressed")
-    if data.entries.shape[1] != phi.entries.shape[0]:
+    if data.entries.shape[1] != phi.m:
         raise DimensionMismatch(
-            f"data has {data.entries.shape[1]} columns but Phi has "
-            f"{phi.entries.shape[0]} rows"
+            f"data has {data.entries.shape[1]} columns but Phi has {phi.m} rows"
         )
-    y = complex_times_real(data.entries, phi.entries)
+    y = np.zeros((data.entries.shape[0], phi.m_prime), dtype=complex)
+    for start, block in phi.row_blocks():
+        y += complex_times_real(data.entries[:, start : start + block.shape[0]], block)
     return DataMatrix(y, "compressed", schedule=data.schedule, compression_seed=phi.seed)

@@ -73,6 +73,21 @@ class TestEstimateModes:
         compressed = compress(data, draw_jl_matrix(21, 8, seed=1))
         assert estimate_modes(compressed).kind == "compressed"
 
+    @pytest.mark.parametrize("variant", ["raw", "compressed", "rank_deficient"])
+    def test_factors_reconstruct_data(self, set1_basis, variant):
+        # U diag(s) Vh equals the data to 1e-8 s[0] in the spectral norm: the
+        # rank-N truncation is exact because the data has rank <= N.
+        basis = set1_basis
+        if variant == "rank_deficient":
+            basis = ModalBasis(basis.mode_shapes, basis.frequencies, [1.0, 0.0, 0.5, 0.0])
+        data = build_data_matrix(basis, uniform_schedule(0.1, 21))
+        if variant == "compressed":
+            data = compress(data, draw_jl_matrix(21, 8, seed=3))
+        estimate = estimate_modes(data)
+        u, s, vh = estimate.mode_shapes_hat, estimate.singular_values, estimate.right_factors_hat
+        err = np.linalg.norm(data.entries - (u * s) @ vh, 2)
+        assert err <= 1e-8 * s[0]
+
     def test_left_vectors_orthonormal(self, set1_basis):
         data = build_data_matrix(set1_basis, random_schedule(2.0, 25, seed=3))
         u = estimate_modes(data).mode_shapes_hat

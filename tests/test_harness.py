@@ -85,6 +85,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="m_values"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "path", [("sampling", "t_s"), ("sampling", "t_max_stop"), ("frequencies", 2)]
+    )
+    def test_non_finite_number_names_field(self, path, value):
+        raw = preset("exp1")
+        raw[path[0]][path[1]] = value
+        with pytest.raises(ConfigError, match=rf"^{path[0]}\.{path[1]}: must be a finite"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("exp1", ("sampling", "t_max_step"), 1e-9),
+            ("exp2", ("sampling", "t_s"), 1e-9),
+            ("exp3", ("n_trials",), 10**6),
+            ("exp3", ("sampling", "m_values"), [6, 10**12]),
+            ("exp4", ("n_phi_seeds",), 10**9),
+            ("exp4", ("sampling", "t_s_super"), 1e-12),
+            ("exp5", ("sampling", "t_s"), 1e-6),
+        ],
+    )
+    def test_allocation_caps_name_field(self, name, field, value):
+        # Each of these would ask for gigabytes of seeds or samples.
+        raw = preset(name)
+        target = raw
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^{'.'.join(field)}: asks for .* limit is"):
+            ExperimentConfig.from_dict(raw)
+
     def test_round_trip_through_as_dict(self):
         cfg = preset_config("exp4")
         assert ExperimentConfig.from_dict(cfg.as_dict()) == cfg
@@ -487,6 +519,22 @@ class TestCli:
         )
         assert code == 4
         assert "line 3, column 18" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_s", [math.nan, math.inf])
+    def test_non_finite_config_exit_code(self, tmp_path, capsys, t_s):
+        # NaN used to escape as a ValueError; Infinity wrote a 0-row table.
+        overlay = self.overlay(tmp_path, {"sampling": {"t_s": t_s, "t_max_stop": 0.5}})
+        out = tmp_path / "o"
+        code = cli_run(["run", "--experiment", "exp1", "--config", overlay, "--out", str(out)])
+        assert code == 2
+        assert "sampling.t_s: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbounded_sweep_exit_code(self, tmp_path, capsys):
+        overlay = self.overlay(tmp_path, {"sampling": {"t_max_step": 1e-9}})
+        code = cli_run(["run", "--experiment", "exp1", "--config", overlay, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "sampling.t_max_step" in capsys.readouterr().err
 
     def test_seed_flag_controls_output_bytes(self, tmp_path, capsys):
         overlay = self.overlay(tmp_path)

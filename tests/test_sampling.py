@@ -1,6 +1,7 @@
 """Sample schedules, steering matrices, data matrices, and compression."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -183,7 +184,33 @@ class TestJlMatrices:
         with pytest.raises(InvalidArgument):
             draw_jl_matrix(4, 5)
         with pytest.raises(InvalidArgument):
-            JlMatrix(np.ones((2, 3)), "gaussian")
+            JlMatrix(2, 3, "gaussian", 0)
+
+    def test_unknown_kind_and_negative_seed(self):
+        with pytest.raises(InvalidArgument):
+            JlMatrix(4, 4, "identity", 0)
+        with pytest.raises(InvalidArgument):
+            draw_jl_matrix(4, 4, seed=-1)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+    def test_row_blocks_equal_entries(self, kind):
+        # Odd M' = 37 gives 3542-row blocks, so M = 10007 ends in a short one.
+        phi = draw_jl_matrix(10_007, 37, kind, seed=8)
+        starts, blocks = [], []
+        for start, block in phi.row_blocks():
+            starts.append(start)
+            blocks.append(block.copy())
+        assert len(blocks) >= 3 and starts[0] == 0
+        assert [b.shape[0] for b in blocks[:-1]] == [starts[1]] * (len(blocks) - 1)
+        npt.assert_array_equal(np.concatenate(blocks), phi.entries)
+        assert phi.entries.shape == phi.shape == (10_007, 37)
+
+    def test_draw_matches_one_shot_generator_calls(self):
+        gauss = draw_jl_matrix(50, 7, "gaussian", seed=3).entries
+        npt.assert_array_equal(gauss, rng_from_seed(3).normal(0.0, 1.0 / math.sqrt(7), (50, 7)))
+        bern = draw_jl_matrix(50, 7, "bernoulli", seed=3).entries
+        want = (2.0 * rng_from_seed(3).integers(0, 2, size=(50, 7)) - 1.0) / math.sqrt(7)
+        npt.assert_array_equal(bern, want)
 
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
     def test_norm_preserved_in_expectation(self, kind):
@@ -213,12 +240,6 @@ class TestJlMatrices:
 
 
 class TestCompress:
-    def test_identity_compression_is_noop(self, set1_basis):
-        data = build_data_matrix(set1_basis, uniform_schedule(0.1, 8))
-        compressed = compress(data, JlMatrix.identity(8))
-        npt.assert_array_equal(compressed.entries, data.entries)
-        assert compressed.kind == "compressed"
-
     def test_matches_rowwise_application(self, set1_basis):
         data = build_data_matrix(set1_basis, uniform_schedule(0.002, 1001))
         phi = draw_jl_matrix(1001, 32, "gaussian", seed=3)
@@ -237,6 +258,15 @@ class TestCompress:
             compress(data, phi).entries, want, rtol=0, atol=1e-12 * np.abs(want).max()
         )
 
+    def test_many_blocks_match_complex_product(self, set1_basis):
+        # M' = 256 gives 512-row blocks, so M = 10000 spans 20 of them.
+        data = build_data_matrix(set1_basis, uniform_schedule(0.0002, 10_000))
+        phi = draw_jl_matrix(10_000, 256, "gaussian", seed=6)
+        want = data.entries @ phi.entries.astype(complex)
+        npt.assert_allclose(
+            compress(data, phi).entries, want, rtol=0, atol=1e-12 * np.abs(want).max()
+        )
+
     def test_single_row_linearity(self):
         basis = ModalBasis(np.eye(1), np.array([2.0]), np.array([1.5]))
         data = build_data_matrix(basis, uniform_schedule(0.1, 16))
@@ -248,9 +278,10 @@ class TestCompress:
 
     def test_compressed_input_rejected(self, set1_basis):
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 8))
-        compressed = compress(data, JlMatrix.identity(8))
+        compressed = compress(data, draw_jl_matrix(8, 4, seed=0))
+        assert compressed.kind == "compressed"
         with pytest.raises(InvalidArgument):
-            compress(compressed, JlMatrix.identity(8))
+            compress(compressed, draw_jl_matrix(4, 4, seed=0))
 
     def test_dimension_mismatch(self, set1_basis):
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 8))
@@ -261,3 +292,36 @@ class TestCompress:
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 8))
         compressed = compress(data, draw_jl_matrix(8, 4, seed=77))
         assert compressed.compression_seed == 77
+
+
+def _traced_peak(func, *args):
+    """Peak traced allocation during func(*args) beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """numpy reports its buffers to tracemalloc, so these catch a dense Phi."""
+
+    M = 200_000
+    MB = 1 << 20
+
+    def test_compress_never_holds_phi(self, set1_basis):
+        # The dense 200000 x 64 Phi alone would be 102 MB.
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-4, self.M))
+        compressed, peak = _traced_peak(
+            lambda: compress(data, draw_jl_matrix(self.M, 64, "gaussian", seed=1))
+        )
+        assert compressed.shape == (4, 64)
+        assert peak < 16 * self.MB
+
+    def test_build_data_matrix_holds_one_block_of_phases(self, set1_basis):
+        schedule = uniform_schedule(1e-4, self.M)
+        data, peak = _traced_peak(build_data_matrix, set1_basis, schedule)
+        assert peak < 1.5 * data.entries.nbytes
