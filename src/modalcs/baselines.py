@@ -9,9 +9,9 @@ compressed samples before any modal processing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -135,10 +135,12 @@ class SparseRecovery:
 
     ``coefficients`` live in the unitary DFT basis; ``signal`` is their time
     domain synthesis; both keep the leading shape of the measurements.
-    ``relative_residual`` is the worst over rows.  ``l1_history`` records the
-    coefficient l1 norm, summed over rows, after every inner iteration,
-    grouped by threshold stage; within each stage the norm never increases
-    (up to roundoff), which is checked on construction.
+    ``relative_residual`` is the worst over rows, and ``converged`` says
+    only that it is at most ``tol``: a linear-solve accuracy, not recovery
+    quality, and never false after a projection with a well-conditioned
+    Phi.  ``l1_history`` records the coefficient l1 norm, summed over rows,
+    after every inner iteration, grouped by threshold stage; within each
+    stage the norm never increases (up to roundoff), checked on construction.
     """
 
     coefficients: np.ndarray
@@ -169,7 +171,10 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     A = Phi^T W.  A row's threshold starts at 0.9 max|A^+ y| and decays
     geometrically by ``threshold_ratio`` per stage, a standard fixed-point
     continuation schedule.  All iterates after a projection are feasible, so
-    the returned residual measures only the linear-solve accuracy.
+    the residual and ``converged`` measure only the linear-solve accuracy.
+    Real measurements (imaginary part exactly zero) keep every spectrum
+    conjugate-symmetric and are solved on the rfft half spectrum with real
+    products; ``coefficients`` are still the full length-M spectrum.
     """
     y = np.asarray(measurements, dtype=complex)
     entries = np.asarray(getattr(phi, "entries", phi), dtype=float)
@@ -185,31 +190,42 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
 
     rows = y.reshape(-1, m_prime)
     out_shape = y.shape[:-1] + (m,)
+    real = not rows.imag.any()
+    if real:
+        rows = rows.real
 
-    def apply_a(alpha):
-        return complex_times_real(np.fft.ifft(alpha, axis=1, norm="ortho"), entries)
-
-    def apply_a_star(z):
-        return np.fft.fft(complex_times_real(z, entries.T), axis=1, norm="ortho")
-
-    # A A* = Phi^T Phi since the DFT factor is unitary.
+    # A A* = Phi^T Phi = G since the DFT factor is unitary, so the minimum-norm
+    # solution of A alpha = r is A*(G^-1 r) = DFT(r P) with P = G^-1 Phi^T.
+    gram = entries.T @ entries
     try:
-        gram = scipy.linalg.cho_factor(entries.T @ entries)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise InvalidArgument("compression matrix is rank deficient") from exc
+    p = np.linalg.solve(gram, entries.T)
 
-    def solve(r):
-        return scipy.linalg.cho_solve(gram, r.T).T
+    if real:
+        forward, inverse, times = np.fft.rfft, partial(np.fft.irfft, n=m), np.matmul
+    else:
+        forward, inverse, times = np.fft.fft, np.fft.ifft, complex_times_real
+    # Half-spectrum bins 1 .. paired - 1 each stand for a conjugate pair.
+    paired = (m + 1) // 2
+    doubled = slice(1, paired) if real else slice(0)
 
-    def project(alpha):
-        return alpha + apply_a_star(solve(rows - apply_a(alpha)))
+    def synthesize(alpha):
+        return inverse(alpha, axis=1, norm="ortho")
+
+    def apply_a(alpha):
+        return times(synthesize(alpha), entries)
+
+    def apply_pinv(r):
+        return forward(times(r, p), axis=1, norm="ortho")
 
     y_norms = np.linalg.norm(rows, axis=1)
     if not y_norms.any():
         zeros = np.zeros(out_shape, dtype=complex)
         return SparseRecovery(zeros, zeros.copy(), True, 0.0, ())
 
-    alpha = apply_a_star(solve(rows))  # min-norm feasible start
+    alpha = apply_pinv(rows)  # min-norm feasible start
     mags = np.abs(alpha)
     # All-zero rows get theta = 0 and stay exactly zero: nothing exceeds it.
     theta = 0.9 * mags.max(axis=1, keepdims=True)
@@ -219,18 +235,22 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
         for _ in range(iters_per_stage):
             with np.errstate(divide="ignore", invalid="ignore"):
                 shrink = np.where(mags > theta, 1.0 - theta / mags, 0.0)
-            alpha = project(alpha * shrink)
+            alpha *= shrink
+            alpha += apply_pinv(rows - apply_a(alpha))
             mags = np.abs(alpha)
-            stage.append(float(mags.sum()))
+            stage.append(float(mags.sum() + mags[:, doubled].sum()))
         history.append(tuple(stage))
         theta *= threshold_ratio
 
     residuals = np.linalg.norm(rows - apply_a(alpha), axis=1)
     nonzero = y_norms > 0.0
     rel = float((residuals[nonzero] / y_norms[nonzero]).max())
+    signal = np.asarray(synthesize(alpha), dtype=complex)
+    if real:
+        alpha = np.concatenate([alpha, alpha[:, paired - 1:0:-1].conj()], axis=1)
     return SparseRecovery(
         alpha.reshape(out_shape),
-        np.fft.ifft(alpha, axis=1, norm="ortho").reshape(out_shape),
+        signal.reshape(out_shape),
         bool(rel <= tol),
         rel,
         tuple(history),

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidArgument,
@@ -185,7 +184,11 @@ def solve_modes(system: MdofSystem) -> ModalBasis:
         then mass-orthogonal rather than mutually orthogonal, and no scaling
         can satisfy the orthonormal-basis contract.
     """
-    evals, vecs = scipy.linalg.eigh(system.stiffness, system.mass)
+    # The mass is diagonal and positive: with D = M^-1/2 the pencil becomes
+    # the symmetric problem (D K D) z = w^2 z, and psi = D z.
+    d = 1.0 / np.sqrt(np.diag(system.mass))
+    evals, z = np.linalg.eigh(d[:, None] * system.stiffness * d)
+    vecs = d[:, None] * z
     if evals[0] <= 0.0:
         raise NonPositiveEigenvalue(
             f"smallest pencil eigenvalue is {evals[0]:.6e}; expected > 0"

@@ -269,7 +269,7 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
 
     phi = draw_jl_matrix(m, m_prime, "gaussian", config.seed)
     schedule = uniform_schedule(t_s, m)
-    raw = DataMatrix(samples.astype(complex), "raw", schedule=schedule)
+    raw = DataMatrix(samples, "raw", schedule=schedule)
     compressed = compress(raw, phi)
 
     estimate = estimate_modes(compressed)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from modalcs import (
     CsdCube,
@@ -174,6 +175,38 @@ class TestFddPeaks:
             fdd_peaks(cube, 0)
 
 
+def full_spectrum_reference(rows, entries, n_stages, iters_per_stage=10, ratio=0.7):
+    """The sparse baseline on the full complex spectrum with a Cholesky solve.
+
+    Returns (coefficients, signal, l1_history) for a (K, M') batch.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    gram = scipy.linalg.cho_factor(entries.T @ entries)
+
+    def apply_a(alpha):
+        return np.fft.ifft(alpha, axis=1, norm="ortho") @ entries
+
+    def apply_pinv(r):
+        return np.fft.fft(scipy.linalg.cho_solve(gram, r.T).T @ entries.T, axis=1, norm="ortho")
+
+    alpha = apply_pinv(rows)
+    mags = np.abs(alpha)
+    theta = 0.9 * mags.max(axis=1, keepdims=True)
+    history = []
+    for _ in range(n_stages):
+        stage = []
+        for _ in range(iters_per_stage):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shrink = np.where(mags > theta, 1.0 - theta / mags, 0.0)
+            alpha = alpha * shrink
+            alpha = alpha + apply_pinv(rows - apply_a(alpha))
+            mags = np.abs(alpha)
+            stage.append(float(mags.sum()))
+        history.append(tuple(stage))
+        theta *= ratio
+    return alpha, np.fft.ifft(alpha, axis=1, norm="ortho"), tuple(history)
+
+
 class TestSparseReconstruct:
     M, M_PRIME = 256, 32
 
@@ -277,3 +310,26 @@ class TestSparseReconstruct:
         )
         summed = np.sum([single.l1_history for single in singles if single.l1_history], axis=0)
         npt.assert_allclose(batch.l1_history, summed, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [256, 255])
+    @pytest.mark.parametrize("as_complex", [False, True])
+    def test_real_batch_matches_full_spectrum(self, m, as_complex):
+        # Real measurements take the half-spectrum path; it must reproduce
+        # the full complex algorithm to roundoff, zero row included.
+        phi = draw_jl_matrix(m, self.M_PRIME, "gaussian", seed=304)
+        rng = np.random.Generator(np.random.Philox(24))
+        t = np.arange(m)
+        tones = np.cos(2 * np.pi * 9 * t / m + 0.3) + 0.5 * np.sin(2 * np.pi * 31 * t / m)
+        y = np.vstack([tones @ phi.entries, np.zeros(self.M_PRIME),
+                       rng.normal(size=self.M_PRIME)])
+        if as_complex:
+            y = y.astype(complex)
+        got = sparse_reconstruct(y, phi, n_stages=6)
+        want = full_spectrum_reference(y, phi.entries, n_stages=6)
+        for a, b in [(got.coefficients, want[0]), (got.signal, want[1])]:
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        npt.assert_allclose(got.l1_history, want[2], rtol=1e-10)
+        mirror = got.coefficients[:, (-np.arange(m)) % m]
+        npt.assert_array_equal(mirror, got.coefficients.conj())
+        npt.assert_array_equal(got.signal.imag, 0.0)
+        npt.assert_array_equal(got.coefficients[1], 0.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from modalcs import (
     InvalidArgument,
@@ -15,9 +16,11 @@ from modalcs import (
     NotSymmetric,
     SdofParams,
     analytic_from_real,
+    build_system,
     canonical_sign,
     evaluate_analytic,
     evaluate_displacement,
+    preset_config,
     rng_from_seed,
     sdof_response_params,
     solve_modes,
@@ -67,6 +70,23 @@ class TestSolveModes:
                 psi = modes.mode_shapes[:, j]
                 resid = k @ psi - modes.frequencies[j] ** 2 * (mass @ psi)
                 assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(k, 2)
+
+    def test_matches_generalized_eigh(self):
+        # Reference: the generalized symmetric solver on the same pencil.
+        systems = [build_system(preset_config(name))
+                   for name in ("exp1", "exp2", "exp3", "exp4", "exp5")]
+        rng = rng_from_seed(8)
+        for n in (2, 5, 9):
+            a = rng.normal(size=(n, n))
+            mass = float(rng.uniform(0.5, 2.0)) * np.eye(n)
+            systems.append(MdofSystem(mass, a.T @ a + n * np.eye(n)))
+        for system in systems:
+            evals, vecs = scipy.linalg.eigh(system.stiffness, system.mass)
+            order = np.argsort(-evals, kind="stable")
+            vecs = vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)
+            modes = solve_modes(system)
+            npt.assert_allclose(modes.frequencies, np.sqrt(evals[order]), rtol=1e-12, atol=0)
+            npt.assert_allclose(modes.mode_shapes, canonical_sign(vecs), rtol=0, atol=1e-10)
 
     def test_nonscalar_mass_rejected(self):
         # Pencil eigenvectors are mass-orthogonal, not Euclidean-orthonormal,
