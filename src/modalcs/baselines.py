@@ -20,11 +20,11 @@ from .errors import (
     NoConvergence,
     ShapeError,
 )
+from .mdof import canonical_sign
 from .sampling import complex_times_real
 
 _HERMITIAN_TOL = 1e-9
 _PSD_TOL = 1e-9
-_FEASIBLE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,6 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
     return CsdCube(2.0 * np.pi * freqs_hz, np.moveaxis(pxy, -1, 0))
 
 
-def _canonical_phase_vector(v: np.ndarray) -> np.ndarray:
-    pivot = v[int(np.argmax(np.abs(v)))]
-    if pivot != 0.0:
-        v = v * (pivot.conjugate() / abs(pivot))
-    return v
-
-
 def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-domain decomposition: peaks of the top spectral eigenvalue.
 
@@ -123,9 +116,10 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
             f"found {peak_idx.size} spectral peaks, need {n_modes}"
         )
     order = peak_idx[np.argsort(-top[peak_idx], kind="stable")][:n_modes]
-    shapes = np.empty((cube.n_channels, n_modes), dtype=complex)
-    for j, idx in enumerate(order):
-        shapes[:, j] = _canonical_phase_vector(evecs[idx, :, -1])
+    # C order: numpy's dot and multiply loops round contiguous and strided
+    # columns differently, so the layout reaches the last digits of the
+    # errors that callers compute from these shapes.
+    shapes = canonical_sign(np.ascontiguousarray(evecs[order, :, -1].T))
     return cube.frequencies[order], shapes
 
 

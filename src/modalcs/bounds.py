@@ -2,10 +2,11 @@
 
 Three sampling regimes are covered: uniform grids (Dirichlet-kernel Gram
 analysis), i.i.d. random times (a Chernoff eigenvalue sandwich), and random
-compression (a distributional Johnson-Lindenstrauss tail).  Each regime has
-a requirements calculator that turns (N, frequency separations, tolerance)
-into a sampling plan, plus diagnostics that measure how far an actual
-steering matrix deviates from orthonormal rows.
+compression (a distributional Johnson-Lindenstrauss tail).  The uniform and
+random regimes have requirements calculators that turn (N, frequency
+separations, tolerance) into a sampling plan; compression has its tail-rate
+exponent.  Diagnostics measure how far an actual steering matrix deviates
+from orthonormal rows.
 
 All logarithms are natural.
 """
@@ -193,23 +194,6 @@ def jl_tail_rate(epsilon: float) -> float:
     return epsilon**2 / 4.0 - epsilon**3 / 6.0
 
 
-def jl_requirements(k: int, epsilon_prime: float, delta_fail: float) -> int:
-    """Columns M' needed to epsilon'-preserve a k-dimensional subspace:
-
-        M' >= (2 k ln(42 / eps') + ln(4 / delta)) / f(eps' / sqrt(2))
-
-    rounded up.  Decreasing in epsilon_prime and increasing in k.
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if not 0.0 < epsilon_prime < 1.0:
-        raise DomainError("epsilon_prime must lie in (0, 1)")
-    if not 0.0 < delta_fail < 1.0:
-        raise DomainError("delta_fail must lie in (0, 1)")
-    numerator = 2.0 * k * math.log(42.0 / epsilon_prime) + math.log(4.0 / delta_fail)
-    return int(math.ceil(numerator / jl_tail_rate(epsilon_prime / ROOT2)))
-
-
 def sep_values(magnitudes, epsilon: float) -> np.ndarray:
     """Amplitude-separation factors sep_n(epsilon) for every mode.
 
@@ -293,55 +277,6 @@ def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
     kernel = np.abs(psinc(diffs * t_s, m))
     np.fill_diagonal(kernel, 0.0)
     return float(kernel.sum(axis=1).max())
-
-
-def _unnormalized_sinc(x: np.ndarray) -> np.ndarray:
-    """sin(x)/x with limit 1 at 0, exactly zero at nonzero multiples of pi."""
-    k = np.round(x / math.pi)
-    r = x - math.pi * k
-    sign = np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        away = sign * np.sin(r) / x
-    return np.where(k == 0, np.sinc(x / math.pi), away)
-
-
-@dataclass(frozen=True)
-class ExpectedGram:
-    """Gershgorin radius of E[S S* - I] under random sampling, with the
-    closed-form harmonic-sum bound that dominates it."""
-
-    radius: float
-    closed_form: float
-
-
-def expected_gram_random(frequencies, t_max: float) -> ExpectedGram:
-    """Expected Gram perturbation for i.i.d. uniform times on [0, t_max].
-
-    The (l, n) off-diagonal entry of E[S S*] has magnitude
-    |sinc((w_l - w_n) t_max / 2)| (unnormalized sinc), giving a Gershgorin
-    radius that the chained bound 4 (ln floor(N/2) + 1.01) / (delta_min t_max)
-    always dominates; that dominance is asserted here.
-    """
-    freqs = np.sort(np.asarray(frequencies, dtype=float))
-    if freqs.ndim != 1 or freqs.size < 2:
-        raise InvalidArgument("need at least two frequencies")
-    if t_max <= 0.0:
-        raise InvalidArgument("t_max must be > 0")
-    gaps = np.diff(freqs)
-    if np.any(gaps <= 0.0):
-        raise InvalidArgument("frequencies must be distinct")
-    delta_min = gaps.min()
-    args = (freqs[:, None] - freqs[None, :]) * t_max / 2.0
-    kernel = np.abs(_unnormalized_sinc(args))
-    np.fill_diagonal(kernel, 0.0)
-    radius = float(kernel.sum(axis=1).max())
-    n = freqs.size
-    closed_form = 4.0 * (math.log(n // 2) + _HARMONIC_PAD) / (delta_min * t_max)
-    if radius > closed_form * (1.0 + 1e-12):
-        raise InvalidArgument(
-            f"Gershgorin radius {radius} exceeds the closed form {closed_form}"
-        )
-    return ExpectedGram(radius, closed_form)
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,11 @@ def _validate_semantics(cfg: ExperimentConfig):
 def build_system(cfg: ExperimentConfig) -> MdofSystem:
     if cfg.system == "paper-4dof":
         return MdofSystem(np.eye(4), np.array(PAPER_4DOF_STIFFNESS))
-    return MdofSystem(np.array(cfg.system["mass"]), np.array(cfg.system["stiffness"]))
+    try:
+        return MdofSystem(np.array(cfg.system["mass"]), np.array(cfg.system["stiffness"]))
+    except ValueError as exc:
+        # Ragged rows (from np.array) and every MdofSystem rejection.
+        raise ConfigError(f"system: {exc}") from exc
 
 
 def build_basis(cfg: ExperimentConfig) -> ModalBasis:

@@ -3,8 +3,8 @@
 The rank-N truncated SVD of the N x M data matrix (or its compressed N x M'
 counterpart) estimates the mode shapes as left singular vectors.  When rows
 of the right factor are sampled on a uniform grid, each approximates a
-complex exponential at one modal frequency, so a zero-padded FFT peak pick
-recovers the frequencies.
+complex exponential at one modal frequency, so the peak of its zero-padded
+FFT (frequency_spectra) recovers the frequency.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonUniformSchedule, ShapeError
-from .mdof import ModalBasis
+from .mdof import ModalBasis, _pivot_phases
 from .sampling import DataMatrix, SampleSchedule
 
 _UNITARY_TOL = 1e-9
@@ -66,21 +66,6 @@ class ModeEstimate:
         return s > floor
 
 
-def _canonical_phase(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Rotate each left vector so its largest entry is real positive; the
-    # inverse rotation goes into the matching right row, preserving U S Vh.
-    u = u.copy()
-    vh = vh.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        pivot = u[i, j]
-        if np.abs(pivot) > 0.0:
-            phase = pivot / np.abs(pivot)
-            u[:, j] *= np.conj(phase)
-            vh[j, :] *= phase
-    return u, vh
-
-
 def estimate_modes(data: DataMatrix) -> ModeEstimate:
     """Rank-N truncated SVD of the data matrix.
 
@@ -93,23 +78,36 @@ def estimate_modes(data: DataMatrix) -> ModeEstimate:
     if n > m:
         raise ShapeError(f"need at least as many samples as modes, got N={n} > M={m}")
     u, s, vh = np.linalg.svd(entries, full_matrices=False)
-    u, vh = _canonical_phase(u, vh)
-    return ModeEstimate(u, s, vh, schedule=data.schedule, kind=data.kind)
+    # Rotate each left vector so its largest entry is real positive; the
+    # inverse rotation goes into the matching right row, preserving U S Vh.
+    phases = _pivot_phases(u)
+    return ModeEstimate(
+        u * np.conj(phases), s, vh * phases[:, None], schedule=data.schedule, kind=data.kind
+    )
+
+
+def _phase_aligned(estimate_vec, truth_vec) -> np.ndarray:
+    """c * estimate for the unit c that minimizes || truth - c * estimate ||_2.
+
+    The minimum is attained at the phase of the inner product <est, truth>;
+    a zero inner product leaves the estimate as it is (c = 1).
+    """
+    est = np.asarray(estimate_vec, dtype=complex)
+    inner = np.vdot(est, np.asarray(truth_vec, dtype=complex))
+    phase = inner / np.abs(inner) if np.abs(inner) > 0.0 else 1.0
+    return phase * est
 
 
 def aligned_distance(estimate_vec, truth_vec) -> float:
     """min over |c| = 1 of || truth - c * estimate ||_2, in [0, sqrt(2)].
 
-    Both vectors are assumed unit norm; the minimum is attained at the phase
-    of their inner product.  Evaluated as an explicit difference norm: the
-    algebraically equal sqrt(2 - 2|<est, truth>|) cancels catastrophically
-    near zero and cannot resolve distances below sqrt(eps) ~ 1.5e-8.
+    Both vectors are assumed unit norm.  Evaluated as an explicit difference
+    norm: the algebraically equal sqrt(2 - 2|<est, truth>|) cancels
+    catastrophically near zero and cannot resolve distances below
+    sqrt(eps) ~ 1.5e-8.
     """
-    est = np.asarray(estimate_vec, dtype=complex)
     truth = np.asarray(truth_vec, dtype=complex)
-    inner = np.vdot(est, truth)
-    phase = inner / np.abs(inner) if np.abs(inner) > 0.0 else 1.0
-    return float(np.linalg.norm(truth - phase * est))
+    return float(np.linalg.norm(truth - _phase_aligned(estimate_vec, truth)))
 
 
 def align_and_error(estimate: ModeEstimate, truth: ModalBasis) -> np.ndarray:
@@ -130,27 +128,6 @@ def align_and_error(estimate: ModeEstimate, truth: ModalBasis) -> np.ndarray:
     for k, idx in enumerate(order):
         errors[k] = aligned_distance(estimate.mode_shapes_hat[:, k], truth.mode_shapes[:, idx])
     return errors
-
-
-def greedy_correlation_match(estimate: ModeEstimate, truth: ModalBasis) -> np.ndarray:
-    """Diagnostic matcher: greedily pair estimates to truth by |inner product|.
-
-    Returns an array p with p[k] = index of the true mode assigned to
-    estimated mode k.  Not used by align_and_error, whose contract is the
-    amplitude-rank pairing; this helps detect mode swaps when debugging.
-    """
-    corr = np.abs(truth.mode_shapes.T.astype(complex).conj() @ estimate.mode_shapes_hat)
-    n = corr.shape[0]
-    assignment = np.full(n, -1)
-    taken = np.zeros(n, dtype=bool)
-    # Visit pairs by descending correlation.
-    flat = np.argsort(-corr, axis=None)
-    for pos in flat:
-        t_idx, e_idx = divmod(int(pos), n)
-        if assignment[e_idx] < 0 and not taken[t_idx]:
-            assignment[e_idx] = t_idx
-            taken[t_idx] = True
-    return assignment
 
 
 def frequency_spectra(estimate: ModeEstimate, t_s: float, zero_pad_factor: int = 8):
@@ -176,13 +153,3 @@ def frequency_spectra(estimate: ModeEstimate, t_s: float, zero_pad_factor: int =
     mags = np.abs(np.fft.fft(estimate.right_factors_hat, n=k, axis=1))
     return omega, mags
 
-
-def estimate_frequencies(estimate: ModeEstimate, t_s: float, zero_pad_factor: int = 8) -> np.ndarray:
-    """Peak frequency of each right-factor row, in singular-value order.
-
-    The resolution is one padded FFT bin, 2 pi / (zero_pad_factor * M * t_s);
-    no sub-bin interpolation is applied.  Frequencies above 2 pi / t_s alias
-    and cannot be distinguished, matching the underlying sampling.
-    """
-    omega, mags = frequency_spectra(estimate, t_s, zero_pad_factor)
-    return omega[np.argmax(mags, axis=1)]

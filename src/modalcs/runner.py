@@ -18,12 +18,13 @@ from .bounds import gershgorin_uniform_bound, gram_deviation
 from .config import ExperimentConfig, build_basis
 from .errors import ConfigError
 from .estimator import (
+    _phase_aligned,
     align_and_error,
     aligned_distance,
     estimate_modes,
     frequency_spectra,
 )
-from .results import ResultTable, load_sensor_csv
+from .results import Panel, ResultTable, load_sensor_csv
 from .sampling import (
     DataMatrix,
     build_data_matrix,
@@ -61,9 +62,11 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
 
     Both schemes use the same M at each t_max.  Grid points with fewer
     samples than modes are skipped (the estimator needs M >= N), so the
-    emitted sweep starts at the first feasible nonzero t_max.  Each grid
-    position owns one child seed whether or not it is skipped, keeping the
-    random draws at a given t_max independent of the grid's lower edge.
+    emitted sweep starts at the first feasible nonzero t_max; a grid with
+    no feasible point is a config error.  Each grid position owns one child
+    seed whether or not it is skipped, keeping the random draws at a given
+    t_max independent of the grid's lower edge.  One plot panel per mode
+    holds that mode's uniform and random error against t_max.
     """
     basis = build_basis(config)
     n = basis.n_dof
@@ -75,6 +78,7 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
     seeds = spawn_seeds(config.seed, n_points)
 
     rows = []
+    curves = [[] for _ in range(n)]
     for i in range(n_points):
         t_max = round(start + i * step, 10)
         m = _samples_for(t_max, t_s)
@@ -84,8 +88,10 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
             ("uniform", None, uniform_schedule(t_s, m)),
             ("random", int(seeds[i]), random_schedule(t_max, m, int(seeds[i]))),
         )
+        point = []
         for scheme, seed, schedule in schedules:
             errors = _point_errors(basis, schedule)
+            point.append(errors)
             steering = build_steering(basis.frequencies, schedule)
             gersh = (
                 gershgorin_uniform_bound(basis.frequencies, t_s, m)
@@ -97,11 +103,24 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
                 + tuple(float(e) for e in errors)
                 + (float(errors.max()), gram_deviation(steering), gersh)
             )
+        for curve, err_uniform, err_random in zip(curves, *point):
+            curve.append((t_max, float(err_uniform), float(err_random)))
+    if not rows:
+        raise ConfigError(
+            f"sampling.t_max_stop: no t_max up to {stop} gives the {n} samples "
+            f"at t_s = {t_s} that the estimator needs"
+        )
     rows.sort(key=lambda r: (r[0], _SCHEME_RANK[r[2]]))
     columns = ("t_max", "m", "scheme", "seed") + tuple(
         f"err_mode{k}" for k in range(1, n + 1)
     ) + ("max_err", "gram_deviation", "gershgorin")
-    return ResultTable(config.experiment, columns, tuple(rows), config.as_dict())
+    series = ("err_uniform", "err_random")
+    panels = tuple(
+        Panel(f"mode{k}.csv", ("t_max",) + series, curve, "t_max", series, f"mode {k}")
+        for k, curve in enumerate(curves, start=1)
+    )
+    axes = {"x": "t_max [s]", "y": "aligned mode-shape error"}
+    return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, panels)
 
 
 def _run_exp3(config: ExperimentConfig) -> ResultTable:
@@ -154,7 +173,17 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
         "err_random_extended_mean_max",
         "n_trials",
     )
-    return ResultTable("exp3", columns, tuple(rows), config.as_dict())
+    series = columns[3:6]  # the three error columns
+    panel = Panel(
+        "max_error_vs_m.csv",
+        ("m",) + series,
+        [row[:1] + row[3:6] for row in rows],
+        "m",
+        series,
+        "max error vs M",
+    )
+    axes = {"x": "number of samples M", "y": "max aligned error"}
+    return ResultTable("exp3", columns, tuple(rows), config.as_dict(), axes, (panel,))
 
 
 def _run_exp4(config: ExperimentConfig) -> ResultTable:
@@ -162,7 +191,8 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
 
     The compressed branch draws n_phi_seeds Gaussian matrices; per-seed rows
     are followed by a mean row whose err_mode columns average per mode and
-    whose max_err averages the per-seed maxima.
+    whose max_err averages the per-seed maxima.  The plot panel sets the
+    sub-Nyquist errors beside the seed-mean errors, mode by mode.
     """
     basis = build_basis(config)
     n = basis.n_dof
@@ -192,6 +222,7 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
     for seed, errors in per_seed:
         rows.append(_row("compressed", seed, t_s_super, m_super, m_prime, errors, errors.max()))
     stacked = np.array([e for _, e in per_seed])
+    errors_mean = stacked.mean(axis=0)
     rows.append(
         _row(
             "compressed_mean",
@@ -199,14 +230,27 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
             t_s_super,
             m_super,
             m_prime,
-            stacked.mean(axis=0),
+            errors_mean,
             stacked.max(axis=1).mean(),
         )
     )
     columns = ("variant", "seed", "t_s", "m", "m_prime") + tuple(
         f"err_mode{k}" for k in range(1, n + 1)
     ) + ("max_err",)
-    return ResultTable("exp4", columns, tuple(rows), config.as_dict())
+    series = ("err_uniform_sub", "err_compressed_mean")
+    panel = Panel(
+        "errors_by_mode.csv",
+        ("mode",) + series,
+        [
+            (k, float(sub), float(mean))
+            for k, (sub, mean) in enumerate(zip(errors_sub, errors_mean), start=1)
+        ],
+        "mode",
+        series,
+        "per-mode errors",
+    )
+    axes = {"x": "mode", "y": "aligned mode-shape error"}
+    return ResultTable("exp4", columns, tuple(rows), config.as_dict(), axes, (panel,))
 
 
 def _run_exp5(config: ExperimentConfig) -> ResultTable:
@@ -214,7 +258,8 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
 
     Estimated mode k (singular-value order) is paired with the true mode of
     k-th largest amplitude; the tolerance column is the unpadded FFT
-    resolution 2 pi / t_max.
+    resolution 2 pi / t_max.  Each mode's plot panel is its padded spectrum
+    with the picked bin marked.
     """
     basis = build_basis(config)
     t_s = config.sampling["t_s"]
@@ -236,19 +281,22 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
         est = float(omega_est[k])
         rows.append((k + 1, true, est, abs(est - true), float(tolerance)))
     columns = ("mode", "omega_true", "omega_est", "abs_error", "tolerance")
-    extras = {
-        "spectrum_omega": omega,
-        "spectrum_magnitudes": mags,
-        "spectrum_peak_bins": peak_bins,
-    }
-    return ResultTable("exp5", columns, tuple(rows), config.as_dict(), extras)
-
-
-def _phase_aligned_real(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    inner = np.vdot(vec, reference)
-    if np.abs(inner) > 0.0:
-        vec = vec * (inner / np.abs(inner))
-    return np.real(vec)
+    panels = tuple(
+        Panel(
+            f"spectrum_mode{k + 1}.csv",
+            ("omega", "magnitude", "is_peak"),
+            [
+                (float(w), float(mag), 1 if j == peak_bins[k] else 0)
+                for j, (w, mag) in enumerate(zip(omega, mags[k]))
+            ],
+            "omega",
+            ("magnitude",),
+            f"mode {k + 1} spectrum",
+        )
+        for k in range(len(mags))
+    )
+    axes = {"x": "omega [rad/s]", "y": "row FFT magnitude"}
+    return ResultTable("exp5", columns, tuple(rows), config.as_dict(), axes, panels)
 
 
 def _run_realdata(config: ExperimentConfig) -> ResultTable:
@@ -257,7 +305,8 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     The benchmark is the dominant-peak FDD modes of the uncompressed data.
     Both compressed methods see the same Gaussian matrix.  Estimated modes
     pair with benchmark modes by rank: k-th singular value against k-th
-    highest spectral peak.
+    highest spectral peak.  Each mode's plot panel overlays the benchmark
+    shape with both estimates, phase-aligned to it, sensor by sensor.
     """
     samples = load_sensor_csv(config.data_path, header=config.header)
     m = samples.shape[1]
@@ -276,21 +325,34 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     svd_shapes = estimate.mode_shapes_hat[:, :n_bench]
 
     reconstructed = sparse_reconstruct(compressed.entries, phi).signal.real
-    csfdd_freqs, csfdd_shapes = fdd_peaks(welch_csd(reconstructed, t_s), n_bench)
+    _, csfdd_shapes = fdd_peaks(welch_csd(reconstructed, t_s), n_bench)
 
     rows = []
-    shapes = {"benchmark": [], "svd_y": [], "cs_fdd": []}
+    panels = []
+    series = ("benchmark", "svd_y", "cs_fdd")
     for k in range(n_bench):
         bench = bench_shapes[:, k]
         err_svd = aligned_distance(svd_shapes[:, k], bench)
         err_csfdd = aligned_distance(csfdd_shapes[:, k], bench)
         rows.append((k + 1, float(bench_freqs[k]), float(err_svd), float(err_csfdd)))
-        shapes["benchmark"].append(np.real(bench).tolist())
-        shapes["svd_y"].append(_phase_aligned_real(svd_shapes[:, k], bench).tolist())
-        shapes["cs_fdd"].append(_phase_aligned_real(csfdd_shapes[:, k], bench).tolist())
+        overlay = zip(
+            np.real(bench),
+            np.real(_phase_aligned(svd_shapes[:, k], bench)),
+            np.real(_phase_aligned(csfdd_shapes[:, k], bench)),
+        )
+        panels.append(
+            Panel(
+                f"shapes_mode{k + 1}.csv",
+                ("sensor",) + series,
+                [(j, float(b), float(s), float(c)) for j, (b, s, c) in enumerate(overlay, start=1)],
+                "sensor",
+                series,
+                f"mode {k + 1} shapes",
+            )
+        )
     columns = ("mode", "benchmark_freq", "err_svd", "err_csfdd")
-    extras = {"shapes": shapes, "csfdd_freqs": csfdd_freqs}
-    return ResultTable("realdata", columns, tuple(rows), config.as_dict(), extras)
+    axes = {"x": "sensor index", "y": "mode-shape component"}
+    return ResultTable("realdata", columns, tuple(rows), config.as_dict(), axes, tuple(panels))
 
 
 _RUNNERS = {

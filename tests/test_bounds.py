@@ -16,11 +16,9 @@ from modalcs import (
     build_data_matrix,
     build_steering,
     estimate_modes,
-    expected_gram_random,
     gershgorin_uniform_bound,
     gram_deviation,
     harmonic_number_bounds,
-    jl_requirements,
     jl_tail_rate,
     kl_div,
     mode_error_bound,
@@ -211,32 +209,6 @@ class TestRandomRequirements:
 
 
 class TestJlRequirements:
-    def test_reference_value(self):
-        # (8 ln 84 + ln 80) / f(0.5/sqrt(2)) = 1667.56, rounded up.
-        assert jl_requirements(4, 0.5, 0.05) == 1668
-
-    def test_matches_formula(self):
-        for k, eps, delta in [(1, 0.9, 0.1), (3, 0.4, 0.01), (16, 0.25, 0.05)]:
-            direct = (2 * k * math.log(42.0 / eps) + math.log(4.0 / delta)) / jl_tail_rate(
-                eps / ROOT2
-            )
-            assert jl_requirements(k, eps, delta) == math.ceil(direct)
-
-    def test_monotone_in_epsilon(self):
-        values = [jl_requirements(1, e, 0.05) for e in (0.2, 0.4, 0.6, 0.8)]
-        assert values == sorted(values, reverse=True)
-
-    def test_doubling_k(self):
-        base = jl_requirements(4, 0.5, 0.05)
-        doubled = jl_requirements(8, 0.5, 0.05)
-        extra = 2 * 4 * math.log(42.0 / 0.5) / jl_tail_rate(0.5 / ROOT2)
-        assert abs(doubled - base - extra) <= 1.0
-
-    @pytest.mark.parametrize("args", [(0, 0.5, 0.05), (4, 0.0, 0.05), (4, 1.0, 0.05), (4, 0.5, 0.0)])
-    def test_domain(self, args):
-        with pytest.raises(DomainError):
-            jl_requirements(*args)
-
     def test_tail_rate(self):
         assert jl_tail_rate(0.5) == pytest.approx(0.25 / 4 - 0.125 / 6, rel=1e-14)
 
@@ -397,27 +369,6 @@ class TestGershgorin:
 
 
 class TestExpectedGramRandom:
-    def test_vanishes_at_long_horizon(self):
-        result = expected_gram_random(SET1, 1e6)
-        assert result.radius < 1e-4
-        assert result.closed_form < 1e-4
-
-    def test_exact_zero_at_sinc_root(self):
-        # |w1 - w2| t_max / 2 = pi lands on the sinc zero exactly.
-        freqs = np.array([1.0, 3.0])
-        result = expected_gram_random(freqs, math.pi)
-        assert result.radius == 0.0
-
-    def test_radius_below_closed_form(self):
-        rng = rng_from_seed(13)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            freqs = np.sort(rng.uniform(1.0, 40.0, size=n))
-            if np.min(np.diff(freqs)) < 0.05:
-                continue
-            result = expected_gram_random(freqs, float(rng.uniform(0.5, 20.0)))
-            assert result.radius <= result.closed_form * (1 + 1e-12)
-
     def test_monte_carlo_agrees_with_expectation(self):
         # Mean Gram over 200 random schedules vs. the closed-form expected
         # off-diagonal; also the Jensen direction for the mean deviation.
@@ -439,10 +390,6 @@ class TestExpectedGramRandom:
         assert resid <= 3.0 * matrix_se
         expected_norm = np.linalg.norm(expected_delta, 2)
         assert devs.mean() >= expected_norm - 3.0 * devs.std() / math.sqrt(trials)
-
-    def test_invalid_horizon(self):
-        with pytest.raises((DomainError, InvalidArgument)):
-            expected_gram_random(SET1, 0.0)
 
 
 class TestBoundReport:

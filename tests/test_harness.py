@@ -31,6 +31,8 @@ from modalcs import (
     write_result_csv,
 )
 from modalcs.cli import run as cli_run
+from modalcs.results import Panel
+from test_acceptance import synthetic_sensors
 
 
 def small_sweep_config(seed=None, stop=0.5):
@@ -279,26 +281,55 @@ class TestSensorCsv:
             save_sensor_csv(np.zeros(3), str(tmp_path / "v.csv"))
 
 
+def run_cli(tmp_path, experiment, overlay=None):
+    """Run one experiment through the CLI; returns (out dir, parsed manifest)."""
+    out = tmp_path / experiment
+    argv = ["run", "--experiment", experiment, "--out", str(out)]
+    if overlay is not None:
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(overlay))
+        argv += ["--config", str(path)]
+    assert cli_run(argv) == 0
+    return out, json.loads((out / "manifest.json").read_text())
+
+
+def read_rows(path):
+    return list(csv.reader(io.StringIO(path.read_text())))
+
+
+def assert_layout(manifest, axes, files, x, series, labels):
+    assert manifest["axes"] == axes
+    assert manifest["files"] == files
+    assert manifest["curves"] == [
+        {"file": f, "x": x, "series": series, "label": label} for f, label in zip(files, labels)
+    ]
+
+
 class TestEmitPlotData:
-    def test_sweep_layout(self, tmp_path):
-        table = ResultTable(
-            "exp1",
-            ["t_max", "m", "scheme", "err_mode1", "err_mode2"],
-            [
-                (0.5, 6, "uniform", 0.25, 0.5),
-                (0.5, 6, "random", 0.125, 0.75),
-                (1.0, 11, "uniform", 0.1, 0.2),
-            ],
-            {"experiment": "exp1"},
-        )
-        paths = emit_plot_data(table, str(tmp_path))
-        assert [os.path.basename(p) for p in paths] == ["manifest.json", "mode1.csv", "mode2.csv"]
-        text = (tmp_path / "mode1.csv").read_bytes().decode()
-        assert text == "t_max,err_uniform,err_random\r\n0.5,0.25,0.125\r\n1.0,0.1,\r\n"
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["experiment"] == "exp1"
-        assert manifest["files"] == ["mode1.csv", "mode2.csv"]
-        assert len(manifest["curves"]) == 2
+    def test_sweep_layout(self, tmp_path, capsys):
+        for name in ("exp1", "exp2"):
+            out, manifest = run_cli(tmp_path, name, {"sampling": {"t_max_stop": 0.5}})
+            files = [f"mode{k}.csv" for k in range(1, 5)]
+            assert_layout(
+                manifest,
+                {"x": "t_max [s]", "y": "aligned mode-shape error"},
+                files,
+                "t_max",
+                ["err_uniform", "err_random"],
+                [f"mode {k}" for k in range(1, 5)],
+            )
+            table = read_rows(out / f"{name}_results.csv")
+            header = table[0]
+            for k, file in enumerate(files, start=1):
+                rows = read_rows(out / file)
+                assert rows[0] == ["t_max", "err_uniform", "err_random"]
+                e_idx = header.index(f"err_mode{k}")
+                # Table rows alternate uniform, random at each t_max.
+                expected = [
+                    [u[0], u[e_idx], r[e_idx]] for u, r in zip(table[1::2], table[2::2])
+                ]
+                assert rows[1:] == expected
+                assert [r[0] for r in rows[1:]] == ["0.3", "0.4", "0.5"]
 
     def test_empty_table_writes_manifest_only(self, tmp_path):
         table = ResultTable("exp2", ["t_max", "scheme", "err_mode1"], [], {})
@@ -308,76 +339,110 @@ class TestEmitPlotData:
         assert manifest["curves"] == []
         assert manifest["files"] == []
 
-    def test_exp3_layout(self, tmp_path):
-        cols = [
+    def test_exp3_layout(self, tmp_path, capsys):
+        out, manifest = run_cli(tmp_path, "exp3", {"n_trials": 2, "sampling": {"m_values": [10, 6]}})
+        series = ["err_uniform_max", "err_random_matched_mean_max", "err_random_extended_mean_max"]
+        assert_layout(
+            manifest,
+            {"x": "number of samples M", "y": "max aligned error"},
+            ["max_error_vs_m.csv"],
             "m",
-            "t_max_uniform",
-            "err_uniform_max",
-            "err_random_matched_mean_max",
-            "err_random_extended_mean_max",
-        ]
-        table = ResultTable("exp3", cols, [(6, 0.5, 0.9, 0.8, 0.3), (10, 0.9, 0.5, 0.4, 0.2)], {})
-        emit_plot_data(table, str(tmp_path))
-        rows = list(csv.reader(io.StringIO((tmp_path / "max_error_vs_m.csv").read_text())))
-        assert rows[0][0] == "m"
+            series,
+            ["max error vs M"],
+        )
+        table = read_rows(out / "exp3_results.csv")
+        idx = [table[0].index(c) for c in ["m"] + series]
+        rows = read_rows(out / "max_error_vs_m.csv")
+        assert rows[0] == ["m"] + series
+        assert rows[1:] == [[row[i] for i in idx] for row in table[1:]]
         assert [r[0] for r in rows[1:]] == ["6", "10"]
 
-    def test_exp4_layout_selects_summary_rows(self, tmp_path):
-        cols = ["variant", "seed", "err_mode1", "err_mode2"]
-        table = ResultTable(
-            "exp4",
-            cols,
-            [
-                ("uniform_sub", None, 0.4, 0.7),
-                ("compressed", 1, 0.2, 0.3),
-                ("compressed", 2, 0.1, 0.1),
-                ("compressed_mean", None, 0.15, 0.2),
-            ],
-            {},
+    def test_exp4_layout_selects_summary_rows(self, tmp_path, capsys):
+        out, manifest = run_cli(tmp_path, "exp4", {"n_phi_seeds": 3})
+        series = ["err_uniform_sub", "err_compressed_mean"]
+        assert_layout(
+            manifest,
+            {"x": "mode", "y": "aligned mode-shape error"},
+            ["errors_by_mode.csv"],
+            "mode",
+            series,
+            ["per-mode errors"],
         )
-        emit_plot_data(table, str(tmp_path))
-        text = (tmp_path / "errors_by_mode.csv").read_bytes().decode()
-        assert text == (
-            "mode,err_uniform_sub,err_compressed_mean\r\n"
-            "1,0.4,0.15\r\n2,0.7,0.2\r\n"
-        )
+        table = read_rows(out / "exp4_results.csv")
+        by_variant = {row[0]: row for row in table[1:]}
+        rows = read_rows(out / "errors_by_mode.csv")
+        assert rows[0] == ["mode"] + series
+        assert len(rows) == 1 + 4
+        for k, row in enumerate(rows[1:], start=1):
+            e_idx = table[0].index(f"err_mode{k}")
+            assert row == [
+                str(k), by_variant["uniform_sub"][e_idx], by_variant["compressed_mean"][e_idx]
+            ]
 
-    def test_exp5_marks_one_peak_per_mode(self, tmp_path):
-        table = ResultTable(
-            "exp5",
-            ["mode"],
-            [(1,), (2,)],
-            {},
-            extras={
-                "spectrum_omega": [0.0, 1.0, 2.0],
-                "spectrum_magnitudes": [[1.0, 3.0, 2.0], [5.0, 1.0, 0.5]],
-                "spectrum_peak_bins": [1, 0],
-            },
+    def test_exp5_marks_one_peak_per_mode(self, tmp_path, capsys):
+        out, manifest = run_cli(tmp_path, "exp5")
+        files = [f"spectrum_mode{k}.csv" for k in range(1, 5)]
+        assert_layout(
+            manifest,
+            {"x": "omega [rad/s]", "y": "row FFT magnitude"},
+            files,
+            "omega",
+            ["magnitude"],
+            [f"mode {k} spectrum" for k in range(1, 5)],
         )
-        paths = emit_plot_data(table, str(tmp_path))
-        assert len(paths) == 3
-        for k, peak_bin in [(1, 1), (2, 0)]:
-            rows = list(csv.reader(io.StringIO((tmp_path / f"spectrum_mode{k}.csv").read_text())))
-            flags = [int(r[2]) for r in rows[1:]]
-            assert sum(flags) == 1
-            assert flags.index(1) == peak_bin
+        table = read_rows(out / "exp5_results.csv")
+        est_idx = table[0].index("omega_est")
+        for file, result in zip(files, table[1:]):
+            rows = read_rows(out / file)
+            assert rows[0] == ["omega", "magnitude", "is_peak"]
+            assert len(rows) == 1 + 8 * 202
+            peaks = [r for r in rows[1:] if r[2] == "1"]
+            assert len(peaks) == 1
+            assert sum(r[2] == "0" for r in rows[1:]) == 8 * 202 - 1
+            assert peaks[0][0] == result[est_idx]
 
-    def test_realdata_layout(self, tmp_path):
-        shapes = {
-            "benchmark": [[0.1, 0.2, 0.3]],
-            "svd_y": [[0.1, 0.25, 0.28]],
-            "cs_fdd": [[0.0, 0.3, 0.2]],
-        }
-        table = ResultTable("realdata", ["mode"], [(1,)], {}, extras={"shapes": shapes})
-        emit_plot_data(table, str(tmp_path))
-        rows = list(csv.reader(io.StringIO((tmp_path / "shapes_mode1.csv").read_text())))
-        assert rows[0] == ["sensor", "benchmark", "svd_y", "cs_fdd"]
-        assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
+    def test_realdata_layout(self, tmp_path, capsys):
+        # The acceptance-10 sensor set and config, through the CLI.
+        data_path = str(tmp_path / "sensors.csv")
+        save_sensor_csv(synthetic_sensors(), data_path)
+        out, manifest = run_cli(
+            tmp_path, "realdata", {"data_path": data_path, "sampling": {"t_s": 0.01}}
+        )
+        files = [f"shapes_mode{k}.csv" for k in range(1, 4)]
+        assert_layout(
+            manifest,
+            {"x": "sensor index", "y": "mode-shape component"},
+            files,
+            "sensor",
+            ["benchmark", "svd_y", "cs_fdd"],
+            [f"mode {k} shapes" for k in range(1, 4)],
+        )
+        for file in files:
+            rows = read_rows(out / file)
+            assert rows[0] == ["sensor", "benchmark", "svd_y", "cs_fdd"]
+            assert [r[0] for r in rows[1:]] == [str(j) for j in range(1, 19)]
+            shapes = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+            # Real parts of unit-norm shapes, both estimates phase-aligned to
+            # the benchmark.
+            assert np.all(np.linalg.norm(shapes, axis=0) <= 1.0 + 1e-12)
+            assert np.linalg.norm(shapes[:, 0]) > 0.99
+            assert np.all(shapes[:, 0] @ shapes[:, 1:] > 0.0)
 
     def test_unknown_layout(self, tmp_path):
-        table = ResultTable("exp9", ["x"], [(1.0,)], {})
-        with pytest.raises(InvalidArgument):
-            emit_plot_data(table, str(tmp_path))
+        # emit_plot_data knows no experiment names: any table's panels are
+        # written exactly as given.
+        panel = Panel("custom.csv", ("x", "y"), [(1, 0.5), (2, None)], "x", ("y",), "custom")
+        table = ResultTable("exp9", ["x"], [(1.0,)], {"seed": 3}, {"x": "a", "y": "b"}, (panel,))
+        paths = emit_plot_data(table, str(tmp_path))
+        assert paths == [str(tmp_path / "manifest.json"), str(tmp_path / "custom.csv")]
+        assert (tmp_path / "custom.csv").read_bytes() == b"x,y\r\n1,0.5\r\n2,\r\n"
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {
+            "experiment": "exp9",
+            "config": {"seed": 3},
+            "axes": {"x": "a", "y": "b"},
+            "curves": [{"file": "custom.csv", "x": "x", "series": ["y"], "label": "custom"}],
+            "files": ["custom.csv"],
+        }
 
     def test_byte_determinism(self, tmp_path):
         config = small_sweep_config()
@@ -529,6 +594,32 @@ class TestCli:
         assert code == 2
         assert "sampling.t_s: must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mass, stiffness",
+        [
+            ([[1, 0], [0]], [[2, -1], [-1, 2]]),  # ragged rows
+            ([[1, 0], [0, 1]], [[2, -1], [0, 2]]),  # non-symmetric stiffness
+            ([[1, 0], [0, 0]], [[2, -1], [-1, 2]]),  # non-positive mass diagonal
+        ],
+    )
+    def test_bad_system_matrices_exit_code(self, tmp_path, capsys, mass, stiffness):
+        system = {"mass": mass, "stiffness": stiffness}
+        overlay = self.overlay(
+            tmp_path, {"system": system, "frequencies": [1.0, 2.0], "magnitudes": [1.0, 0.5]}
+        )
+        code = cli_run(["run", "--experiment", "exp1", "--config", overlay, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: system: " in capsys.readouterr().err
+
+    def test_sweep_without_feasible_point_exit_code(self, tmp_path, capsys):
+        # No t_max up to 0.01 s gives 4 samples at t_s = 0.1 s.
+        overlay = self.overlay(tmp_path, {"sampling": {"t_max_step": 0.001, "t_max_stop": 0.01}})
+        out = tmp_path / "o"
+        code = cli_run(["run", "--experiment", "exp1", "--config", overlay, "--out", str(out)])
+        assert code == 2
+        assert "sampling.t_max_stop" in capsys.readouterr().err
+        assert not (out / "exp1_results.csv").exists()
 
     def test_unbounded_sweep_exit_code(self, tmp_path, capsys):
         overlay = self.overlay(tmp_path, {"sampling": {"t_max_step": 1e-9}})
