@@ -147,6 +147,21 @@ class TestAlignAndError:
         with pytest.raises(InvalidArgument):
             align_and_error(estimate, stripped)
 
+    def test_greedy_match_agrees_on_easy_case(self):
+        # On well-separated on-grid tones, pairing each estimated mode with the
+        # true mode it correlates with most gives the amplitude-rank pairing
+        # that align_and_error uses.
+        rng = rng_from_seed(111)
+        m, t_s = 128, 0.05
+        basis = on_grid_basis(rng, 3, m, t_s)
+        data = build_data_matrix(basis, uniform_schedule(t_s, m))
+        estimate = estimate_modes(data)
+        corr = np.abs(basis.mode_shapes.conj().T @ estimate.mode_shapes_hat)
+        match = np.argmax(corr, axis=0)
+        rank = np.argsort(-np.abs(basis.amplitudes), kind="stable")
+        npt.assert_array_equal(match, rank)
+        assert align_and_error(estimate, basis).max() <= 1e-8
+
 
 def peak_frequencies(estimate, t_s):
     """Padded-FFT peak of each right-factor row, as exp5 reads it out."""

@@ -1,4 +1,4 @@
-"""Modal decomposition and the pivot-phase convention."""
+"""Modal decomposition, the pivot-phase convention, and response evaluation."""
 
 import math
 
@@ -13,14 +13,24 @@ from modalcs import (
     ModalBasis,
     NonPositiveEigenvalue,
     NotSymmetric,
+    build_data_matrix,
     build_system,
     canonical_sign,
     preset_config,
+    random_schedule,
     rng_from_seed,
     solve_modes,
+    uniform_schedule,
 )
 
 ROOT2 = math.sqrt(2.0)
+
+
+def random_basis(rng, n, complex_amps=True):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    freqs = np.sort(rng.uniform(1.0, 20.0, size=n))[::-1]
+    amps = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_amps else 0.0)
+    return ModalBasis(canonical_sign(q), freqs, amps)
 
 
 class TestSolveModes:
@@ -162,7 +172,70 @@ class TestModalBasis:
         with pytest.raises(InvalidArgument):
             ModalBasis(np.eye(2), np.array([1.0, 2.0]))
 
+    def test_ordered_sorts_descending(self):
+        # solve_modes is where bases get their descending order.
+        basis = solve_modes(MdofSystem(np.eye(3), np.diag([1.0, 9.0, 4.0])))
+        npt.assert_allclose(basis.frequencies, [3.0, 2.0, 1.0])
+        npt.assert_allclose(basis.mode_shapes[:, 0], [0.0, 1.0, 0.0], atol=1e-14)
+        npt.assert_allclose(basis.mode_shapes[:, 2], [1.0, 0.0, 0.0], atol=1e-14)
+
     def test_with_amplitudes(self):
         basis = ModalBasis(np.eye(2), np.array([2.0, 1.0]))
         assert basis.amplitudes is None
         assert basis.with_amplitudes([1.0, 2.0]).amplitudes.shape == (2,)
+
+
+class TestResponseEvaluation:
+    """The analytic response v(t) = sum_n psi_n A_n e^{i w_n t} as sampled by
+    build_data_matrix; the displacement is u(t) = 2 Re v(t)."""
+
+    def test_zero_amplitudes_give_zero_response(self):
+        basis = ModalBasis(np.eye(3), np.array([3.0, 2.0, 1.0]), np.zeros(3))
+        data = build_data_matrix(basis, uniform_schedule(0.5, 11))
+        npt.assert_array_equal(data.entries, 0.0)
+
+    def test_single_mode_cosine(self):
+        # A = 1/2 (a=1/2, b=0) with unit shape gives u(t) = cos(w t).
+        basis = ModalBasis(np.eye(1), np.array([2.0]), np.array([0.5]))
+        schedule = uniform_schedule(0.125, 33)
+        u = 2.0 * build_data_matrix(basis, schedule).entries.real
+        npt.assert_allclose(u[0], np.cos(2.0 * schedule.times), atol=1e-12)
+
+    def test_analytic_half_turn_negates_shape(self):
+        basis = ModalBasis(np.eye(1), np.array([np.pi]), np.array([1.0]))
+        data = build_data_matrix(basis, uniform_schedule(1.0, 2))
+        npt.assert_allclose(data.entries[:, 1], [-1.0 + 0.0j], atol=1e-12)
+
+    def test_analytic_at_zero_is_shape_amplitude_product(self):
+        rng = rng_from_seed(17)
+        basis = random_basis(rng, 4)
+        data = build_data_matrix(basis, uniform_schedule(0.5, 3))
+        npt.assert_allclose(
+            data.entries[:, 0],
+            basis.mode_shapes @ basis.amplitudes,
+            atol=1e-12,
+        )
+
+    def test_analytic_real_part_identity(self):
+        # 2 Re v(t) = sum_n psi_n 2|A_n| cos(w_n t + arg A_n) at random times,
+        # for random bases and amplitudes.
+        rng = rng_from_seed(21)
+        for trial in range(10):
+            basis = random_basis(rng, int(rng.integers(2, 6)))
+            schedule = random_schedule(10.0, 100, seed=trial)
+            v = build_data_matrix(basis, schedule).entries
+            amps = basis.amplitudes
+            phase = np.outer(basis.frequencies, schedule.times) + np.angle(amps)[:, None]
+            u = basis.mode_shapes @ (2.0 * np.abs(amps)[:, None] * np.cos(phase))
+            npt.assert_allclose(2.0 * v.real, u, atol=1e-10)
+
+    def test_scalar_and_array_shapes(self):
+        basis = random_basis(rng_from_seed(5), 3)
+        assert build_data_matrix(basis, uniform_schedule(0.5, 1)).shape == (3, 1)
+        assert build_data_matrix(basis, uniform_schedule(0.5, 9)).shape == (3, 9)
+        assert build_data_matrix(basis, random_schedule(4.0, 9, seed=0)).shape == (3, 9)
+
+    def test_missing_amplitudes_rejected(self):
+        basis = ModalBasis(np.eye(2), np.array([2.0, 1.0]))
+        with pytest.raises(InvalidArgument):
+            build_data_matrix(basis, uniform_schedule(0.5, 4))
