@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .mdof import MdofSystem, ModalBasis, solve_modes
@@ -107,6 +109,18 @@ CONFIG_SCHEMA = {
 }
 
 
+@cache
+def _schema_validator():
+    """Validator for CONFIG_SCHEMA, built once per process.
+
+    from_dict picks the reported error with best_match, as jsonschema's own
+    validate function does, but skips that function's metaschema check of
+    the schema (about 20 ms per call): the schema is a constant, so the
+    tests check it instead.
+    """
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, resolved experiment description.
@@ -136,11 +150,10 @@ class ExperimentConfig:
             # JSON parsers accept NaN and Infinity, and every schema bound
             # lets NaN through.
             raise ConfigError(f"{bad}: must be a finite number")
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            where = ".".join(str(p) for p in exc.absolute_path) or "<top level>"
-            raise ConfigError(f"{where}: {exc.message}") from exc
+        error = best_match(_schema_validator().iter_errors(raw))
+        if error is not None:
+            where = ".".join(str(p) for p in error.absolute_path) or "<top level>"
+            raise ConfigError(f"{where}: {error.message}") from error
         cfg = cls(
             experiment=raw["experiment"],
             seed=raw["seed"],
@@ -228,6 +241,22 @@ def _validate_modal_lists(cfg: ExperimentConfig):
         )
 
 
+def _samples_for(t_max: float, t_s: float) -> int:
+    """Uniform samples at spacing t_s in [0, t_max], the endpoint included."""
+    return int(math.floor(t_max / t_s + 1e-9)) + 1
+
+
+def _need_modes(cfg: ExperimentConfig, t_s_key: str):
+    """Require sampling.t_max at spacing sampling.<t_s_key> to give N samples."""
+    n = len(cfg.frequencies)
+    m = _samples_for(cfg.sampling["t_max"], cfg.sampling[t_s_key])
+    if m < n:
+        raise ConfigError(
+            f"sampling.t_max: gives M={m} samples at {t_s_key} = "
+            f"{cfg.sampling[t_s_key]}, fewer than the N={n} modes"
+        )
+
+
 def _validate_semantics(cfg: ExperimentConfig):
     if cfg.experiment in ("exp1", "exp2"):
         _validate_modal_lists(cfg)
@@ -262,12 +291,22 @@ def _validate_semantics(cfg: ExperimentConfig):
         for key in ("t_s_sub", "t_s_super"):
             samples = cfg.sampling["t_max"] / cfg.sampling[key]
             _cap(f"sampling.{key}", samples, MAX_SAMPLES, "samples")
+        n = len(cfg.frequencies)
+        m_super = _samples_for(cfg.sampling["t_max"], cfg.sampling["t_s_super"])
+        m_prime = cfg.sampling["m_prime"]
+        if not n <= m_prime <= m_super:
+            raise ConfigError(
+                f"sampling.m_prime: need {n} modes <= M' <= M = {m_super} "
+                f"super-Nyquist samples, got M'={m_prime}"
+            )
+        _need_modes(cfg, "t_s_sub")
     elif cfg.experiment == "exp5":
         _validate_modal_lists(cfg)
         _need_sampling(cfg, "t_s", "t_max")
         samples = cfg.sampling["t_max"] / cfg.sampling["t_s"]
         padded = cfg.sampling.get("zero_pad_factor", 8) * samples
         _cap("sampling.t_s", padded, MAX_SAMPLES, "padded FFT bins")
+        _need_modes(cfg, "t_s")
     elif cfg.experiment == "realdata":
         _need(cfg, "data_path", "n_benchmark_modes")
         _need_sampling(cfg, "t_s", "m_prime")
@@ -277,10 +316,25 @@ def build_system(cfg: ExperimentConfig) -> MdofSystem:
     if cfg.system == "paper-4dof":
         return MdofSystem(np.eye(4), np.array(PAPER_4DOF_STIFFNESS))
     try:
-        return MdofSystem(np.array(cfg.system["mass"]), np.array(cfg.system["stiffness"]))
+        system = MdofSystem(np.array(cfg.system["mass"]), np.array(cfg.system["stiffness"]))
     except ValueError as exc:
         # Ragged rows (from np.array) and every MdofSystem rejection.
         raise ConfigError(f"system: {exc}") from exc
+    # solve_modes needs both of these; checked here, they are config faults
+    # that name the field rather than numerical failures of the solve.
+    diagonal = np.diag(system.mass)
+    if np.any(diagonal != diagonal[0]):
+        raise ConfigError(
+            "system: mass matrix must be a scalar multiple of the identity, "
+            "or the mode shapes cannot be orthonormal"
+        )
+    lowest = np.linalg.eigvalsh(system.stiffness)[0]
+    if lowest <= 0.0:
+        raise ConfigError(
+            f"system: stiffness matrix must be positive definite, "
+            f"smallest eigenvalue is {lowest:.6e}"
+        )
+    return system
 
 
 def build_basis(cfg: ExperimentConfig) -> ModalBasis:

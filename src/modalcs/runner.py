@@ -9,13 +9,11 @@ order never matters.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .baselines import fdd_peaks, sparse_reconstruct, welch_csd
 from .bounds import gershgorin_uniform_bound, gram_deviation
-from .config import ExperimentConfig, build_basis
+from .config import ExperimentConfig, _samples_for, build_basis
 from .errors import ConfigError
 from .estimator import (
     _phase_aligned,
@@ -46,10 +44,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     except KeyError:
         raise ConfigError(f"unknown experiment {config.experiment!r}") from None
     return runner(config)
-
-
-def _samples_for(t_max: float, t_s: float) -> int:
-    return int(math.floor(t_max / t_s + 1e-9)) + 1
 
 
 def _point_errors(basis, schedule) -> np.ndarray:

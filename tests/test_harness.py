@@ -6,11 +6,16 @@ import json
 import math
 import os
 
+import jsonschema
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.validators import validator_for
 
 from modalcs import (
+    CONFIG_SCHEMA,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
@@ -30,6 +35,7 @@ from modalcs import (
     save_sensor_csv,
     write_result_csv,
 )
+from modalcs import config as config_module
 from modalcs.cli import run as cli_run
 from modalcs.results import Panel
 from test_acceptance import synthetic_sensors
@@ -41,6 +47,86 @@ def small_sweep_config(seed=None, stop=0.5):
     if seed is not None:
         raw["seed"] = seed
     return ExperimentConfig.from_dict(raw)
+
+
+# Finite JSON values only: NaN and infinities are rejected before the schema.
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3000)
+    | st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3)
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_positive = st.floats(1e-3, 10.0) | st.integers(1, 50)
+_positive_list = st.lists(_positive, max_size=5)
+_matrix = st.lists(
+    st.lists(st.integers(-2, 4) | st.floats(-2.0, 4.0), min_size=1, max_size=3),
+    min_size=1,
+    max_size=3,
+)
+_SAMPLING_FIELDS = {
+    key: st.floats(1e-3, 10.0)
+    for key in ("t_s", "t_max", "t_max_start", "t_max_step", "t_max_stop", "extension", "t_s_sub", "t_s_super")
+}
+_SAMPLING_FIELDS.update(
+    m_values=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+    m_prime=st.integers(1, 3000),
+    zero_pad_factor=st.integers(1, 16),
+    t_stop=_positive,  # not in the schema
+)
+# Field values near the schema: plausible ones, plus an arbitrary JSON value
+# in a fifth of the draws.
+_TOP_FIELDS = {
+    "experiment": st.sampled_from(EXPERIMENTS + ("exp9",)),
+    "seed": st.integers(-1, 2**40),
+    "system": st.sampled_from(["paper-4dof", "paper-5dof"])
+    | st.fixed_dictionaries(
+        {}, optional={"mass": _matrix | _json_value, "stiffness": _matrix | _json_value, "damping": _json_leaf}
+    ),
+    "frequencies": _positive_list,
+    "magnitudes": _positive_list,
+    "sampling": st.fixed_dictionaries({}, optional=_SAMPLING_FIELDS),
+    "n_trials": st.integers(-1, 60),
+    "n_phi_seeds": st.integers(-1, 30),
+    "data_path": st.text(max_size=5),
+    "header": st.booleans(),
+    "n_benchmark_modes": st.integers(-1, 5),
+    "out_dir": st.none() | st.text(max_size=5),
+    "n_bootstrap": _json_value,  # not in the schema
+}
+
+
+@st.composite
+def raw_configs(draw):
+    """A preset with a few top-level and sampling fields replaced or removed."""
+    raw = preset(draw(st.sampled_from(EXPERIMENTS)))
+
+    def value(strategy):
+        return draw(_json_value if draw(st.integers(0, 4)) == 0 else strategy)
+
+    for key in draw(st.lists(st.sampled_from(sorted(_TOP_FIELDS)), max_size=2, unique=True)):
+        raw[key] = value(_TOP_FIELDS[key])
+    if isinstance(raw.get("sampling"), dict):
+        for key in draw(st.lists(st.sampled_from(sorted(_SAMPLING_FIELDS)), max_size=3, unique=True)):
+            raw["sampling"][key] = value(_SAMPLING_FIELDS[key])
+    if draw(st.integers(0, 4)) == 0:
+        del raw[draw(st.sampled_from(sorted(raw)))]
+    return raw
+
+
+def reference_schema_message(raw):
+    """The ConfigError text that validating with jsonschema.validate gives, or None."""
+    try:
+        jsonschema.validate(raw, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        where = ".".join(str(p) for p in exc.absolute_path) or "<top level>"
+        return f"{where}: {exc.message}"
+    return None
 
 
 class TestConfigValidation:
@@ -126,6 +212,36 @@ class TestConfigValidation:
     def test_as_dict_is_json_serializable(self):
         for name in ("exp1", "exp3", "exp5"):
             json.dumps(preset_config(name).as_dict())
+
+    def test_config_schema_is_valid(self):
+        # Moved from runtime: from_dict no longer checks the constant schema
+        # against its metaschema on each call.
+        validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    def test_from_dict_never_checks_schema(self, monkeypatch):
+        calls = []
+
+        def counting(cls, schema, *args, **kwargs):
+            calls.append(schema)
+
+        monkeypatch.setattr(validator_for(CONFIG_SCHEMA), "check_schema", classmethod(counting))
+        # A fresh validator, so a once-per-process check would count too.
+        config_module._schema_validator.cache_clear()
+        for name in ("exp1", "exp2", "exp3", "exp4", "exp5"):
+            assert preset_config(name).experiment == name
+        assert calls == []
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(raw=raw_configs())
+    def test_from_dict_matches_reference_validation(self, raw):
+        expected = reference_schema_message(raw)
+        try:
+            ExperimentConfig.from_dict(raw)
+        except ConfigError as exc:
+            if expected is not None:
+                assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 class TestSystemAndBasis:
@@ -601,6 +717,8 @@ class TestCli:
             ([[1, 0], [0]], [[2, -1], [-1, 2]]),  # ragged rows
             ([[1, 0], [0, 1]], [[2, -1], [0, 2]]),  # non-symmetric stiffness
             ([[1, 0], [0, 0]], [[2, -1], [-1, 2]]),  # non-positive mass diagonal
+            ([[1, 0], [0, 4]], [[2, -1], [-1, 2]]),  # diagonal but not scalar mass
+            ([[1, 0], [0, 1]], [[-1, 0], [0, 1]]),  # indefinite stiffness
         ],
     )
     def test_bad_system_matrices_exit_code(self, tmp_path, capsys, mass, stiffness):
@@ -620,6 +738,24 @@ class TestCli:
         assert code == 2
         assert "sampling.t_max_stop" in capsys.readouterr().err
         assert not (out / "exp1_results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, sampling, field",
+        [
+            ("exp4", {"m_prime": 2000}, "sampling.m_prime"),  # M' > M = 1001
+            ("exp4", {"m_prime": 2}, "sampling.m_prime"),  # M' < N = 4
+            ("exp4", {"t_max": 0.1}, "sampling.t_max"),  # 2 sub-Nyquist samples
+            ("exp5", {"t_max": 0.05}, "sampling.t_max"),  # 2 samples
+        ],
+    )
+    def test_derived_sample_counts_exit_code(self, tmp_path, capsys, experiment, sampling, field):
+        # Each of these used to pass validation and exit 3 from the estimator.
+        overlay = self.overlay(tmp_path, {"sampling": sampling})
+        out = tmp_path / "o"
+        code = cli_run(["run", "--experiment", experiment, "--config", overlay, "--out", str(out)])
+        assert code == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unbounded_sweep_exit_code(self, tmp_path, capsys):
         overlay = self.overlay(tmp_path, {"sampling": {"t_max_step": 1e-9}})
