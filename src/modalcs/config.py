@@ -19,7 +19,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .errors import ConfigError
-from .mdof import MdofSystem, ModalBasis, solve_modes
+from .mdof import _FREQUENCY_GAP_RTOL, MdofSystem, ModalBasis, solve_modes
 
 EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4", "exp5", "realdata")
 
@@ -328,12 +328,14 @@ def build_system(cfg: ExperimentConfig) -> MdofSystem:
             "system: mass matrix must be a scalar multiple of the identity, "
             "or the mode shapes cannot be orthonormal"
         )
-    lowest = np.linalg.eigvalsh(system.stiffness)[0]
-    if lowest <= 0.0:
+    eigs = np.linalg.eigvalsh(system.stiffness)
+    if eigs[0] <= 0.0:
         raise ConfigError(
             f"system: stiffness matrix must be positive definite, "
-            f"smallest eigenvalue is {lowest:.6e}"
+            f"smallest eigenvalue is {eigs[0]:.6e}"
         )
+    if np.any(np.diff(np.sqrt(eigs)) < _FREQUENCY_GAP_RTOL * np.sqrt(eigs[-1])):
+        raise ConfigError("system: natural frequencies repeat (relative gap below 1e-9)")
     return system
 
 

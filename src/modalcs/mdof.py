@@ -120,15 +120,20 @@ class ModalBasis:
         return ModalBasis(self.mode_shapes, self.frequencies, amplitudes)
 
 
+def _unit_phase(values: np.ndarray) -> np.ndarray:
+    """values / |values| elementwise, and 1 where |values| is 0."""
+    mags = np.abs(values)
+    return np.where(mags > 0.0, values / np.where(mags > 0.0, mags, 1.0), 1.0)
+
+
 def _pivot_phases(columns: np.ndarray) -> np.ndarray:
-    """Unit phase p / |p| of each column's largest-magnitude entry p.
+    """Unit phase p / |p| of the largest-magnitude entry p of each column of (..., N, K).
 
     Ties resolve to the first occurrence (np.argmax); a zero column gets
     phase 1.  Real columns give real phases, that is, signs.
     """
-    pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
-    mags = np.abs(pivots)
-    return np.where(mags > 0.0, pivots / np.where(mags > 0.0, mags, 1.0), 1.0)
+    rows = np.argmax(np.abs(columns), axis=-2)[..., None, :]
+    return _unit_phase(np.take_along_axis(columns, rows, axis=-2)[..., 0, :])
 
 
 def canonical_sign(matrix: np.ndarray) -> np.ndarray:

@@ -16,7 +16,9 @@ from .bounds import gershgorin_uniform_bound, gram_deviation
 from .config import ExperimentConfig, _samples_for, build_basis
 from .errors import ConfigError
 from .estimator import (
+    _mode_errors,
     _phase_aligned,
+    _svd_modes,
     align_and_error,
     aligned_distance,
     estimate_modes,
@@ -24,7 +26,9 @@ from .estimator import (
 )
 from .results import Panel, ResultTable, load_sensor_csv
 from .sampling import (
+    _BLOCK_BYTES,
     DataMatrix,
+    _response,
     build_data_matrix,
     build_steering,
     compress,
@@ -117,6 +121,17 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
     return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, panels)
 
 
+def _mean_max_error(basis, t_max: float, m: int, seeds) -> float:
+    """Mean over seeds of the max aligned error, one stacked SVD per block of trials."""
+    chunk = max(1, _BLOCK_BYTES // (16 * basis.n_dof * m))
+    maxima = []
+    for start in range(0, len(seeds), chunk):
+        times = [random_schedule(t_max, m, int(s)).times for s in seeds[start : start + chunk]]
+        shapes = _svd_modes(_response(basis, np.stack(times)))[0]
+        maxima.extend(_mode_errors(shapes, basis).max(axis=-1))
+    return float(np.mean(maxima))
+
+
 def _run_exp3(config: ExperimentConfig) -> ResultTable:
     """Sweep M; compare random schedules at matched vs. extended t_max.
 
@@ -138,22 +153,14 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
         t_max_e = round(t_max_u + extension, 10)
         err_uniform = _point_errors(basis, uniform_schedule(t_s, m)).max()
         trial_seeds = spawn_seeds(int(point_seeds[i]), 2 * n_trials)
-
-        def _mean_max(t_max: float, seeds) -> float:
-            maxima = [
-                _point_errors(basis, random_schedule(t_max, m, int(s))).max()
-                for s in seeds
-            ]
-            return float(np.mean(maxima))
-
         rows.append(
             (
                 m,
                 t_max_u,
                 t_max_e,
                 float(err_uniform),
-                _mean_max(t_max_u, trial_seeds[:n_trials]),
-                _mean_max(t_max_e, trial_seeds[n_trials:]),
+                _mean_max_error(basis, t_max_u, m, trial_seeds[:n_trials]),
+                _mean_max_error(basis, t_max_e, m, trial_seeds[n_trials:]),
                 n_trials,
             )
         )
@@ -303,10 +310,14 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     shape with both estimates, phase-aligned to it, sensor by sensor.
     """
     samples = load_sensor_csv(config.data_path, header=config.header)
-    m = samples.shape[1]
+    n, m = samples.shape
     t_s = config.sampling["t_s"]
     m_prime = config.sampling["m_prime"]
     n_bench = config.n_benchmark_modes
+    if n_bench > n:
+        raise ConfigError(f"n_benchmark_modes: asks for {n_bench} modes from {n} sensors")
+    if not n <= m_prime <= m:
+        raise ConfigError(f"sampling.m_prime: need N={n} sensors <= M' <= M={m}, got {m_prime}")
 
     bench_freqs, bench_shapes = fdd_peaks(welch_csd(samples, t_s), n_bench)
 

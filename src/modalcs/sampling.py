@@ -20,8 +20,8 @@ from .mdof import ModalBasis
 
 _UNIFORM_KINDS = ("uniform", "random")
 _JL_KINDS = ("gaussian", "bernoulli")
-# Working-set size of one streamed block: Phi rows in compress, V columns
-# in build_data_matrix.  About one L2 cache; 512 Phi rows at M' = 256.
+# Working-set size of one streamed block: Phi rows in compress, V columns in
+# build_data_matrix, exp3's stacked trials.  About one L2 cache; 512 Phi rows at M' = 256.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -169,23 +169,29 @@ class DataMatrix:
         return self.entries.shape
 
 
+def _response(basis: ModalBasis, times: np.ndarray) -> np.ndarray:
+    """v(t) = sum_n psi_n A_n e^{i w_n t} for (..., M) times, as (..., N, M).
+
+    Filled one column block at a time; the phase array is never held whole.
+    """
+    coef, m = basis.mode_shapes * basis.amplitudes, times.shape[-1]
+    v = np.empty(times.shape[:-1] + (coef.shape[0], m), dtype=complex)
+    cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1] * (times.size // m)))
+    for start in range(0, m, cols):
+        block = times[..., None, start : start + cols]
+        v[..., start : start + cols] = coef @ np.exp(1j * (basis.frequencies[:, None] * block))
+    return v
+
+
 def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix:
     """[V] with columns v(t_m) = sum_n psi_n A_n e^{i w_n t_m}.
 
     Equals [Psi] (sqrt(M) diag(A)) [S] for the steering matrix of the same
-    frequencies and schedule.  Filled one column block at a time, so the
-    N x M phase matrix is never held whole.
+    frequencies and schedule.
     """
     if basis.amplitudes is None:
         raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")
-    coef = basis.mode_shapes * basis.amplitudes
-    times = schedule.times
-    v = np.empty((coef.shape[0], times.size), dtype=complex)
-    cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1]))
-    for start in range(0, times.size, cols):
-        stop = start + cols
-        v[:, start:stop] = coef @ np.exp(1j * np.outer(basis.frequencies, times[start:stop]))
-    return DataMatrix(v, "raw", schedule=schedule)
+    return DataMatrix(_response(basis, schedule.times), "raw", schedule=schedule)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalcs import (
     DataMatrix,
+    ExperimentConfig,
     InvalidArgument,
     ModalBasis,
     ModeEstimate,
@@ -13,16 +16,22 @@ from modalcs import (
     ShapeError,
     align_and_error,
     aligned_distance,
+    build_basis,
     build_data_matrix,
     canonical_sign,
     compress,
     draw_jl_matrix,
     estimate_modes,
     frequency_spectra,
+    preset,
     random_schedule,
     rng_from_seed,
+    spawn_seeds,
     uniform_schedule,
 )
+from modalcs.estimator import _mode_errors, _svd_modes
+from modalcs.mdof import _pivot_phases
+from modalcs.runner import _run_exp3
 
 ROOT2 = np.sqrt(2.0)
 
@@ -92,14 +101,36 @@ class TestEstimateModes:
         npt.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-9)
 
 
+@st.composite
+def complex_data(draw):
+    """Complex N x M data of rank 0..N over six decades of scale."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 40))
+    rank = draw(st.integers(0, n))
+    rng = rng_from_seed(draw(st.integers(0, 2**32)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return scale * gaussian(n, rank) @ gaussian(rank, m)
+
+
 class TestModeEstimateValidation:
-    def test_rejects_non_orthonormal_factors(self):
-        with pytest.raises(InvalidArgument):
-            ModeEstimate(
-                np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex),
-                np.array([2.0, 1.0]),
-                np.eye(2, dtype=complex),
-            )
+    # ModeEstimate does not re-check LAPACK's orthonormality on every call;
+    # this is where that guarantee is checked.
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(entries=complex_data())
+    def test_estimates_have_orthonormal_factors(self, entries):
+        n = entries.shape[0]
+        estimate = estimate_modes(DataMatrix(entries, "raw"))
+        u, s, vh = estimate.mode_shapes_hat, estimate.singular_values, estimate.right_factors_hat
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-9
+        assert np.abs(vh @ vh.conj().T - np.eye(n)).max() <= 1e-9
+        assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+        pivots = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+        assert np.all(pivots.real > 0.0)
+        assert np.abs(pivots.imag).max() <= 1e-12
 
     def test_rejects_ascending_singular_values(self):
         with pytest.raises(InvalidArgument):
@@ -218,3 +249,84 @@ class TestFrequencyReadout:
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 21))
         with pytest.raises(InvalidArgument):
             frequency_spectra(estimate_modes(data), 0.1, zero_pad_factor=0)
+
+
+def reference_aligned_distance(est, truth):
+    """The one-vector alignment that the stacked helpers must reproduce bit for bit."""
+    est, truth = np.asarray(est, dtype=complex), np.asarray(truth, dtype=complex)
+    inner = np.vdot(est, truth)
+    phase = inner / np.abs(inner) if np.abs(inner) > 0.0 else 1.0
+    return np.linalg.norm(truth - phase * est)
+
+
+def reference_mean_max(basis, t_max, m, seeds):
+    """exp3's trial mean, one schedule, data matrix, SVD and alignment at a time."""
+    maxima = []
+    for seed in seeds:
+        data = build_data_matrix(basis, random_schedule(t_max, m, int(seed)))
+        maxima.append(align_and_error(estimate_modes(data), basis).max())
+    return float(np.mean(maxima))
+
+
+class TestStackedTrials:
+    """exp3 factors its trials as stacked SVDs; every byte must match one at a time."""
+
+    def test_exp3_rows_match_trial_by_trial_reference(self):
+        raw = preset("exp3")
+        raw["n_trials"] = 7
+        raw["sampling"]["m_values"] = [4, 9, 300]  # 4 is the N = M edge
+        config = ExperimentConfig.from_dict(raw)
+        basis = build_basis(config)
+        t_s, extension = raw["sampling"]["t_s"], raw["sampling"]["extension"]
+        expected = []
+        for m, point_seed in zip([4, 9, 300], spawn_seeds(config.seed, 3)):
+            seeds = spawn_seeds(int(point_seed), 14)
+            t_max_u = round((m - 1) * t_s, 10)
+            t_max_e = round(t_max_u + extension, 10)
+            data = build_data_matrix(basis, uniform_schedule(t_s, m))
+            expected.append(
+                (
+                    m,
+                    t_max_u,
+                    t_max_e,
+                    float(align_and_error(estimate_modes(data), basis).max()),
+                    reference_mean_max(basis, t_max_u, m, seeds[:7]),
+                    reference_mean_max(basis, t_max_e, m, seeds[7:]),
+                    7,
+                )
+            )
+        assert _run_exp3(config).rows == tuple(expected)
+
+    @pytest.fixture
+    def data_stack(self, set1_basis):
+        """12 random-schedule 4 x 30 data matrices, stacked."""
+        data = [build_data_matrix(set1_basis, random_schedule(3.0, 30, s)).entries for s in range(12)]
+        return np.stack(data)
+
+    @pytest.fixture
+    def shape_stack(self, data_stack):
+        return np.linalg.svd(data_stack, full_matrices=False)[0]
+
+    def test_pivot_phases_stack_matches_slices(self, shape_stack):
+        stack = shape_stack.copy()
+        stack[3, :, 1] = 0.0  # a zero column keeps phase 1
+        sliced = np.stack([_pivot_phases(u) for u in stack])
+        assert _pivot_phases(stack).tobytes() == sliced.tobytes()
+        real = stack.real.copy()
+        assert _pivot_phases(real).tobytes() == np.stack([_pivot_phases(u) for u in real]).tobytes()
+
+    def test_svd_modes_stack_matches_slices(self, data_stack):
+        per_matrix = zip(*[_svd_modes(d) for d in data_stack])
+        for stacked, sliced in zip(_svd_modes(data_stack), per_matrix):
+            assert stacked.tobytes() == np.stack(sliced).tobytes()
+
+    def test_mode_errors_stack_matches_reference_loop(self, shape_stack, set1_basis):
+        order = np.argsort(-np.abs(set1_basis.amplitudes), kind="stable")
+        truth = set1_basis.mode_shapes
+        expected = np.array(
+            [
+                [reference_aligned_distance(u[:, k], truth[:, i]) for k, i in enumerate(order)]
+                for u in shape_stack
+            ]
+        )
+        assert _mode_errors(shape_stack, set1_basis).tobytes() == expected.tobytes()

@@ -701,6 +701,26 @@ class TestCli:
         assert code == 4
         assert "line 3, column 18" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "shape, extra, field",
+        [
+            ((1, 400), {"n_benchmark_modes": 2}, "n_benchmark_modes"),  # was an IndexError
+            ((4, 600), {"sampling": {"t_s": 0.01, "m_prime": 601}}, "sampling.m_prime"),  # M' > M
+            ((4, 600), {"sampling": {"t_s": 0.01, "m_prime": 3}}, "sampling.m_prime"),  # M' < N
+        ],
+    )
+    def test_sensor_data_config_mismatch_exit_code(self, tmp_path, capsys, shape, extra, field):
+        # Each of these used to escape or exit 3 without naming the field.
+        data_path = str(tmp_path / "sensors.csv")
+        save_sensor_csv(rng_from_seed(43).normal(size=shape), data_path)
+        cfg = tmp_path / "rd.json"
+        cfg.write_text(json.dumps({"data_path": data_path, "sampling": {"t_s": 0.01}, **extra}))
+        out = tmp_path / "o"
+        code = cli_run(["run", "--experiment", "realdata", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t_s", [math.nan, math.inf])
     def test_non_finite_config_exit_code(self, tmp_path, capsys, t_s):
         # NaN used to escape as a ValueError; Infinity wrote a 0-row table.
@@ -719,6 +739,7 @@ class TestCli:
             ([[1, 0], [0, 0]], [[2, -1], [-1, 2]]),  # non-positive mass diagonal
             ([[1, 0], [0, 4]], [[2, -1], [-1, 2]]),  # diagonal but not scalar mass
             ([[1, 0], [0, 1]], [[-1, 0], [0, 1]]),  # indefinite stiffness
+            ([[1, 0], [0, 1]], [[2, 0], [0, 2]]),  # repeated natural frequencies
         ],
     )
     def test_bad_system_matrices_exit_code(self, tmp_path, capsys, mass, stiffness):

@@ -32,3 +32,16 @@ def test_import_leaves_scipy_signal_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_numpy_fft():
+    # numpy loads np.fft lazily on first attribute access, and that loader
+    # recurses until RecursionError if a signal handler (a sampling
+    # profiler, say) touches np.fft while the main thread is inside it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, modalcs; print('numpy.fft' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.strip() == "True"

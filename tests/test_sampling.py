@@ -14,16 +14,19 @@ from modalcs import (
     JlMatrix,
     ModalBasis,
     SampleSchedule,
+    align_and_error,
     build_data_matrix,
     build_steering,
     compress,
     draw_jl_matrix,
+    estimate_modes,
     jl_tail_rate,
     random_schedule,
     rng_from_seed,
     spawn_seeds,
     uniform_schedule,
 )
+from modalcs.runner import _mean_max_error
 
 
 class TestRngPlumbing:
@@ -325,3 +328,19 @@ class TestStreamingMemory:
         schedule = uniform_schedule(1e-4, self.M)
         data, peak = _traced_peak(build_data_matrix, set1_basis, schedule)
         assert peak < 1.5 * data.entries.nbytes
+
+    def test_exp3_trials_stack_in_bounded_chunks(self, set1_basis):
+        # One trial's V is 4 x 50000 complex, 3.2 MB; an unchunked stack of
+        # the 16 trials would hold 16 of them before the SVD started.
+        m, t_max = 50_000, 5000.0
+        seeds = spawn_seeds(9, 16)
+        mean, peak = _traced_peak(_mean_max_error, set1_basis, t_max, m, seeds)
+        assert peak < 6 * 16 * 4 * m
+        maxima = [
+            align_and_error(
+                estimate_modes(build_data_matrix(set1_basis, random_schedule(t_max, m, int(s)))),
+                set1_basis,
+            ).max()
+            for s in seeds
+        ]
+        assert mean == float(np.mean(maxima))
