@@ -16,9 +16,7 @@ from .baselines import (
     welch_csd,
 )
 from .bounds import (
-    BoundReport,
     SamplingPlan,
-    bound_report,
     gershgorin_uniform_bound,
     gram_deviation,
     harmonic_number_bounds,
@@ -47,9 +45,7 @@ from .errors import (
     InvalidArgument,
     IoError,
     ModalcsError,
-    NoConvergence,
     NonPositiveEigenvalue,
-    NonUniformInput,
     NonUniformSchedule,
     NotSymmetric,
     ParseError,
@@ -95,7 +91,6 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CONFIG_SCHEMA",
     "ConfigError",
     "CsdCube",
@@ -112,9 +107,7 @@ __all__ = [
     "ModalBasis",
     "ModalcsError",
     "ModeEstimate",
-    "NoConvergence",
     "NonPositiveEigenvalue",
-    "NonUniformInput",
     "NonUniformSchedule",
     "NotSymmetric",
     "ParseError",
@@ -127,7 +120,6 @@ __all__ = [
     "SteeringMatrix",
     "align_and_error",
     "aligned_distance",
-    "bound_report",
     "build_basis",
     "build_data_matrix",
     "build_steering",

@@ -17,22 +17,24 @@ from .errors import (
     DimensionMismatch,
     InsufficientPeaks,
     InvalidArgument,
-    NoConvergence,
     ShapeError,
 )
 from .mdof import canonical_sign
 from .sampling import complex_times_real
 
-_HERMITIAN_TOL = 1e-9
-_PSD_TOL = 1e-9
+# A local maximum of the top eigenvalue curve counts as a spectral peak only
+# above this share of the curve's maximum: a constant or silent record still
+# has window-leakage ripples, some 1e-33 of the DC value, that are no modes.
+_PEAK_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class CsdCube:
     """Cross-spectral density matrices, one per frequency bin.
 
-    ``matrices`` has shape (F, N, N) with ``matrices[i]`` Hermitian positive
-    semidefinite at angular frequency ``frequencies[i]`` (rad/s, ascending).
+    ``matrices`` has shape (F, N, N), one matrix per angular frequency
+    ``frequencies[i]`` (rad/s, ascending).  Construction checks only shapes
+    and order; welch_csd's matrices are Hermitian positive semidefinite.
     """
 
     frequencies: np.ndarray
@@ -47,19 +49,8 @@ class CsdCube:
             raise DimensionMismatch("one matrix per frequency bin required")
         if np.any(np.diff(freqs) <= 0.0):
             raise InvalidArgument("frequencies must be strictly increasing")
-        scale = max(1.0, float(np.abs(mats).max()) if mats.size else 1.0)
-        if np.abs(mats - mats.conj().transpose(0, 2, 1)).max() > _HERMITIAN_TOL * scale:
-            raise InvalidArgument("spectral matrices must be Hermitian")
-        evals = np.linalg.eigvalsh(mats)
-        floor = -_PSD_TOL * max(1.0, float(evals.max()))
-        if evals.min() < floor:
-            raise InvalidArgument("spectral matrices must be positive semidefinite")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "matrices", mats)
-
-    @property
-    def n_channels(self) -> int:
-        return self.matrices.shape[1]
 
 
 def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
@@ -99,10 +90,10 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (peak_frequencies, shapes) with shapes of size (N, n_modes),
     ordered by descending peak height.  Peaks are strict interior local
-    maxima of the largest eigenvalue curve; the mode shape at a peak is the
-    corresponding eigenvector, phase-aligned so its largest entry is real
-    positive.  Raises InsufficientPeaks when the curve has fewer maxima than
-    requested.
+    maxima of the largest eigenvalue curve that rise above 1e-10 of its
+    maximum; the mode shape at a peak is the corresponding eigenvector,
+    phase-aligned so its largest entry is real positive.  Raises
+    InsufficientPeaks when fewer peaks than requested pass.
     """
     if n_modes < 1:
         raise InvalidArgument("n_modes must be >= 1")
@@ -110,6 +101,7 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     top = evals[:, -1]
     interior = np.arange(1, top.size - 1)
     mask = (top[interior] > top[interior - 1]) & (top[interior] > top[interior + 1])
+    mask &= top[interior] > _PEAK_FLOOR * top.max(initial=0.0)
     peak_idx = interior[mask]
     if peak_idx.size < n_modes:
         raise InsufficientPeaks(
@@ -134,7 +126,7 @@ class SparseRecovery:
     quality, and never false after a projection with a well-conditioned
     Phi.  ``l1_history`` records the coefficient l1 norm, summed over rows,
     after every inner iteration, grouped by threshold stage; within each
-    stage the norm never increases (up to roundoff), checked on construction.
+    stage the norm never increases (up to roundoff).
     """
 
     coefficients: np.ndarray
@@ -142,14 +134,6 @@ class SparseRecovery:
     converged: bool
     relative_residual: float
     l1_history: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        for stage in self.l1_history:
-            arr = np.asarray(stage)
-            if arr.size > 1:
-                rises = np.diff(arr)
-                if rises.max() > 1e-8 * max(1.0, float(arr[0])):
-                    raise NoConvergence("l1 norm increased within a threshold stage")
 
 
 def sparse_reconstruct(measurements, phi, n_stages: int = 30,

@@ -278,44 +278,3 @@ def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
     np.fill_diagonal(kernel, 0.0)
     return float(kernel.sum(axis=1).max())
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Measured Gram deviation next to the per-mode error bounds it implies."""
-
-    variant: str
-    sep: np.ndarray
-    error_bounds: np.ndarray
-    gram_deviation: float
-    gershgorin: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("uniform", "random", "compressed"):
-            raise InvalidArgument(f"unknown variant {self.variant!r}")
-        bounds = np.asarray(self.error_bounds, dtype=float)
-        if np.any(bounds < 0.0) or np.any(bounds > ROOT2 * (1.0 + 1e-12)):
-            raise InvalidArgument("error bounds must lie in [0, sqrt(2)]")
-        if self.gershgorin is not None and self.gershgorin < self.gram_deviation - 1e-12:
-            raise InvalidArgument("Gershgorin radius cannot undercut the measured deviation")
-        object.__setattr__(self, "error_bounds", bounds)
-        object.__setattr__(self, "sep", np.asarray(self.sep, dtype=float))
-
-
-def bound_report(steering: SteeringMatrix, magnitudes, epsilon: float,
-                 variant: str = "uniform") -> BoundReport:
-    """Evaluate the bounds machinery against a concrete steering matrix.
-
-    Magnitudes are ranked descending internally so bound index k matches the
-    amplitude-rank ordering used by align_and_error.
-    """
-    mags = np.abs(np.asarray(magnitudes, dtype=float))
-    mags = mags[np.argsort(-mags, kind="stable")]
-    seps = sep_values(mags, epsilon)
-    bounds = np.array([mode_error_bound(mags, epsilon, k, variant) for k in range(mags.size)])
-    dev = gram_deviation(steering)
-    gersh = None
-    if steering.schedule.scheme == "uniform":
-        gersh = gershgorin_uniform_bound(
-            steering.frequencies, steering.schedule.t_s, steering.schedule.n_samples
-        )
-    return BoundReport(variant, seps, bounds, dev, gersh)

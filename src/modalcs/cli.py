@@ -82,14 +82,9 @@ def run(argv=None) -> int:
     try:
         config = _resolve_config(args)
         table = run_experiment(config)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            print(f"error: cannot create {args.out}: {exc}", file=sys.stderr)
-            return 4
+        written = emit_plot_data(table, args.out)  # creates args.out
         csv_path = os.path.join(args.out, f"{config.experiment}_results.csv")
         write_result_csv(table, csv_path)
-        written = emit_plot_data(table, args.out)
         print(f"{config.experiment}: {len(table.rows)} rows -> {csv_path}")
         for path in written:
             print(f"  wrote {path}")

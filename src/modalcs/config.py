@@ -18,8 +18,8 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from .errors import ConfigError
-from .mdof import _FREQUENCY_GAP_RTOL, MdofSystem, ModalBasis, solve_modes
+from .errors import ConfigError, InvalidArgument, NonPositiveEigenvalue
+from .mdof import MdofSystem, ModalBasis, solve_modes
 
 EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4", "exp5", "realdata")
 
@@ -104,7 +104,6 @@ CONFIG_SCHEMA = {
         "data_path": {"type": "string"},
         "header": {"type": "boolean"},
         "n_benchmark_modes": {"type": "integer", "minimum": 1},
-        "out_dir": {"type": ["string", "null"]},
     },
 }
 
@@ -141,7 +140,6 @@ class ExperimentConfig:
     data_path: str | None = None
     header: bool = False
     n_benchmark_modes: int | None = None
-    out_dir: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -166,7 +164,6 @@ class ExperimentConfig:
             data_path=raw.get("data_path"),
             header=raw.get("header", False),
             n_benchmark_modes=raw.get("n_benchmark_modes"),
-            out_dir=raw.get("out_dir"),
         )
         _validate_semantics(cfg)
         return cfg
@@ -184,7 +181,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None:
                 out[key] = list(value)
-        for key in ("n_trials", "n_phi_seeds", "data_path", "n_benchmark_modes", "out_dir"):
+        for key in ("n_trials", "n_phi_seeds", "data_path", "n_benchmark_modes"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -277,16 +274,14 @@ def _validate_semantics(cfg: ExperimentConfig):
             raise ConfigError(
                 f"sampling.m_values: every entry must be >= {n} modes, got {bad}"
             )
-        if cfg.n_trials is None:
-            raise ConfigError("exp3: field 'n_trials' is required")
+        _need(cfg, "n_trials")
         trials = cfg.n_trials * len(cfg.sampling["m_values"])
         _cap("n_trials", trials, MAX_POINTS, "trials over all m_values")
         _cap("sampling.m_values", max(cfg.sampling["m_values"]), MAX_SAMPLES, "samples")
     elif cfg.experiment == "exp4":
         _validate_modal_lists(cfg)
         _need_sampling(cfg, "t_s_sub", "t_s_super", "t_max", "m_prime")
-        if cfg.n_phi_seeds is None:
-            raise ConfigError("exp4: field 'n_phi_seeds' is required")
+        _need(cfg, "n_phi_seeds")
         _cap("n_phi_seeds", cfg.n_phi_seeds, MAX_POINTS, "Phi seeds")
         for key in ("t_s_sub", "t_s_super"):
             samples = cfg.sampling["t_max"] / cfg.sampling[key]
@@ -316,27 +311,10 @@ def build_system(cfg: ExperimentConfig) -> MdofSystem:
     if cfg.system == "paper-4dof":
         return MdofSystem(np.eye(4), np.array(PAPER_4DOF_STIFFNESS))
     try:
-        system = MdofSystem(np.array(cfg.system["mass"]), np.array(cfg.system["stiffness"]))
+        return MdofSystem(np.array(cfg.system["mass"]), np.array(cfg.system["stiffness"]))
     except ValueError as exc:
         # Ragged rows (from np.array) and every MdofSystem rejection.
         raise ConfigError(f"system: {exc}") from exc
-    # solve_modes needs both of these; checked here, they are config faults
-    # that name the field rather than numerical failures of the solve.
-    diagonal = np.diag(system.mass)
-    if np.any(diagonal != diagonal[0]):
-        raise ConfigError(
-            "system: mass matrix must be a scalar multiple of the identity, "
-            "or the mode shapes cannot be orthonormal"
-        )
-    eigs = np.linalg.eigvalsh(system.stiffness)
-    if eigs[0] <= 0.0:
-        raise ConfigError(
-            f"system: stiffness matrix must be positive definite, "
-            f"smallest eigenvalue is {eigs[0]:.6e}"
-        )
-    if np.any(np.diff(np.sqrt(eigs)) < _FREQUENCY_GAP_RTOL * np.sqrt(eigs[-1])):
-        raise ConfigError("system: natural frequencies repeat (relative gap below 1e-9)")
-    return system
 
 
 def build_basis(cfg: ExperimentConfig) -> ModalBasis:
@@ -346,10 +324,14 @@ def build_basis(cfg: ExperimentConfig) -> ModalBasis:
     frequencies and magnitudes override the system's natural frequencies
     index-wise (listed ascending order against ascending natural order).
     """
-    modes = solve_modes(build_system(cfg))
+    system = build_system(cfg)
+    try:
+        modes = solve_modes(system)
+    except (InvalidArgument, NonPositiveEigenvalue) as exc:
+        # The system comes from the config, so a fault the solve finds names it.
+        raise ConfigError(f"system: {exc}") from exc
     n = modes.n_dof
-    if cfg.frequencies is None:
-        raise ConfigError(f"{cfg.experiment}: field 'frequencies' is required")
+    _need(cfg, "frequencies")
     if len(cfg.frequencies) != n:
         raise ConfigError(
             f"frequencies: system has {n} modes, got {len(cfg.frequencies)} entries"

@@ -17,11 +17,7 @@ class NonPositiveEigenvalue(ModalcsError):
     """The stiffness/mass pencil produced a zero or negative eigenvalue."""
 
 
-class NonUniformInput(InvalidArgument):
-    """An operation defined only for uniformly sampled data got something else."""
-
-
-class NonUniformSchedule(NonUniformInput):
+class NonUniformSchedule(InvalidArgument):
     """Frequency-domain processing was requested for a non-uniform schedule."""
 
 
@@ -39,12 +35,6 @@ class DomainError(InvalidArgument):
 
 class InsufficientPeaks(ModalcsError):
     """Fewer spectral peaks were found than modes requested."""
-
-    exit_code = 3
-
-
-class NoConvergence(ModalcsError):
-    """An iterative solver exhausted its budget without meeting tolerance."""
 
     exit_code = 3
 

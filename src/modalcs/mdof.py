@@ -21,7 +21,6 @@ from .errors import InvalidArgument, NonPositiveEigenvalue, NotSymmetric
 # worse, so downstream code can rely on the invariants without re-checking.
 _SYMMETRY_RTOL = 1e-12
 _ORTHONORMALITY_TOL = 1e-10
-_RESIDUAL_RTOL = 1e-8
 _FREQUENCY_GAP_RTOL = 1e-9
 
 
@@ -176,9 +175,15 @@ def solve_modes(system: MdofSystem) -> ModalBasis:
         then mass-orthogonal rather than mutually orthogonal, and no scaling
         can satisfy the orthonormal-basis contract.
     """
+    diagonal = np.diag(system.mass)
+    if np.any(diagonal != diagonal[0]):
+        raise InvalidArgument(
+            "mass matrix must be a scalar multiple of the identity, "
+            "or the mode shapes cannot be orthonormal"
+        )
     # The mass is diagonal and positive: with D = M^-1/2 the pencil becomes
     # the symmetric problem (D K D) z = w^2 z, and psi = D z.
-    d = 1.0 / np.sqrt(np.diag(system.mass))
+    d = 1.0 / np.sqrt(diagonal)
     evals, z = np.linalg.eigh(d[:, None] * system.stiffness * d)
     vecs = d[:, None] * z
     if evals[0] <= 0.0:
@@ -197,12 +202,4 @@ def solve_modes(system: MdofSystem) -> ModalBasis:
         )
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     vecs = canonical_sign(vecs)
-    # Post-condition of the solve, independent of the eigensolver used.
-    k_norm = np.linalg.norm(system.stiffness, 2)
-    residual = system.stiffness @ vecs - system.mass @ vecs * (freqs**2)
-    worst = np.linalg.norm(residual, axis=0).max()
-    if worst > _RESIDUAL_RTOL * k_norm:
-        raise NonPositiveEigenvalue(
-            f"eigen-residual {worst:.3e} exceeds {_RESIDUAL_RTOL:.0e} * ||K||"
-        )
     return ModalBasis(vecs, freqs)

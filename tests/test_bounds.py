@@ -12,7 +12,6 @@ from modalcs import (
     InvalidArgument,
     SamplingPlan,
     align_and_error,
-    bound_report,
     build_data_matrix,
     build_steering,
     estimate_modes,
@@ -391,31 +390,3 @@ class TestExpectedGramRandom:
         expected_norm = np.linalg.norm(expected_delta, 2)
         assert devs.mean() >= expected_norm - 3.0 * devs.std() / math.sqrt(trials)
 
-
-class TestBoundReport:
-    def test_uniform_report_fields(self):
-        plan = uniform_requirements(4, 1.74 * math.pi, 6.14 * math.pi, 0.5)
-        steering = build_steering(SET1, uniform_schedule(plan.t_s, plan.m_min))
-        report = bound_report(steering, GAMMA_DIAG, 0.5, variant="uniform")
-        assert report.variant == "uniform"
-        assert len(report.sep) == 4
-        assert all(0.0 <= b <= ROOT2 for b in report.error_bounds)
-        assert report.gershgorin is not None
-        assert report.gershgorin >= report.gram_deviation - 1e-12
-
-    def test_random_report_has_no_gershgorin(self):
-        steering = build_steering(SET1, random_schedule(3.0, 30, seed=2))
-        report = bound_report(steering, GAMMA_DIAG, 0.5, variant="random")
-        assert report.gershgorin is None
-
-    def test_magnitude_order_irrelevant(self):
-        steering = build_steering(SET1, uniform_schedule(0.1, 40))
-        shuffled = GAMMA_DIAG[[2, 0, 3, 1]]
-        a = bound_report(steering, GAMMA_DIAG, 0.3)
-        b = bound_report(steering, shuffled, 0.3)
-        npt.assert_allclose(a.error_bounds, b.error_bounds)
-
-    def test_unknown_variant_rejected(self):
-        steering = build_steering(SET1, uniform_schedule(0.1, 40))
-        with pytest.raises(InvalidArgument):
-            bound_report(steering, GAMMA_DIAG, 0.3, variant="bayes")

@@ -40,6 +40,10 @@ from modalcs.cli import run as cli_run
 from modalcs.results import Panel
 from test_acceptance import synthetic_sensors
 
+PRESETS_REFERENCE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "reference", "presets.json"
+)
+
 
 def small_sweep_config(seed=None, stop=0.5):
     raw = preset("exp1")
@@ -672,6 +676,54 @@ class TestCli:
         overlay = self.overlay(tmp_path, {"n_bootstrap": 5})
         code = cli_run(["run", "--experiment", "exp1", "--config", overlay, "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_out_dir_field_rejected(self, tmp_path, capsys):
+        # --out is the one output directory; a config field would be ignored.
+        overlay = self.overlay(tmp_path, {"out_dir": str(tmp_path / "never")})
+        out = tmp_path / "o"
+        code = cli_run(["run", "--experiment", "exp5", "--config", overlay, "--out", str(out)])
+        assert code == 2
+        assert "'out_dir' was unexpected" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "never").exists()
+
+    def test_uncreatable_out_exit_code(self, tmp_path, capsys):
+        # emit_plot_data creates --out; a path below a regular file fails.
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        assert cli_run(["run", "--experiment", "exp5", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot create {out}: ")
+        assert captured.out == ""
+
+    def test_constant_sensor_csv_exit_code(self, tmp_path, capsys):
+        # A sensor record without motion has only window-leakage ripples,
+        # some 1e-33 of its spectrum's maximum, and they are no modes.
+        data_path = str(tmp_path / "sensors.csv")
+        save_sensor_csv(np.ones((4, 400)), data_path)
+        cfg = tmp_path / "rd.json"
+        cfg.write_text(json.dumps({"data_path": data_path, "sampling": {"t_s": 0.01}}))
+        out = tmp_path / "o"
+        code = cli_run(["run", "--experiment", "realdata", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "spectral peaks" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_presets_match_stored_reference(self, tmp_path, capsys):
+        # The benchmark's presets check, in tier 1: every cell of the five
+        # tables within the stored reference's own rtol and atol.
+        with open(PRESETS_REFERENCE, encoding="utf-8") as fh:
+            ref = json.load(fh)
+        rtol, atol = ref["rtol"], ref["atol"]
+        for name in ("exp1", "exp2", "exp3", "exp4", "exp5"):
+            assert cli_run(["run", "--experiment", name, "--out", str(tmp_path / name)]) == 0
+            got = list(csv.reader(io.StringIO((tmp_path / name / f"{name}_results.csv").read_text())))
+            want = list(csv.reader(io.StringIO(ref["tables"][name])))
+            assert len(got) == len(want) and got[0] == want[0], name
+            for row, (g_row, w_row) in enumerate(zip(got[1:], want[1:]), start=1):
+                assert len(g_row) == len(w_row), (name, row)
+                for g, w in zip(g_row, w_row):
+                    if g != w:
+                        assert abs(float(g) - float(w)) <= atol + rtol * abs(float(w)), (name, row, g, w)
 
     def test_missing_data_file_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "rd.json"

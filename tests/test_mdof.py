@@ -83,14 +83,19 @@ class TestSolveModes:
             modes = solve_modes(system)
             npt.assert_allclose(modes.frequencies, np.sqrt(evals[order]), rtol=1e-12, atol=0)
             npt.assert_allclose(modes.mode_shapes, canonical_sign(vecs), rtol=0, atol=1e-10)
+            # solve_modes trusts eigh for this; the test does not.
+            shapes = modes.mode_shapes
+            resid = system.stiffness @ shapes - system.mass @ shapes * modes.frequencies**2
+            assert np.linalg.norm(resid, axis=0).max() <= 1e-8 * np.linalg.norm(system.stiffness, 2)
 
     def test_nonscalar_mass_rejected(self):
         # Pencil eigenvectors are mass-orthogonal, not Euclidean-orthonormal,
-        # when the diagonal mass is not scalar; the basis invariant refuses
-        # them rather than silently breaking either property.
-        system = MdofSystem(np.diag([1.0, 4.0]), np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        with pytest.raises(InvalidArgument):
-            solve_modes(system)
+        # when the diagonal mass is not scalar.  A diagonal stiffness gives
+        # orthonormal unit vectors anyway, so only the mass check catches it.
+        for stiffness in ([[2.0, -1.0], [-1.0, 2.0]], [[1.0, 0.0], [0.0, 2.0]]):
+            system = MdofSystem(np.diag([1.0, 4.0]), np.array(stiffness))
+            with pytest.raises(InvalidArgument, match="scalar multiple"):
+                solve_modes(system)
 
     def test_asymmetric_stiffness_rejected(self):
         with pytest.raises(NotSymmetric):
