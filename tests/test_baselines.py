@@ -103,20 +103,30 @@ class TestWelchCsd:
         evals = np.linalg.eigvalsh(cube.matrices[idx])
         assert evals[0] <= 1e-8 * evals[-1]
 
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-    @given(
+    @staticmethod
+    def still_sensor_cube(samples, constant):
+        samples = samples.copy()
+        samples[0] = constant  # a sensor that never moves
+        return welch_csd(samples, 0.01).matrices
+
+    # CsdCube checks only shapes and order; these guarantees are welch_csd's.
+    still_sensor_inputs = given(
         samples=arrays(float, st.tuples(st.integers(1, 4), st.integers(8, 200)),
                        elements=st.floats(-1e3, 1e3)),
         constant=st.floats(-1e3, 1e3),
     )
-    def test_matrices_are_hermitian_psd(self, samples, constant):
-        # CsdCube checks only shapes and order; this guarantee is welch_csd's.
-        samples = samples.copy()
-        samples[0] = constant  # a sensor that never moves
-        mats = welch_csd(samples, 0.01).matrices
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @still_sensor_inputs
+    def test_matrices_are_hermitian(self, samples, constant):
+        mats = self.still_sensor_cube(samples, constant)
         scale = max(1.0, float(np.abs(mats).max()))
         assert np.abs(mats - mats.conj().transpose(0, 2, 1)).max() <= 1e-9 * scale
-        evals = np.linalg.eigvalsh(mats)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @still_sensor_inputs
+    def test_matrices_are_psd(self, samples, constant):
+        evals = np.linalg.eigvalsh(self.still_sensor_cube(samples, constant))
         assert evals.min() >= -1e-9 * max(1.0, float(evals.max()))
 
     def test_explicit_nperseg_controls_resolution(self):
@@ -254,17 +264,23 @@ class TestSparseReconstruct:
         result = sparse_reconstruct(y, self.phi(), n_stages=5)
         assert result.relative_residual <= 1e-10
 
+    def assert_l1_never_rises(self, rows):
+        result = sparse_reconstruct(rows, self.phi(), n_stages=8)
+        for stage in result.l1_history:
+            arr = np.asarray(stage)
+            assert np.diff(arr).max() <= 1e-8 * max(1.0, arr[0])
+
     def test_l1_never_rises_within_stage(self):
         # Real rows (a zero imaginary part counts as real) take the
-        # half-spectrum path, whose l1 counts each paired bin twice; complex
-        # rows take the full spectrum.
+        # half-spectrum path, whose l1 counts each paired bin twice.
+        y = np.random.Generator(np.random.Philox(22)).normal(size=self.M_PRIME)
+        self.assert_l1_never_rises(y.astype(complex))
+
+    def test_complex_l1_never_rises_within_stage(self):
+        # Complex rows take the full spectrum.
         rng = np.random.Generator(np.random.Philox(22))
         y = rng.normal(size=self.M_PRIME)
-        for rows in (y.astype(complex), y + 1j * rng.normal(size=self.M_PRIME)):
-            result = sparse_reconstruct(rows, self.phi(), n_stages=8)
-            for stage in result.l1_history:
-                arr = np.asarray(stage)
-                assert np.diff(arr).max() <= 1e-8 * max(1.0, arr[0])
+        self.assert_l1_never_rises(y + 1j * rng.normal(size=self.M_PRIME))
 
     def test_rank_deficient_phi(self):
         entries = np.ones((self.M, 4))
