@@ -3,13 +3,14 @@
 Two baselines: frequency-domain decomposition (Welch cross-spectra plus
 peak picking) for operational modal analysis, and a basis-pursuit style
 sparse reconstruction that recovers a frequency-sparse signal from its
-compressed samples before any modal processing.
+compressed samples before any modal processing.  The reconstruction takes
+the DFT of the compression matrix once; each iteration is then two products
+with precomputed matrices and runs no FFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import (
     ShapeError,
 )
 from .mdof import canonical_sign
-from .sampling import complex_times_real
 
 # A local maximum of the top eigenvalue curve counts as a spectral peak only
 # above this share of the curve's maximum: a constant or silent record still
@@ -121,38 +121,33 @@ class SparseRecovery:
 
     ``coefficients`` live in the unitary DFT basis; ``signal`` is their time
     domain synthesis; both keep the leading shape of the measurements.
-    ``relative_residual`` is the worst over rows, and ``converged`` says
-    only that it is at most ``tol``: a linear-solve accuracy, not recovery
-    quality, and never false after a projection with a well-conditioned
-    Phi.  ``l1_history`` records the coefficient l1 norm, summed over rows,
-    after every inner iteration, grouped by threshold stage; within each
-    stage the norm never increases (up to roundoff).
+    ``l1_history`` records the coefficient l1 norm, summed over rows, after
+    every inner iteration, grouped by threshold stage; within each stage the
+    norm never increases (up to roundoff).
     """
 
     coefficients: np.ndarray
     signal: np.ndarray
-    converged: bool
-    relative_residual: float
     l1_history: tuple[tuple[float, ...], ...]
 
 
 def sparse_reconstruct(measurements, phi, n_stages: int = 30,
-                       iters_per_stage: int = 10, threshold_ratio: float = 0.7,
-                       tol: float = 1e-8) -> SparseRecovery:
+                       iters_per_stage: int = 10,
+                       threshold_ratio: float = 0.7) -> SparseRecovery:
     """Recover frequency-sparse length-M signals u from y = Phi^T u.
 
-    ``measurements`` is one (M',) vector or a (K, M') batch; rows are
-    independent problems that share Phi and are solved together.  Works in
-    the unitary DFT basis u = W alpha and drives each row of alpha toward
-    the minimum-l1 feasible point by alternating complex soft thresholding
-    with reprojection onto the affine constraint set {alpha : A alpha = y},
-    A = Phi^T W.  A row's threshold starts at 0.9 max|A^+ y| and decays
-    geometrically by ``threshold_ratio`` per stage, a standard fixed-point
-    continuation schedule.  All iterates after a projection are feasible, so
-    the residual and ``converged`` measure only the linear-solve accuracy.
-    Real measurements (imaginary part exactly zero) keep every spectrum
-    conjugate-symmetric and are solved on the rfft half spectrum with real
-    products; ``coefficients`` are still the full length-M spectrum.
+    ``measurements`` is one (M',) vector or a (K, M') batch of finite
+    values; rows are independent problems that share Phi and are solved
+    together.  Works in the unitary DFT basis u = W alpha and drives each
+    row of alpha toward the minimum-l1 feasible point by alternating complex
+    soft thresholding with reprojection onto the affine constraint set
+    {alpha : A alpha = y}, A = Phi^T W.  A row's threshold starts at
+    0.9 max|A^+ y| and decays geometrically by ``threshold_ratio`` per
+    stage, a standard fixed-point continuation schedule.  Every iterate
+    after a projection is feasible up to roundoff.  Real measurements
+    (imaginary part exactly zero) keep every spectrum conjugate-symmetric
+    and are solved on the rfft half spectrum with real products;
+    ``coefficients`` are still the full length-M spectrum.
     """
     y = np.asarray(measurements, dtype=complex)
     entries = np.asarray(getattr(phi, "entries", phi), dtype=float)
@@ -163,6 +158,8 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
         raise DimensionMismatch(
             f"measurement length {y.shape[-1]} does not match phi columns {m_prime}"
         )
+    if not np.isfinite(y).all():
+        raise InvalidArgument("measurements must be finite")
     if not (n_stages >= 1 and iters_per_stage >= 1 and 0.0 < threshold_ratio < 1.0):
         raise InvalidArgument("need n_stages, iters_per_stage >= 1 and ratio in (0, 1)")
 
@@ -172,36 +169,36 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     if real:
         rows = rows.real
 
-    # A A* = Phi^T Phi = G since the DFT factor is unitary, so the minimum-norm
-    # solution of A alpha = r is A*(G^-1 r) = DFT(r P) with P = G^-1 Phi^T.
     gram = entries.T @ entries
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise InvalidArgument("compression matrix is rank deficient") from exc
-    p = np.linalg.solve(gram, entries.T)
+    if not rows.any():
+        zeros = np.zeros(out_shape, dtype=complex)
+        return SparseRecovery(zeros, zeros.copy(), ())
 
-    if real:
-        forward, inverse, times = np.fft.rfft, partial(np.fft.irfft, n=m), np.matmul
-    else:
-        forward, inverse, times = np.fft.fft, np.fft.ifft, complex_times_real
-    # Half-spectrum bins 1 .. paired - 1 each stand for a conjugate pair.
+    # Both maps are fixed linear operators on the spectrum, built from one
+    # DFT of Phi, F = DFT(Phi^T) (M' x bins), so no iteration runs an FFT.
+    # A A* = Phi^T Phi = G since the DFT factor is unitary, so the minimum-norm
+    # solution of A alpha = r is A*(G^-1 r) = r G^-1 F; A alpha = alpha conj(F)^T.
+    # The real path views alpha and F as interleaved (Re, Im) pairs; there
+    # A alpha = irfft(alpha) Phi counts each paired bin 1 .. paired - 1 twice,
+    # and irfft drops the imaginary parts at DC and Nyquist, which F has zero.
     paired = (m + 1) // 2
+    transform = np.fft.rfft if real else np.fft.fft
+    # C order keeps each spectrum row contiguous, as the views need.
+    spectrum = transform(np.ascontiguousarray(entries.T), axis=1, norm="ortho")
+    pinv_op = np.linalg.solve(gram, spectrum.view(float) if real else spectrum)
+    if real:
+        spectrum[:, 1:paired] *= 2.0
+        a_op = spectrum.view(float).T
+    else:
+        a_op = np.conjugate(spectrum, out=spectrum).T
     doubled = slice(1, paired) if real else slice(0)
 
-    def synthesize(alpha):
-        return inverse(alpha, axis=1, norm="ortho")
-
-    def apply_a(alpha):
-        return times(synthesize(alpha), entries)
-
     def apply_pinv(r):
-        return forward(times(r, p), axis=1, norm="ortho")
-
-    y_norms = np.linalg.norm(rows, axis=1)
-    if not y_norms.any():
-        zeros = np.zeros(out_shape, dtype=complex)
-        return SparseRecovery(zeros, zeros.copy(), True, 0.0, ())
+        return (r @ pinv_op).view(complex)
 
     alpha = apply_pinv(rows)  # min-norm feasible start
     mags = np.abs(alpha)
@@ -214,22 +211,15 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
             with np.errstate(divide="ignore", invalid="ignore"):
                 shrink = np.where(mags > theta, 1.0 - theta / mags, 0.0)
             alpha *= shrink
-            alpha += apply_pinv(rows - apply_a(alpha))
+            alpha += apply_pinv(rows - alpha.view(a_op.dtype) @ a_op)
             mags = np.abs(alpha)
             stage.append(float(mags.sum() + mags[:, doubled].sum()))
         history.append(tuple(stage))
         theta *= threshold_ratio
 
-    residuals = np.linalg.norm(rows - apply_a(alpha), axis=1)
-    nonzero = y_norms > 0.0
-    rel = float((residuals[nonzero] / y_norms[nonzero]).max())
-    signal = np.asarray(synthesize(alpha), dtype=complex)
     if real:
+        signal = np.fft.irfft(alpha, n=m, axis=1, norm="ortho").astype(complex)
         alpha = np.concatenate([alpha, alpha[:, paired - 1:0:-1].conj()], axis=1)
-    return SparseRecovery(
-        alpha.reshape(out_shape),
-        signal.reshape(out_shape),
-        bool(rel <= tol),
-        rel,
-        tuple(history),
-    )
+    else:
+        signal = np.fft.ifft(alpha, axis=1, norm="ortho")
+    return SparseRecovery(alpha.reshape(out_shape), signal.reshape(out_shape), tuple(history))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import fdd_peaks, sparse_reconstruct, welch_csd
 from .bounds import gershgorin_uniform_bound, gram_deviation
-from .config import ExperimentConfig, _samples_for, build_basis
+from .config import MAX_SAMPLES, ExperimentConfig, _cap, _samples_for, build_basis
 from .errors import ConfigError
 from .estimator import (
     _mode_errors,
@@ -300,6 +300,11 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
     return ResultTable("exp5", columns, tuple(rows), config.as_dict(), axes, panels)
 
 
+# Realdata's sparse baseline holds the dense M x M' Phi and operators of its
+# size; the scale benchmark's 10^5 x 256 Phi (205 MB) is the largest allowed.
+_MAX_PHI_ENTRIES = 100_000 * 256
+
+
 def _run_realdata(config: ExperimentConfig) -> ResultTable:
     """Compressed-domain SVD vs. sparse reconstruction + FDD on sensor data.
 
@@ -313,6 +318,9 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     n, m = samples.shape
     t_s = config.sampling["t_s"]
     m_prime = config.sampling["m_prime"]
+    # The CSV sets M, which config validation never sees.
+    _cap("data_path", m, MAX_SAMPLES, "samples per sensor")
+    _cap("sampling.m_prime", m * m_prime, _MAX_PHI_ENTRIES, "dense Phi entries (M x M')")
     n_bench = config.n_benchmark_modes
     if n_bench > n:
         raise ConfigError(f"n_benchmark_modes: asks for {n_bench} modes from {n} sensors")

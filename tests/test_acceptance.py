@@ -332,9 +332,11 @@ def test_10_baselines_and_sensor_benchmark(realdata):
     alpha0[7] = 3.0 * np.exp(1j * 0.8)
     signal = math.sqrt(256) * np.fft.ifft(alpha0)
     phi = draw_jl_matrix(256, 32, "gaussian", seed=303)
-    recovery = sparse_reconstruct(phi.entries.T @ signal, phi)
+    y = phi.entries.T @ signal
+    recovery = sparse_reconstruct(y, phi)
     sparse_err = float(np.abs(recovery.coefficients - alpha0).max())
-    sparse_ok = recovery.converged and sparse_err <= 1e-3
+    misfit = np.linalg.norm(recovery.signal @ phi.entries - y) / np.linalg.norm(y)
+    sparse_ok = misfit <= 1e-8 and sparse_err <= 1e-3
 
     rng = np.random.Generator(np.random.Philox(11))
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -36,6 +37,7 @@ from modalcs import (
     write_result_csv,
 )
 from modalcs import config as config_module
+from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
 from modalcs.results import Panel
 from test_acceptance import synthetic_sensors
@@ -772,6 +774,40 @@ class TestCli:
         assert code == 2
         assert f"error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_samples, m_prime, field",
+        [
+            (config_module.MAX_SAMPLES + 1, 1000, "data_path"),
+            (25_601, 1000, "sampling.m_prime"),  # M M' = 25,601,000 > 100,000 x 256
+        ],
+    )
+    def test_realdata_size_caps_exit_code(self, tmp_path, capsys, monkeypatch, n_samples, m_prime, field):
+        # The CSV sets M, so these caps apply once it is read and before the
+        # dense M x M' Phi (205 MB or more here) is drawn.  Tracing starts
+        # after the read: traced, the million-cell parse takes seconds.
+        data_path = tmp_path / "sensors.csv"
+        data_path.write_text("0," * (n_samples - 1) + "1\n")
+        cfg = tmp_path / "rd.json"
+        cfg.write_text(json.dumps({"data_path": str(data_path),
+                                   "sampling": {"t_s": 0.01, "m_prime": m_prime}}))
+
+        def read_then_trace(*args, **kwargs):
+            samples = load_sensor_csv(*args, **kwargs)
+            tracemalloc.start()
+            return samples
+
+        monkeypatch.setattr(runner_module, "load_sensor_csv", read_then_trace)
+        out = tmp_path / "o"
+        try:
+            code = cli_run(["run", "--experiment", "realdata", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert 0 < peak < 8 * n_samples * m_prime / 100
 
     @pytest.mark.parametrize("t_s", [math.nan, math.inf])
     def test_non_finite_config_exit_code(self, tmp_path, capsys, t_s):
