@@ -2,20 +2,20 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_json.py --parent REV [--seeds 1,2,3] [--out FILE]
+    python3 tools/bench_json.py --parent REV
 
-For every seed and every workload in ``BENCHMARK.json`` this runs
+For every seed in 1..10 and every workload in ``BENCHMARK.json`` this runs
 ``perfbench/run.py --trace 0`` twice, once in an export of REV (``git
 archive``, so the repository gets no extra worktree) and once in the
 working tree, alternating which side goes first. Run length is the
 benchmark's own ``run_seconds``. Each side uses its own ``perfbench/`` and
 ``src/``, as the benchmark itself does.
 
-The output, ``BENCH_<HEAD sha>.json`` by default, holds both commit SHAs,
-every run's end-to-end metrics, each side's per-metric median and
-quartiles, how many pairs the change won per metric, the environment lines
-perfbench printed, and each side's tier-1 wall time with its pass/fail
-counts. A full run of three workloads over ten seeds takes about half an
+The output, ``BENCH_<HEAD sha>.json`` in the repository root, holds both
+commit SHAs, every run's end-to-end metrics, each side's per-metric median
+and quartiles, how many pairs the change won per metric, the environment
+lines perfbench printed, and each side's tier-1 wall time with its
+pass/fail counts. A full run of three workloads over ten seeds takes about half an
 hour on two cores; nothing else should load the machine meanwhile.
 """
 
@@ -119,11 +119,7 @@ def _summarize(runs: dict, metric_specs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--seeds", default=",".join(map(str, SEEDS)),
-                        help="comma-separated workload seeds (default 1..10)")
-    parser.add_argument("--out", help="output path (default BENCH_<HEAD sha>.json)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
@@ -132,7 +128,7 @@ def main(argv=None) -> int:
     result = {
         "command": "perfbench/run.py --trace 0",
         "run_seconds": seconds,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "parent": {"rev": args.parent, "sha": _git("rev-parse", args.parent)},
         "change": {"sha": head,
                    "dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
@@ -141,7 +137,7 @@ def main(argv=None) -> int:
     envs = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _export(args.parent, tmp), "change": ROOT}
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             for j, workload in enumerate(workloads):
                 order = ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -160,7 +156,7 @@ def main(argv=None) -> int:
         w: {"metrics": _summarize(runs[w], bench["end_to_end"]), "runs": runs[w]}
         for w in workloads
     }
-    out = args.out or os.path.join(ROOT, f"BENCH_{head}.json")
+    out = os.path.join(ROOT, f"BENCH_{head}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
