@@ -3,9 +3,9 @@
 Two baselines: frequency-domain decomposition (Welch cross-spectra plus
 peak picking) for operational modal analysis, and a basis-pursuit style
 sparse reconstruction that recovers a frequency-sparse signal from its
-compressed samples before any modal processing.  The reconstruction takes
-the DFT of the compression matrix once; each iteration is then two products
-with precomputed matrices and runs no FFT.
+compressed samples before any modal processing.  Both run on numpy alone.
+The reconstruction takes the DFT of the compression matrix once; each
+iteration is then two products with precomputed matrices and runs no FFT.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ class CsdCube:
 def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
     """Welch estimate of the full cross-spectral matrix from (N, M) samples.
 
-    Hann window, half-overlap, no detrending; frequencies are returned in
-    rad/s.  The default segment length is the smallest power of two at or
-    above M/8, which keeps enough averages for the matrices to be well
-    conditioned without washing out closely spaced peaks.
+    Periodic Hann window, half-overlap segments from sample 0, no detrending,
+    one-sided density scaling, rad/s: scipy.signal.csd of every channel pair,
+    from one rfft per sensor segment.  The default segment length is the
+    smallest power of two at or above M/8: enough averages for well
+    conditioned matrices without washing out closely spaced peaks.
     """
     u = np.asarray(samples, dtype=float)
     if u.ndim != 2:
@@ -71,18 +72,19 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
         nperseg = min(m, 1 << max(3, int(np.ceil(np.log2(max(m // 8, 1))))))
     if not 1 <= nperseg <= m:
         raise InvalidArgument("nperseg must lie in [1, n_samples]")
-    import scipy.signal  # about 1 s; most runs never need it
-
-    freqs_hz, pxy = scipy.signal.csd(
-        u[:, None, :],
-        u[None, :, :],
-        fs=1.0 / t_s,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-    )
-    return CsdCube(2.0 * np.pi * freqs_hz, np.moveaxis(pxy, -1, 0))
+    hop = nperseg - nperseg // 2
+    n_segments = (m - nperseg // 2) // hop
+    # Periodic Hann, written as scipy's get_window writes it (ones at length 1).
+    window = np.ones(1) if nperseg == 1 else (
+        0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1]))
+    # (L, segments, N): the rfft along axis 0 is then C-ordered and BLAS-ready.
+    segments = u.T[np.arange(nperseg)[:, None] + hop * np.arange(n_segments)]
+    segments *= window[:, None, None]
+    spectra = np.fft.rfft(segments, axis=0)
+    pxy = np.conj(spectra).transpose(0, 2, 1) @ spectra
+    pxy *= t_s / (window @ window) / n_segments
+    pxy[1:(nperseg + 1) // 2] *= 2.0  # paired bins; DC and an even L's Nyquist are not
+    return CsdCube(2.0 * np.pi * np.fft.rfftfreq(nperseg, t_s), pxy)
 
 
 def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,21 +99,19 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n_modes < 1:
         raise InvalidArgument("n_modes must be >= 1")
-    evals, evecs = np.linalg.eigh(cube.matrices)
-    top = evals[:, -1]
+    top = np.linalg.eigvalsh(cube.matrices)[:, -1]
     interior = np.arange(1, top.size - 1)
     mask = (top[interior] > top[interior - 1]) & (top[interior] > top[interior + 1])
     mask &= top[interior] > _PEAK_FLOOR * top.max(initial=0.0)
     peak_idx = interior[mask]
     if peak_idx.size < n_modes:
-        raise InsufficientPeaks(
-            f"found {peak_idx.size} spectral peaks, need {n_modes}"
-        )
+        raise InsufficientPeaks(f"found {peak_idx.size} spectral peaks, need {n_modes}")
     order = peak_idx[np.argsort(-top[peak_idx], kind="stable")][:n_modes]
+    evecs = np.linalg.eigh(cube.matrices[order])[1]  # vectors at the peaks only
     # C order: numpy's dot and multiply loops round contiguous and strided
     # columns differently, so the layout reaches the last digits of the
     # errors that callers compute from these shapes.
-    shapes = canonical_sign(np.ascontiguousarray(evecs[order, :, -1].T))
+    shapes = canonical_sign(np.ascontiguousarray(evecs[:, :, -1].T))
     return cube.frequencies[order], shapes
 
 
@@ -189,7 +189,8 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     transform = np.fft.rfft if real else np.fft.fft
     # C order keeps each spectrum row contiguous, as the views need.
     spectrum = transform(np.ascontiguousarray(entries.T), axis=1, norm="ortho")
-    pinv_op = np.linalg.solve(gram, spectrum.view(float) if real else spectrum)
+    # inv, not solve: solve copies its M' x M right-hand side; G passed Cholesky.
+    pinv_op = np.linalg.inv(gram) @ (spectrum.view(float) if real else spectrum)
     if real:
         spectrum[:, 1:paired] *= 2.0
         a_op = spectrum.view(float).T

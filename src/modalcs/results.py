@@ -97,47 +97,46 @@ def write_result_csv(table: ResultTable, path: str) -> None:
     _write_text(path, table.to_csv())
 
 
+def _parse_row(row: list[str], line_no: int) -> np.ndarray:
+    """One CSV row as float64, each cell read as float() reads it."""
+    try:  # numpy converts each str with float(), without a Python float per cell
+        parsed = np.array(row, dtype=float)
+        if np.isfinite(parsed).all():
+            return parsed
+    except ValueError:
+        pass
+    for j, cell in enumerate(row):  # the failing row only: name its bad cell
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        # float() also accepts "nan" and "inf", which no sensor records.
+        if not math.isfinite(value):
+            raise ParseError(f"invalid number {cell.strip()!r}", line=line_no, column=j + 1)
+    return np.array([float(cell) for cell in row])
+
+
 def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
     """Read a rectangular numeric CSV, one sensor per row, into an (N, M) array.
 
     Every cell must be a finite number.  Line and column numbers in errors
     are 1-based and count the header row.  Blank lines are ignored.
     """
+    values = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw_rows = list(csv.reader(fh))
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                if line_no <= header or not row:
+                    continue
+                if values and len(row) != values[0].size:
+                    raise RaggedRows(f"expected {values[0].size} columns, "
+                                     f"found {len(row)}", line=line_no)
+                values.append(_parse_row(row, line_no))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-
-    start = 1 if header else 0
-    values = []
-    width = None
-    for i, row in enumerate(raw_rows):
-        if i < start or not row:
-            continue
-        line_no = i + 1
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise RaggedRows(
-                f"expected {width} columns, found {len(row)}", line=line_no
-            )
-        parsed = []
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            # float() also accepts "nan" and "inf", which no sensor records.
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"invalid number {cell.strip()!r}", line=line_no, column=j + 1
-                )
-            parsed.append(value)
-        values.append(parsed)
     if not values:
         raise ParseError(f"no data rows in {path}")
-    return np.array(values, dtype=float)
+    return np.array(values)
 
 
 def save_sensor_csv(matrix, path: str, header: list[str] | None = None) -> None:

@@ -1,11 +1,13 @@
 """Frequency-domain decomposition and sparse-recovery baselines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -23,6 +25,7 @@ from modalcs import (
     sparse_reconstruct,
     welch_csd,
 )
+from test_acceptance import synthetic_sensors
 
 
 def two_tone_array(n_channels=2):
@@ -135,6 +138,37 @@ class TestWelchCsd:
         coarse = welch_csd(u, 0.1, nperseg=64)
         assert fine.frequencies.size > coarse.frequencies.size
 
+    @st.composite
+    def csd_inputs(draw):
+        n, m = draw(st.integers(1, 5)), draw(st.integers(1, 300))
+        u = draw(arrays(float, (n, m), elements=st.floats(-1e3, 1e3)))
+        return u, draw(st.sampled_from([0.01, 0.3, 2.0])), draw(st.integers(1, m))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(csd_inputs())
+    def test_matches_scipy_csd(self, inputs):
+        u, t_s, nperseg = inputs
+        freqs_hz, pxy = scipy.signal.csd(
+            u[:, None], u[None], fs=1.0 / t_s, window="hann", nperseg=nperseg,
+            noverlap=nperseg // 2, detrend=False,
+        )
+        cube = welch_csd(u, t_s, nperseg=nperseg)
+        npt.assert_allclose(cube.frequencies, 2.0 * np.pi * freqs_hz, rtol=1e-12, atol=0.0)
+        expected = np.moveaxis(pxy, -1, 0)
+        assert cube.matrices.shape == expected.shape
+        assert np.abs(cube.matrices - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_peak_memory_near_output_size(self):
+        # Pair by pair, scipy.signal.csd peaked at 12.8 times the output here.
+        u = np.random.Generator(np.random.Philox(9)).normal(size=(18, 200_000))
+        tracemalloc.start()
+        try:
+            cube = welch_csd(u, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * cube.matrices.nbytes
+
 
 class TestFddPeaks:
     def synthetic_cube(self, heights):
@@ -185,6 +219,27 @@ class TestFddPeaks:
         cube = self.synthetic_cube([1.0, 5.0, 1.0])
         with pytest.raises(InvalidArgument):
             fdd_peaks(cube, 0)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_matches_full_eigh_reference(self, n_modes):
+        cube = welch_csd(synthetic_sensors(), 0.01)
+        freqs, shapes = fdd_peaks(cube, n_modes)
+        ref_freqs, ref_shapes = fdd_peaks_full_eigh(cube, n_modes)
+        npt.assert_array_equal(freqs, ref_freqs)
+        assert shapes.shape == ref_shapes.shape == (18, n_modes)
+        npt.assert_allclose(shapes, ref_shapes, rtol=0.0, atol=1e-12)
+
+
+def fdd_peaks_full_eigh(cube, n_modes):
+    """fdd_peaks with every bin's eigenvectors computed, as it was written first."""
+    evals, evecs = np.linalg.eigh(cube.matrices)
+    top = evals[:, -1]
+    interior = np.arange(1, top.size - 1)
+    mask = (top[interior] > top[interior - 1]) & (top[interior] > top[interior + 1])
+    mask &= top[interior] > 1e-10 * top.max(initial=0.0)
+    peak_idx = interior[mask]
+    order = peak_idx[np.argsort(-top[peak_idx], kind="stable")][:n_modes]
+    return cube.frequencies[order], canonical_sign(np.ascontiguousarray(evecs[order, :, -1].T))
 
 
 def full_spectrum_reference(rows, entries, n_stages, iters_per_stage=10, ratio=0.7):

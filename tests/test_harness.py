@@ -375,6 +375,15 @@ class TestSensorCsv:
             load_sensor_csv(str(path))
         assert (info.value.line, info.value.column) == (2, 3)
 
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = [" 1.5", "1_000", "+1", "1e5", "-0.0", "2.5e-320 ", "0.1"]
+        path = tmp_path / "cells.csv"
+        path.write_text(",".join(cells) + "\r\n")
+        parsed = load_sensor_csv(str(path))
+        expected = np.array([[float(cell) for cell in cells]])
+        assert parsed.dtype == np.float64
+        assert parsed.tobytes() == expected.tobytes()
+
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,3\r\n4,5\r\n")

@@ -1,11 +1,14 @@
 """Package surface: what ``import modalcs`` exports and what it loads."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 
 import modalcs
+from modalcs import save_sensor_csv
+from test_acceptance import synthetic_sensors
 
 
 def test_all_lists_every_reexported_name():
@@ -23,8 +26,7 @@ def test_all_lists_every_reexported_name():
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy takes most of a second to import and only welch_csd needs it
-    # (scipy.signal), so importing the package must load no scipy module.
+    # scipy is a test-only dependency: it takes most of a second to import.
     src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, modalcs; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
@@ -45,3 +47,24 @@ def test_import_loads_numpy_fft():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert proc.stdout.strip() == "True"
+
+
+def test_realdata_run_loads_no_scipy(tmp_path):
+    # realdata runs the Welch/FDD baselines, the one stage that used scipy.
+    save_sensor_csv(synthetic_sensors()[:, :1000], str(tmp_path / "sensors.csv"))
+    (tmp_path / "realdata.json").write_text(
+        json.dumps({"data_path": "sensors.csv", "sampling": {"t_s": 0.01}})
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from modalcs.cli import run; "
+        "code = run(['run', '--experiment', 'realdata', '--config', 'realdata.json', '--out', 'o']); "
+        "print(code, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "o" / "realdata_results.csv").exists()
