@@ -16,7 +16,6 @@ from .baselines import (
     welch_csd,
 )
 from .bounds import (
-    SamplingPlan,
     gershgorin_uniform_bound,
     gram_deviation,
     harmonic_number_bounds,
@@ -25,7 +24,6 @@ from .bounds import (
     mode_error_bound,
     psinc,
     random_requirements,
-    sep_values,
     uniform_requirements,
 )
 from .config import (
@@ -83,8 +81,6 @@ from .sampling import (
     compress,
     draw_jl_matrix,
     random_schedule,
-    rng_from_seed,
-    spawn_seeds,
     uniform_schedule,
 )
 
@@ -114,7 +110,6 @@ __all__ = [
     "RaggedRows",
     "ResultTable",
     "SampleSchedule",
-    "SamplingPlan",
     "ShapeError",
     "SparseRecovery",
     "SteeringMatrix",
@@ -143,13 +138,10 @@ __all__ = [
     "psinc",
     "random_requirements",
     "random_schedule",
-    "rng_from_seed",
     "run_experiment",
     "save_sensor_csv",
-    "sep_values",
     "solve_modes",
     "sparse_reconstruct",
-    "spawn_seeds",
     "uniform_requirements",
     "uniform_schedule",
     "welch_csd",

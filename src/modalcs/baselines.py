@@ -53,6 +53,11 @@ class CsdCube:
         object.__setattr__(self, "matrices", mats)
 
 
+def _default_nperseg(m: int) -> int:
+    """Smallest power of two at or above M/8, at least 8 and at most M."""
+    return min(m, 1 << max(3, int(np.ceil(np.log2(max(m // 8, 1))))))
+
+
 def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
     """Welch estimate of the full cross-spectral matrix from (N, M) samples.
 
@@ -69,7 +74,7 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
         raise InvalidArgument("t_s must be > 0")
     m = u.shape[1]
     if nperseg is None:
-        nperseg = min(m, 1 << max(3, int(np.ceil(np.log2(max(m // 8, 1))))))
+        nperseg = _default_nperseg(m)
     if not 1 <= nperseg <= m:
         raise InvalidArgument("nperseg must lie in [1, n_samples]")
     hop = nperseg - nperseg // 2

@@ -1,9 +1,9 @@
 """Result tables, sensor CSV input, and plot-data emission.
 
 Tables serialize to RFC-4180 CSV with CRLF line endings and '.' decimal
-separators regardless of locale.  Float cells are written with repr(), whose
-shortest round-trip representation makes the serialization lossless and the
-bytes deterministic for identical inputs.
+separators regardless of locale.  Cells are None, str, int or float; floats,
+np.float64 included, are written with repr(), whose shortest round-trip form
+makes the serialization lossless and the bytes deterministic.
 """
 
 from __future__ import annotations
@@ -21,25 +21,13 @@ import numpy as np
 from .errors import InvalidArgument, IoError, ParseError, RaggedRows
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    raise InvalidArgument(f"unsupported cell type {type(value).__name__}")
-
-
 def _csv_text(header, rows) -> str:
-    """CRLF CSV text: the header row (when not None), then the formatted rows."""
+    """CRLF CSV text: the header row (when not None), then the rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if header is not None:
         writer.writerow(header)
-    writer.writerows([_format_cell(v) for v in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import fdd_peaks, sparse_reconstruct, welch_csd
+from .baselines import _default_nperseg, fdd_peaks, sparse_reconstruct, welch_csd
 from .bounds import gershgorin_uniform_bound, gram_deviation
 from .config import MAX_SAMPLES, ExperimentConfig, _cap, _samples_for, build_basis
 from .errors import ConfigError
@@ -300,8 +300,8 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
     return ResultTable("exp5", columns, tuple(rows), config.as_dict(), axes, panels)
 
 
-# Realdata's sparse baseline holds the dense M x M' Phi and operators of its
-# size; the scale benchmark's 10^5 x 256 Phi (205 MB) is the largest allowed.
+# Realdata's dense M x M' Phi (the sparse baseline's operators are its size)
+# and Welch's (F, N, N) cube may each have the scale benchmark's 10^5 x 256 entries.
 _MAX_PHI_ENTRIES = 100_000 * 256
 
 
@@ -321,6 +321,7 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     # The CSV sets M, which config validation never sees.
     _cap("data_path", m, MAX_SAMPLES, "samples per sensor")
     _cap("sampling.m_prime", m * m_prime, _MAX_PHI_ENTRIES, "dense Phi entries (M x M')")
+    _cap("data_path", n * n * (_default_nperseg(m) // 2 + 1), _MAX_PHI_ENTRIES, "Welch cube entries")
     n_bench = config.n_benchmark_modes
     if n_bench > n:
         raise ConfigError(f"n_benchmark_modes: asks for {n_bench} modes from {n} sensors")

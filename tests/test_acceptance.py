@@ -35,7 +35,6 @@ from modalcs import (
     psinc,
     random_requirements,
     random_schedule,
-    rng_from_seed,
     run_experiment,
     save_sensor_csv,
     sparse_reconstruct,
@@ -43,6 +42,7 @@ from modalcs import (
     uniform_schedule,
     welch_csd,
 )
+from modalcs.sampling import rng_from_seed
 
 GAMMA_DIAG = np.array([1.0, 0.45, 0.15, 0.01])
 

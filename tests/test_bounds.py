@@ -10,7 +10,6 @@ import pytest
 from modalcs import (
     DomainError,
     InvalidArgument,
-    SamplingPlan,
     align_and_error,
     build_data_matrix,
     build_steering,
@@ -24,11 +23,11 @@ from modalcs import (
     psinc,
     random_requirements,
     random_schedule,
-    rng_from_seed,
-    sep_values,
     uniform_requirements,
     uniform_schedule,
 )
+from modalcs.bounds import SamplingPlan, sep_values
+from modalcs.sampling import rng_from_seed
 
 ROOT2 = math.sqrt(2.0)
 GAMMA_DIAG = np.array([1.0, 0.45, 0.15, 0.01])

@@ -25,13 +25,12 @@ from modalcs import (
     frequency_spectra,
     preset,
     random_schedule,
-    rng_from_seed,
-    spawn_seeds,
     uniform_schedule,
 )
 from modalcs.estimator import _mode_errors, _svd_modes
 from modalcs.mdof import _pivot_phases
 from modalcs.runner import _run_exp3
+from modalcs.sampling import rng_from_seed, spawn_seeds
 
 ROOT2 = np.sqrt(2.0)
 

@@ -31,15 +31,16 @@ from modalcs import (
     load_sensor_csv,
     preset,
     preset_config,
-    rng_from_seed,
     run_experiment,
     save_sensor_csv,
+    welch_csd,
     write_result_csv,
 )
 from modalcs import config as config_module
 from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
 from modalcs.results import Panel
+from modalcs.sampling import rng_from_seed
 from test_acceptance import synthetic_sensors
 
 PRESETS_REFERENCE = os.path.join(
@@ -288,6 +289,11 @@ class TestSystemAndBasis:
             build_basis(ExperimentConfig.from_dict(raw))
 
 
+def _is_csv_cell(value) -> bool:
+    """None, str, int or float: what csv.writer prints as the tables need."""
+    return value is None or (isinstance(value, (str, int, float)) and not isinstance(value, bool))
+
+
 class TestResultTable:
     def table(self):
         return ResultTable(
@@ -317,10 +323,24 @@ class TestResultTable:
         rows = list(csv.reader(io.StringIO(table.to_csv())))
         assert [float(r[0]) for r in rows[1:]] == values
 
-    def test_unsupported_cell_type(self):
-        table = ResultTable("exp1", ["v"], [(1 + 2j,)], {})
-        with pytest.raises(InvalidArgument):
-            table.to_csv()
+    def test_cell_type_check_rejects_what_csv_writer_misprints(self):
+        assert all(_is_csv_cell(v) for v in (None, "a", 3, 0.5, np.float64(0.1)))
+        # csv.writer prints True, not 1, and float32 with its own short repr.
+        assert not any(_is_csv_cell(v) for v in (True, np.float32(0.1), np.int64(3), 1 + 2j))
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_runner_cells_are_csv_writer_types(self, tmp_path, experiment):
+        # to_csv and emit_plot_data hand cells straight to csv.writer.
+        raw = preset(experiment)
+        if experiment == "realdata":
+            raw["data_path"] = str(tmp_path / "sensors.csv")
+            raw["sampling"]["t_s"] = 0.01
+            save_sensor_csv(synthetic_sensors(), raw["data_path"])
+        table = run_experiment(ExperimentConfig.from_dict(raw))
+        cells = [v for row in table.rows for v in row]
+        cells += [v for panel in table.panels for row in panel.rows for v in row]
+        assert table.rows and table.panels
+        assert [v for v in cells if not _is_csv_cell(v)] == []
 
     def test_write_result_csv(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -817,6 +837,31 @@ class TestCli:
         assert f"error: {field}: " in capsys.readouterr().err
         assert not out.exists()
         assert 0 < peak < 8 * n_samples * m_prime / 100
+
+    @pytest.mark.parametrize(
+        "n_sensors, m_prime, field",
+        [
+            (224, 224, "data_path"),  # N^2 F = 224^2 x 513 = 25,740,288 > 100,000 x 256
+            (223, 200, "sampling.m_prime"),  # 223^2 x 513 = 25,510,977 passes; then M' < N
+        ],
+    )
+    def test_realdata_welch_cube_cap_exit_code(self, tmp_path, capsys, n_sensors, m_prime, field):
+        # At M = 4104 the default Welch segment is 1024 samples, so F = 513
+        # bins and the (F, N, N) complex cube at N = 224 would take 412 MB.
+        m = 4104
+        assert welch_csd(np.zeros((1, m)), 0.01).frequencies.size == 513
+        data_path = tmp_path / "sensors.csv"
+        data_path.write_text(("0," * (m - 1) + "1\n") * n_sensors)
+        cfg = tmp_path / "rd.json"
+        cfg.write_text(json.dumps({"data_path": str(data_path),
+                                   "sampling": {"t_s": 0.01, "m_prime": m_prime}}))
+        out = tmp_path / "o"
+        code = cli_run(["run", "--experiment", "realdata", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {field}: " in err
+        assert ("Welch cube" in err) == (field == "data_path")
+        assert not out.exists()
 
     @pytest.mark.parametrize("t_s", [math.nan, math.inf])
     def test_non_finite_config_exit_code(self, tmp_path, capsys, t_s):

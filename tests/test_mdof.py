@@ -18,10 +18,10 @@ from modalcs import (
     canonical_sign,
     preset_config,
     random_schedule,
-    rng_from_seed,
     solve_modes,
     uniform_schedule,
 )
+from modalcs.sampling import rng_from_seed
 
 ROOT2 = math.sqrt(2.0)
 
