@@ -18,20 +18,15 @@ from .baselines import (
 from .bounds import (
     gershgorin_uniform_bound,
     gram_deviation,
-    harmonic_number_bounds,
     jl_tail_rate,
-    kl_div,
     mode_error_bound,
-    psinc,
     random_requirements,
     uniform_requirements,
 )
 from .config import (
-    CONFIG_SCHEMA,
     EXPERIMENTS,
     ExperimentConfig,
     build_basis,
-    build_system,
     preset,
     preset_config,
 )
@@ -60,7 +55,6 @@ from .estimator import (
 from .mdof import (
     MdofSystem,
     ModalBasis,
-    canonical_sign,
     solve_modes,
 )
 from .results import (
@@ -87,7 +81,6 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONFIG_SCHEMA",
     "ConfigError",
     "CsdCube",
     "DataMatrix",
@@ -118,8 +111,6 @@ __all__ = [
     "build_basis",
     "build_data_matrix",
     "build_steering",
-    "build_system",
-    "canonical_sign",
     "compress",
     "draw_jl_matrix",
     "emit_plot_data",
@@ -128,14 +119,11 @@ __all__ = [
     "frequency_spectra",
     "gershgorin_uniform_bound",
     "gram_deviation",
-    "harmonic_number_bounds",
     "jl_tail_rate",
-    "kl_div",
     "load_sensor_csv",
     "mode_error_bound",
     "preset",
     "preset_config",
-    "psinc",
     "random_requirements",
     "random_schedule",
     "run_experiment",

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .errors import ConfigError, InvalidArgument, NonPositiveEigenvalue
 from .mdof import MdofSystem, ModalBasis, solve_modes
@@ -108,16 +105,40 @@ CONFIG_SCHEMA = {
 }
 
 
-@cache
-def _schema_validator():
-    """Validator for CONFIG_SCHEMA, built once per process.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "number": (int, float), "integer": int}
 
-    from_dict picks the reported error with best_match, as jsonschema's own
-    validate function does, but skips that function's metaschema check of
-    the schema (about 20 ms per call): the schema is a constant, so the
-    tests check it instead.
+
+def _conforms(value, schema) -> bool:
+    """False unless jsonschema accepts value under schema, for CONFIG_SCHEMA's keywords.
+
+    It may turn down what jsonschema accepts (numpy integers, a str subclass),
+    never the reverse; from_dict then asks jsonschema, which words rejections.
     """
-    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+    kind = schema.get("type")
+    # A bool is an int but no JSON number; an integral float is an integer.
+    if kind and not (
+        isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean")
+        or kind == "integer" and isinstance(value, float) and value.is_integer()
+    ):
+        return False
+    options = schema.get("enum", [schema["const"]] if "const" in schema else None)
+    if options is not None and not any(type(value) is type(o) and value == o for o in options):
+        return False
+    # CONFIG_SCHEMA's oneOf branches differ in type, so no value passes two.
+    if "oneOf" in schema and sum(_conforms(value, s) for s in schema["oneOf"]) != 1:
+        return False
+    if kind in ("number", "integer"):
+        return value >= schema.get("minimum", -math.inf) and value > schema.get("exclusiveMinimum", -math.inf)
+    if kind == "array":
+        return len(value) >= schema.get("minItems", 0) and all(_conforms(v, schema["items"]) for v in value)
+    if kind == "object":
+        props = schema["properties"]
+        return (
+            all(key in value for key in schema.get("required", ())) and all(key in props for key in value)
+            and all(_conforms(value[key], s) for key, s in props.items() if key in value)
+        )
+    return True
 
 
 @dataclass(frozen=True)
@@ -148,10 +169,16 @@ class ExperimentConfig:
             # JSON parsers accept NaN and Infinity, and every schema bound
             # lets NaN through.
             raise ConfigError(f"{bad}: must be a finite number")
-        error = best_match(_schema_validator().iter_errors(raw))
-        if error is not None:
-            where = ".".join(str(p) for p in error.absolute_path) or "<top level>"
-            raise ConfigError(f"{where}: {error.message}") from error
+        if not _conforms(raw, CONFIG_SCHEMA):  # importing jsonschema outlasts a preset run
+            from jsonschema.exceptions import best_match
+            from jsonschema.validators import validator_for
+
+            # Not jsonschema.validate: it checks the constant schema against
+            # the metaschema on each call (about 20 ms); the tests do that once.
+            error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
+            if error is not None:
+                where = ".".join(str(p) for p in error.absolute_path) or "<top level>"
+                raise ConfigError(f"{where}: {error.message}") from error
         cfg = cls(
             experiment=raw["experiment"],
             seed=raw["seed"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # eager: np.fft's lazy loader recurses if a signal handler re-enters it
 
-from .errors import InvalidArgument, NonUniformSchedule, ShapeError
+from .errors import DimensionMismatch, InvalidArgument, NonUniformSchedule, ShapeError
 from .mdof import ModalBasis, _pivot_phases, _unit_phase
 from .sampling import DataMatrix, SampleSchedule
 
@@ -107,6 +107,8 @@ def aligned_distance(estimate_vec, truth_vec) -> float:
     sqrt(eps) ~ 1.5e-8.
     """
     truth = np.asarray(truth_vec, dtype=complex)
+    if np.shape(estimate_vec) != truth.shape:
+        raise DimensionMismatch(f"estimate has shape {np.shape(estimate_vec)}, truth {truth.shape}")
     return float(np.linalg.norm(truth - _phase_aligned(estimate_vec, truth)))
 
 

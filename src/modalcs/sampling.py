@@ -25,14 +25,20 @@ _JL_KINDS = ("gaussian", "bernoulli")
 _BLOCK_BYTES = 1 << 20
 
 
+def _checked_seed(seed: int) -> int:
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based generator used for every stochastic operation."""
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_checked_seed(seed)))
 
 
 def spawn_seeds(seed: int, n: int) -> np.ndarray:
     """Derive n independent 64-bit child seeds from a master seed."""
-    return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
+    return np.random.SeedSequence(_checked_seed(seed)).generate_state(n, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,8 @@ def random_schedule(t_max: float, m: int, seed: int) -> SampleSchedule:
     resolved by redrawing from the same stream, keeping the result a
     deterministic function of the seed.
     """
-    if not t_max > 0.0:
-        raise InvalidArgument("t_max must be > 0")
+    if not 0.0 < t_max < np.inf:
+        raise InvalidArgument(f"t_max must be finite and > 0, got {t_max}")
     if m < 1:
         raise InvalidArgument("m must be >= 1")
     rng = rng_from_seed(seed)
@@ -229,8 +235,7 @@ class JlMatrix:
             raise InvalidArgument(f"need 1 <= M' <= M, got M'={self.m_prime}, M={self.m}")
         if self.kind not in _JL_KINDS:
             raise InvalidArgument(f"unknown compression kind {self.kind!r}")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
+        _checked_seed(self.seed)
 
     @property
     def shape(self):

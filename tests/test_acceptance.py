@@ -21,18 +21,14 @@ from modalcs import (
     build_basis,
     build_data_matrix,
     build_steering,
-    canonical_sign,
     draw_jl_matrix,
     estimate_modes,
     fdd_peaks,
     gershgorin_uniform_bound,
     gram_deviation,
-    harmonic_number_bounds,
     jl_tail_rate,
-    kl_div,
     mode_error_bound,
     preset_config,
-    psinc,
     random_requirements,
     random_schedule,
     run_experiment,
@@ -42,6 +38,8 @@ from modalcs import (
     uniform_schedule,
     welch_csd,
 )
+from modalcs.bounds import harmonic_number_bounds, kl_div, psinc
+from modalcs.mdof import canonical_sign
 from modalcs.sampling import rng_from_seed
 
 GAMMA_DIAG = np.array([1.0, 0.45, 0.15, 0.01])

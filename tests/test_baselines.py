@@ -19,12 +19,12 @@ from modalcs import (
     InvalidArgument,
     ShapeError,
     aligned_distance,
-    canonical_sign,
     draw_jl_matrix,
     fdd_peaks,
     sparse_reconstruct,
     welch_csd,
 )
+from modalcs.mdof import canonical_sign
 from test_acceptance import synthetic_sensors
 
 

@@ -16,17 +16,14 @@ from modalcs import (
     estimate_modes,
     gershgorin_uniform_bound,
     gram_deviation,
-    harmonic_number_bounds,
     jl_tail_rate,
-    kl_div,
     mode_error_bound,
-    psinc,
     random_requirements,
     random_schedule,
     uniform_requirements,
     uniform_schedule,
 )
-from modalcs.bounds import SamplingPlan, sep_values
+from modalcs.bounds import SamplingPlan, harmonic_number_bounds, kl_div, psinc, sep_values
 from modalcs.sampling import rng_from_seed
 
 ROOT2 = math.sqrt(2.0)

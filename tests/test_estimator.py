@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from modalcs import (
     DataMatrix,
+    DimensionMismatch,
     ExperimentConfig,
     InvalidArgument,
     ModalBasis,
@@ -18,7 +19,6 @@ from modalcs import (
     aligned_distance,
     build_basis,
     build_data_matrix,
-    canonical_sign,
     compress,
     draw_jl_matrix,
     estimate_modes,
@@ -28,7 +28,7 @@ from modalcs import (
     uniform_schedule,
 )
 from modalcs.estimator import _mode_errors, _svd_modes
-from modalcs.mdof import _pivot_phases
+from modalcs.mdof import _pivot_phases, canonical_sign
 from modalcs.runner import _run_exp3
 from modalcs.sampling import rng_from_seed, spawn_seeds
 
@@ -149,6 +149,12 @@ class TestAlignedDistance:
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
         v /= np.linalg.norm(v)
         assert aligned_distance(np.exp(0.7j) * v, v) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((3,), (4,)), ((4,), (2, 2)), ((1,), (3,))])
+    def test_length_mismatch_is_dimension_mismatch(self, shapes):
+        estimate, truth = (np.ones(shape) for shape in shapes)
+        with pytest.raises(DimensionMismatch):
+            aligned_distance(estimate, truth)
 
     def test_range(self):
         rng = rng_from_seed(8)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from modalcs import (
-    CONFIG_SCHEMA,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
@@ -26,7 +26,6 @@ from modalcs import (
     RaggedRows,
     ResultTable,
     build_basis,
-    build_system,
     emit_plot_data,
     load_sensor_csv,
     preset,
@@ -39,6 +38,7 @@ from modalcs import (
 from modalcs import config as config_module
 from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
+from modalcs.config import CONFIG_SCHEMA, build_system
 from modalcs.results import Panel
 from modalcs.sampling import rng_from_seed
 from test_acceptance import synthetic_sensors
@@ -123,6 +123,63 @@ def raw_configs(draw):
             raw["sampling"][key] = value(_SAMPLING_FIELDS[key])
     if draw(st.integers(0, 4)) == 0:
         del raw[draw(st.sampled_from(sorted(raw)))]
+    return raw
+
+
+class _Name(str):
+    """A str subclass, as a JSON decoder's object hook might hand over."""
+
+
+# Values on the edges of jsonschema's type rules: integral floats, ints past
+# float range, numpy scalars and bools where numbers go; tuples for arrays.
+_EDGE_NUMBERS = [
+    3.0, 2.5, 1e300, 2**63, 2**1100, np.float64(3.0), np.float64(0.25), np.int64(3),
+    1, 0, -1, -0.0, True, False, np.bool_(True), math.nan, math.inf,
+]
+_EDGE_LEAVES = _EDGE_NUMBERS + [None, "", "exp1", _Name("exp1"), "paper-4dof", _Name("paper-4dof")]
+_edge_value = st.recursive(
+    st.sampled_from(_EDGE_LEAVES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.sampled_from(["mass", "stiffness", "damping", "t_s"]), inner, max_size=3),
+    max_leaves=6,
+)
+_EDGE_PATHS = (
+    [(key,) for key in CONFIG_SCHEMA["properties"]]
+    + [("sampling", key) for key in CONFIG_SCHEMA["properties"]["sampling"]["properties"]]
+    + [("system", "mass"), ("system", "stiffness"), ("system", "damping"), ("frequencies", 0), ("magnitudes", 1)]
+)
+
+
+def _edge_values(schema):
+    """Edge values of the JSON type schema asks for; bare leaves for the rest."""
+    if schema.get("type") == "array":
+        items = _edge_values(schema["items"])
+        return st.lists(items, max_size=4) | st.lists(items, max_size=4).map(tuple)
+    if schema.get("type") in ("number", "integer"):
+        return st.sampled_from(_EDGE_NUMBERS) | st.integers(1, 2**80)
+    return st.sampled_from(_EDGE_LEAVES)
+
+
+def _set_edge(raw, path, value):
+    """Set raw at path to value where the path exists; a list index must be in range."""
+    parent, key = raw if len(path) == 1 else raw.get(path[0]), path[-1]
+    if isinstance(parent, dict) or isinstance(parent, list) and isinstance(key, int) and key < len(parent):
+        parent[key] = value
+
+
+@st.composite
+def edge_configs(draw):
+    """A preset, sometimes with a custom system, with a few values set to type edges."""
+    raw = preset(draw(st.sampled_from(EXPERIMENTS)))
+    if draw(st.booleans()):
+        raw["system"] = {"mass": [[1.0]], "stiffness": [[2.0]]}
+    for path in draw(st.lists(st.sampled_from(_EDGE_PATHS), min_size=1, max_size=2, unique=True)):
+        schema = CONFIG_SCHEMA
+        for key in path:
+            schema = schema.get("oneOf", [schema])[-1]  # system: the custom-matrix branch
+            schema = schema["items"] if isinstance(key, int) else schema["properties"].get(key, {})
+        _set_edge(raw, path, draw(_edge_value if draw(st.integers(0, 4)) == 0 else _edge_values(schema)))
     return raw
 
 
@@ -232,11 +289,64 @@ class TestConfigValidation:
             calls.append(schema)
 
         monkeypatch.setattr(validator_for(CONFIG_SCHEMA), "check_schema", classmethod(counting))
-        # A fresh validator, so a once-per-process check would count too.
-        config_module._schema_validator.cache_clear()
         for name in ("exp1", "exp2", "exp3", "exp4", "exp5"):
             assert preset_config(name).experiment == name
+        # Only a config the acceptor turns down reaches jsonschema.
+        raw = preset("exp1")
+        raw["sampling"]["t_s"] = "fast"
+        with pytest.raises(ConfigError, match="sampling.t_s"):
+            ExperimentConfig.from_dict(raw)
         assert calls == []
+
+    def test_presets_pass_the_acceptor(self):
+        # A preset run then never imports jsonschema.
+        for name in EXPERIMENTS:
+            assert config_module._conforms(preset(name), CONFIG_SCHEMA)
+
+    def test_acceptor_knows_every_schema_keyword(self):
+        # _conforms reads bounds and structure only beside their type, and
+        # ignores keywords it does not know: either would make it looser
+        # than jsonschema.
+        beside = {
+            "minimum": ("number", "integer"), "exclusiveMinimum": ("number", "integer"),
+            "items": ("array",), "minItems": ("array",),
+            "properties": ("object",), "required": ("object",), "additionalProperties": ("object",),
+        }
+
+        def walk(schema):
+            assert set(schema) <= set(beside) | {"type", "enum", "const", "oneOf"}
+            for key in set(beside) & set(schema):
+                assert schema.get("type") in beside[key], key
+            if schema.get("type") == "array":
+                assert "items" in schema
+            if schema.get("type") == "object":
+                assert "properties" in schema
+            subschemas = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+            for sub in subschemas + ([schema["items"]] if "items" in schema else []):
+                walk(sub)
+
+        walk(CONFIG_SCHEMA)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(raw=edge_configs())
+    def test_acceptor_never_looser_than_jsonschema(self, raw):
+        if config_module._conforms(raw, CONFIG_SCHEMA):
+            assert validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(raw)
+
+    def test_acceptor_never_looser_on_any_single_edge(self):
+        # Every edge value at every field of every preset, one at a time.
+        validator = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+        shapes = [[], (), [3.0, 2.5], (3.0, 2.5), [[1.0]], [[]], {}, {"mass": [[1.0]]}]
+        accepted = 0
+        for name, path, value in itertools.product(EXPERIMENTS, _EDGE_PATHS, _EDGE_LEAVES + shapes):
+            raw = preset(name)
+            if path[0] == "system" and len(path) == 2:
+                raw["system"] = {"mass": [[1.0]], "stiffness": [[2.0]]}
+            _set_edge(raw, path, value)
+            if config_module._conforms(raw, CONFIG_SCHEMA):
+                accepted += 1
+                assert validator.is_valid(raw), (path, value)
+        assert accepted > 500  # of 5,022 edits
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(raw=raw_configs())

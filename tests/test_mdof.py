@@ -14,13 +14,13 @@ from modalcs import (
     NonPositiveEigenvalue,
     NotSymmetric,
     build_data_matrix,
-    build_system,
-    canonical_sign,
     preset_config,
     random_schedule,
     solve_modes,
     uniform_schedule,
 )
+from modalcs.config import build_system
+from modalcs.mdof import canonical_sign
 from modalcs.sampling import rng_from_seed
 
 ROOT2 = math.sqrt(2.0)

@@ -48,6 +48,21 @@ class TestRngPlumbing:
             rng_from_seed(5).normal(size=4),
         )
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rng_from_seed(-1),
+            lambda: spawn_seeds(-1, 3),
+            lambda: random_schedule(2.0, 5, -1),
+            lambda: draw_jl_matrix(4, 4, seed=-1),
+        ],
+        ids=["rng_from_seed", "spawn_seeds", "random_schedule", "draw_jl_matrix"],
+    )
+    def test_negative_seed_is_invalid_argument(self, call):
+        # numpy raises a bare ValueError for these; the package names the seed.
+        with pytest.raises(InvalidArgument, match="seed must be >= 0, got -1"):
+            call()
+
 
 class TestUniformSchedule:
     def test_three_samples(self):
@@ -84,6 +99,12 @@ class TestRandomSchedule:
         b = random_schedule(3.0, 20, seed=8)
         npt.assert_array_equal(a.times, b.times)
         assert not np.array_equal(a.times, random_schedule(3.0, 20, seed=9).times)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_t_max_must_be_finite_and_positive(self, t_max):
+        # An infinite t_max overflowed inside numpy's uniform draw.
+        with pytest.raises(InvalidArgument, match="t_max must be finite and > 0"):
+            random_schedule(t_max, 5, 1)
 
     def test_draws_are_uniform_on_average(self):
         # Mean of M = 1e5 i.i.d. U(0, t_max) draws: t_max/2 +/- 3 sigma/sqrt(M).
