@@ -69,7 +69,6 @@ from .sampling import (
     DataMatrix,
     JlMatrix,
     SampleSchedule,
-    SteeringMatrix,
     build_data_matrix,
     build_steering,
     compress,
@@ -105,7 +104,6 @@ __all__ = [
     "SampleSchedule",
     "ShapeError",
     "SparseRecovery",
-    "SteeringMatrix",
     "align_and_error",
     "aligned_distance",
     "build_basis",

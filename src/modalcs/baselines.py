@@ -21,6 +21,7 @@ from .errors import (
     ShapeError,
 )
 from .mdof import canonical_sign
+from .sampling import _real_or_complex
 
 # A local maximum of the top eigenvalue curve counts as a spectral peak only
 # above this share of the curve's maximum: a constant or silent record still
@@ -149,12 +150,14 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     {alpha : A alpha = y}, A = Phi^T W.  A row's threshold starts at
     0.9 max|A^+ y| and decays geometrically by ``threshold_ratio`` per
     stage, a standard fixed-point continuation schedule.  Every iterate
-    after a projection is feasible up to roundoff.  Real measurements
-    (imaginary part exactly zero) keep every spectrum conjugate-symmetric
-    and are solved on the rfft half spectrum with real products;
-    ``coefficients`` are still the full length-M spectrum.
+    after a projection is feasible up to roundoff.  Real-dtype measurements
+    keep every spectrum conjugate-symmetric and are solved on the rfft half
+    spectrum with real products; their ``signal`` is real and
+    ``coefficients`` are still the full length-M spectrum.  Complex-dtype
+    measurements take the full-spectrum path.
     """
-    y = np.asarray(measurements, dtype=complex)
+    y = _real_or_complex(measurements)
+    real = y.dtype == float
     entries = np.asarray(getattr(phi, "entries", phi), dtype=float)
     if y.ndim not in (1, 2) or entries.ndim != 2:
         raise ShapeError("measurements must be (M',) or (K, M'), phi must be (M, M')")
@@ -170,9 +173,6 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
 
     rows = y.reshape(-1, m_prime)
     out_shape = y.shape[:-1] + (m,)
-    real = not rows.imag.any()
-    if real:
-        rows = rows.real
 
     gram = entries.T @ entries
     try:
@@ -180,8 +180,8 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     except np.linalg.LinAlgError as exc:
         raise InvalidArgument("compression matrix is rank deficient") from exc
     if not rows.any():
-        zeros = np.zeros(out_shape, dtype=complex)
-        return SparseRecovery(zeros, zeros.copy(), ())
+        zeros = np.zeros(out_shape, dtype=y.dtype)
+        return SparseRecovery(zeros.astype(complex), zeros, ())
 
     # Both maps are fixed linear operators on the spectrum, built from one
     # DFT of Phi, F = DFT(Phi^T) (M' x bins), so no iteration runs an FFT.
@@ -224,7 +224,7 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
         theta *= threshold_ratio
 
     if real:
-        signal = np.fft.irfft(alpha, n=m, axis=1, norm="ortho").astype(complex)
+        signal = np.fft.irfft(alpha, n=m, axis=1, norm="ortho")
         alpha = np.concatenate([alpha, alpha[:, paired - 1:0:-1].conj()], axis=1)
     else:
         signal = np.fft.ifft(alpha, axis=1, norm="ortho")

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgument
-from .sampling import SteeringMatrix
+from .errors import DomainError, InvalidArgument, ShapeError
 
 EULER_GAMMA = float(np.euler_gamma)
 ROOT2 = math.sqrt(2.0)
@@ -64,24 +63,6 @@ def kl_div(a: float, b: float) -> float:
     return total
 
 
-def _euler_diff(n: int) -> float:
-    """H_n - ln n - gamma without catastrophic cancellation.
-
-    Direct subtraction loses ~1e-15 absolute, which swamps the upper-bracket
-    margin of 1/(72 n^3) once n is past ~1e4.  Above the crossover the
-    Euler-Maclaurin tail gives the difference to full relative precision;
-    below it the margin is wide enough for compensated subtraction.
-    """
-    if n >= 64:
-        # truncation < 1/(240 n^8), far under the bracket margin at n = 64
-        n2 = float(n) * float(n)
-        return 1.0 / (2.0 * n) - 1.0 / (12.0 * n2) + 1.0 / (120.0 * n2 * n2) - 1.0 / (
-            252.0 * n2 * n2 * n2
-        )
-    terms = [1.0 / k for k in range(1, n + 1)]
-    return math.fsum(terms + [-math.log(n), -EULER_GAMMA])
-
-
 def harmonic_number_bounds(n: int) -> tuple[float, float, float]:
     """Harmonic number H_n with analytic brackets on H_n - ln n - gamma.
 
@@ -90,21 +71,16 @@ def harmonic_number_bounds(n: int) -> tuple[float, float, float]:
         lower = 1 / (2n + 1/(1 - gamma) - 2) <= H_n - ln n - gamma
               < upper = 1 / (2n + 1/3)
 
-    and the lower bound is attained only at n = 1.  The bracket is verified
-    internally against a cancellation-free evaluation of the difference;
-    recomputing it as h_n - ln(n) - gamma in doubles is too noisy to resolve
-    the upper margin beyond n ~ 1e4.
+    and the lower bound is attained only at n = 1.  The bracket is proven,
+    not computed: h_n - ln(n) - gamma in doubles is too noisy to resolve the
+    upper margin beyond n ~ 1e4, so the tests check it against a
+    cancellation-free evaluation of the difference.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     h_n = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
     lower = 1.0 / (2.0 * n + 1.0 / (1.0 - EULER_GAMMA) - 2.0)
     upper = 1.0 / (2.0 * n + 1.0 / 3.0)
-    diff = _euler_diff(n)
-    if not (lower - 1e-14 <= diff < upper):
-        raise DomainError(
-            f"harmonic bracket violated at n={n}: {lower} <= {diff} < {upper}"
-        )
     return lower, h_n, upper
 
 
@@ -243,9 +219,11 @@ def mode_error_bound(magnitudes, epsilon: float, n: int, variant: str = "uniform
     return min(ROOT2, factor * seps[n])
 
 
-def gram_deviation(steering: SteeringMatrix) -> float:
-    """Spectral norm of [S][S]* - [I], the perturbation the bounds control."""
-    s = steering.entries
+def gram_deviation(steering) -> float:
+    """Spectral norm of [S][S]* - [I] for N x M [S], the perturbation the bounds control."""
+    s = np.asarray(steering)
+    if s.ndim != 2:
+        raise ShapeError(f"steering matrix must be 2-d, got shape {s.shape}")
     gram = s @ s.conj().T
     return float(np.linalg.norm(gram - np.eye(s.shape[0]), 2))
 

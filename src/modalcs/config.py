@@ -141,6 +141,18 @@ def _conforms(value, schema) -> bool:
     return True
 
 
+def _as_ints(value, schema):
+    """value with every field that schema types "integer" as an int (_conforms passes 3.0)."""
+    kind = schema.get("type")
+    if kind == "integer":
+        return int(value)
+    if kind == "array":
+        return [_as_ints(v, schema["items"]) for v in value]
+    if kind == "object":
+        return {key: _as_ints(v, schema["properties"][key]) for key, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, resolved experiment description.
@@ -179,6 +191,7 @@ class ExperimentConfig:
             if error is not None:
                 where = ".".join(str(p) for p in error.absolute_path) or "<top level>"
                 raise ConfigError(f"{where}: {error.message}") from error
+        raw = _as_ints(raw, CONFIG_SCHEMA)
         cfg = cls(
             experiment=raw["experiment"],
             seed=raw["seed"],

@@ -81,6 +81,8 @@ def estimate_modes(data: DataMatrix) -> ModeEstimate:
     n, m = entries.shape
     if n > m:
         raise ShapeError(f"need at least as many samples as modes, got N={n} > M={m}")
+    if not np.isfinite(entries).all():
+        raise InvalidArgument("data matrix entries must be finite")
     u, s, vh = _svd_modes(entries)
     return ModeEstimate(u, s, vh, schedule=data.schedule, kind=data.kind)
 
@@ -138,12 +140,13 @@ def align_and_error(estimate: ModeEstimate, truth: ModalBasis) -> np.ndarray:
     return _mode_errors(estimate.mode_shapes_hat, truth)
 
 
-def frequency_spectra(estimate: ModeEstimate, t_s: float, zero_pad_factor: int = 8):
+def frequency_spectra(estimate: ModeEstimate, zero_pad_factor: int = 8):
     """Zero-padded FFT magnitude of each right-factor row.
 
     Returns (omega, magnitudes) with omega the length-K grid 2 pi k / (K t_s)
-    for K = zero_pad_factor * M and magnitudes of shape (N, K).  Only valid
-    for estimates from raw, uniformly sampled data.
+    for K = zero_pad_factor * M, t_s the estimate's schedule spacing, and
+    magnitudes of shape (N, K).  Only valid for estimates from raw,
+    uniformly sampled data.
     """
     if estimate.kind != "raw":
         raise NonUniformSchedule(
@@ -153,11 +156,11 @@ def frequency_spectra(estimate: ModeEstimate, t_s: float, zero_pad_factor: int =
     sched = estimate.schedule
     if sched is None or sched.scheme != "uniform":
         raise NonUniformSchedule("frequency estimation requires a uniform schedule")
-    if t_s <= 0.0 or zero_pad_factor < 1:
-        raise InvalidArgument("t_s must be > 0 and zero_pad_factor >= 1")
+    if zero_pad_factor < 1:
+        raise InvalidArgument("zero_pad_factor must be >= 1")
     m = estimate.right_factors_hat.shape[1]
     k = zero_pad_factor * m
-    omega = 2.0 * np.pi * np.arange(k) / (k * t_s)
+    omega = 2.0 * np.pi * np.arange(k) / (k * sched.t_s)
     mags = np.abs(np.fft.fft(estimate.right_factors_hat, n=k, axis=1))
     return omega, mags
 

@@ -78,7 +78,7 @@ class ModalBasis:
     Invariants enforced at construction: columns of ``mode_shapes`` are
     orthonormal (max deviation 1e-10), ``frequencies`` are strictly positive
     and sorted in descending order, and ``amplitudes`` (when present) has one
-    complex entry per mode.
+    finite complex entry per mode.
     """
 
     mode_shapes: np.ndarray
@@ -109,6 +109,8 @@ class ModalBasis:
             amps = np.asarray(self.amplitudes, dtype=complex)
             if amps.shape != (n,):
                 raise InvalidArgument(f"expected {n} amplitudes, got shape {amps.shape}")
+            if not np.isfinite(amps).all():
+                raise InvalidArgument("amplitudes must be finite")
             object.__setattr__(self, "amplitudes", amps)
 
     @property

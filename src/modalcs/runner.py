@@ -2,9 +2,7 @@
 
 Each runner is a pure function of its validated config: all randomness flows
 through per-point child seeds spawned from the config seed, so repeated runs
-produce byte-identical tables.  Sweep points are independent units of work;
-rows are sorted by sweep key before the table is assembled, so execution
-order never matters.
+produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ from .sampling import (
     spawn_seeds,
     uniform_schedule,
 )
-
-# Fixed scheme order within one sweep point.
-_SCHEME_RANK = {"uniform": 0, "random": 1}
-
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     try:
@@ -108,7 +102,6 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
             f"sampling.t_max_stop: no t_max up to {stop} gives the {n} samples "
             f"at t_s = {t_s} that the estimator needs"
         )
-    rows.sort(key=lambda r: (r[0], _SCHEME_RANK[r[2]]))
     columns = ("t_max", "m", "scheme", "seed") + tuple(
         f"err_mode{k}" for k in range(1, n + 1)
     ) + ("max_err", "gram_deviation", "gershgorin")
@@ -164,7 +157,6 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
                 n_trials,
             )
         )
-    rows.sort(key=lambda r: r[0])
     columns = (
         "m",
         "t_max_uniform",
@@ -269,7 +261,7 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
 
     data = build_data_matrix(basis, uniform_schedule(t_s, m))
     estimate = estimate_modes(data)
-    omega, mags = frequency_spectra(estimate, t_s, zpf)
+    omega, mags = frequency_spectra(estimate, zpf)
     peak_bins = np.argmax(mags, axis=1)
     omega_est = omega[peak_bins]
 
@@ -338,7 +330,7 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     estimate = estimate_modes(compressed)
     svd_shapes = estimate.mode_shapes_hat[:, :n_bench]
 
-    reconstructed = sparse_reconstruct(compressed.entries, phi).signal.real
+    reconstructed = sparse_reconstruct(compressed.entries, phi).signal
     _, csfdd_shapes = fdd_peaks(welch_csd(reconstructed, t_s), n_bench)
 
     rows = []

@@ -31,6 +31,12 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
+def _real_or_complex(values) -> np.ndarray:
+    """values as float64 if their dtype is bool, integer or real, else as complex128."""
+    values = np.asarray(values)
+    return np.asarray(values, dtype=float if values.dtype.kind in "biuf" else complex)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based generator used for every stochastic operation."""
     return np.random.Generator(np.random.Philox(_checked_seed(seed)))
@@ -46,15 +52,13 @@ class SampleSchedule:
     """Strictly increasing sample times on [0, t_max].
 
     ``scheme`` is "uniform" (t_m = (m-1) t_s, t_max = (M-1) t_s) or "random"
-    (i.i.d. uniform draws over [0, t_max], sorted).  ``seed`` records the
-    draw for random schedules.
+    (i.i.d. uniform draws over [0, t_max], sorted).
     """
 
     times: np.ndarray
     scheme: str
     t_max: float
     t_s: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -104,45 +108,19 @@ def random_schedule(t_max: float, m: int, seed: int) -> SampleSchedule:
         times = np.sort(rng.uniform(0.0, t_max, size=m))
         if m == 1 or np.all(np.diff(times) > 0.0):
             break
-    return SampleSchedule(times, "random", t_max=float(t_max), seed=int(seed))
+    return SampleSchedule(times, "random", t_max=float(t_max))
 
 
-@dataclass(frozen=True)
-class SteeringMatrix:
-    """[S]_{n,m} = e^{i w_n t_m} / sqrt(M); every entry has modulus 1/sqrt(M)."""
-
-    entries: np.ndarray
-    frequencies: np.ndarray
-    schedule: SampleSchedule
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        freqs = np.asarray(self.frequencies, dtype=float)
-        n, m = entries.shape
-        if freqs.shape != (n,) or m != self.schedule.n_samples:
-            raise DimensionMismatch("steering entries disagree with frequencies/schedule")
-        if np.abs(np.abs(entries) - 1.0 / np.sqrt(m)).max() > 1e-12:
-            raise InvalidArgument("steering entries must all have modulus 1/sqrt(M)")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "frequencies", freqs)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-def build_steering(frequencies, schedule: SampleSchedule) -> SteeringMatrix:
-    """Steering matrix for the given frequencies and schedule.
+def build_steering(frequencies, schedule: SampleSchedule) -> np.ndarray:
+    """N x M steering matrix e^{i w_n t_m} / sqrt(M) for the given frequencies and schedule.
 
     Rows have unit Euclidean norm by construction.  Frequencies must be
-    strictly positive; ordering is the caller's business.
+    finite and strictly positive; ordering is the caller's business.
     """
     freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or np.any(freqs <= 0.0):
-        raise InvalidArgument("frequencies must be a 1-d array of positive values")
-    m = schedule.n_samples
-    entries = np.exp(1j * np.outer(freqs, schedule.times)) / np.sqrt(m)
-    return SteeringMatrix(entries, freqs, schedule)
+    if freqs.ndim != 1 or not np.all((freqs > 0.0) & (freqs < np.inf)):
+        raise InvalidArgument("frequencies must be a 1-d array of finite positive values")
+    return np.exp(1j * np.outer(freqs, schedule.times)) / np.sqrt(schedule.n_samples)
 
 
 @dataclass(frozen=True)
@@ -150,17 +128,17 @@ class DataMatrix:
     """Sampled (or compressed) analytic response with its provenance.
 
     ``kind`` is "raw" for N x M sampled responses or "compressed" for
-    N x M' products with a compression matrix.  The schedule rides along so
+    N x M' products with a compression matrix.  Real entries stay float64
+    and complex ones become complex128.  The schedule rides along so
     downstream frequency estimation can refuse non-uniform inputs.
     """
 
     entries: np.ndarray
     kind: str
     schedule: SampleSchedule | None = None
-    compression_seed: int | None = None
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = _real_or_complex(self.entries)
         if entries.ndim != 2:
             raise ShapeError("data matrix must be 2-d")
         if self.kind not in ("raw", "compressed"):
@@ -274,24 +252,12 @@ def draw_jl_matrix(m: int, m_prime: int, kind: str = "gaussian", seed: int = 0) 
     return JlMatrix(int(m), int(m_prime), kind, int(seed))
 
 
-def complex_times_real(z: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """z @ real for complex z and real ``real``, as two real products.
-
-    ``z @ real`` would first copy ``real`` to complex, doubling its memory,
-    and then spend half of a complex product's flops on its zero imaginary
-    part.
-    """
-    out = np.empty(z.shape[:-1] + real.shape[1:], dtype=complex)
-    out.real = z.real @ real
-    out.imag = z.imag @ real
-    return out
-
-
 def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
     """[Y] = [V] [Phi]; each row of [V] is compressed by the same [Phi].
 
     [Phi] is drawn and applied one row block at a time; the full matrix is
-    never held.
+    never held.  [Phi] is real, so real [V] gives real [Y] and complex [V]
+    is compressed as two real products, one per part.
     """
     if data.kind != "raw":
         raise InvalidArgument("only raw data matrices can be compressed")
@@ -299,7 +265,10 @@ def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
         raise DimensionMismatch(
             f"data has {data.entries.shape[1]} columns but Phi has {phi.m} rows"
         )
-    y = np.zeros((data.entries.shape[0], phi.m_prime), dtype=complex)
+    y = np.zeros((data.entries.shape[0], phi.m_prime), dtype=data.entries.dtype)
     for start, block in phi.row_blocks():
-        y += complex_times_real(data.entries[:, start : start + block.shape[0]], block)
-    return DataMatrix(y, "compressed", schedule=data.schedule, compression_seed=phi.seed)
+        part = data.entries[:, start : start + block.shape[0]]
+        y.real += part.real @ block
+        if np.iscomplexobj(y):
+            y.imag += part.imag @ block
+    return DataMatrix(y, "compressed", schedule=data.schedule)

@@ -307,8 +307,9 @@ class TestSparseReconstruct:
         signal = math.sqrt(self.M) * np.fft.ifft(alpha0)
         assert np.abs(signal.imag).max() <= 1e-12
         phi = self.phi()
-        y = phi.entries.T @ signal
+        y = phi.entries.T @ signal.real
         result = sparse_reconstruct(y, phi)
+        assert result.signal.dtype == np.float64
         assert relative_residuals(result.signal, y, phi).max() <= 1e-10
         support = set(np.argsort(-np.abs(result.coefficients))[:4].tolist())
         assert support == {12, 40, self.M - 12, self.M - 40}
@@ -347,7 +348,9 @@ class TestSparseReconstruct:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         rng = np.random.Generator(np.random.Philox(25))
-        y = rng.normal(size=self.M_PRIME) + 1j * imag * rng.normal(size=self.M_PRIME)
+        y = rng.normal(size=self.M_PRIME)
+        if imag:  # complex dtype: the full-spectrum path
+            y = y + 1j * imag * rng.normal(size=self.M_PRIME)
         counts = []
         for n_stages in (2, 8):
             calls.clear()
@@ -362,10 +365,10 @@ class TestSparseReconstruct:
             assert np.diff(arr).max() <= 1e-8 * max(1.0, arr[0])
 
     def test_l1_never_rises_within_stage(self):
-        # Real rows (a zero imaginary part counts as real) take the
-        # half-spectrum path, whose l1 counts each paired bin twice.
+        # Real-dtype rows take the half-spectrum path, whose l1 counts each
+        # paired bin twice.
         y = np.random.Generator(np.random.Philox(22)).normal(size=self.M_PRIME)
-        self.assert_l1_never_rises(y.astype(complex))
+        self.assert_l1_never_rises(y)
 
     def test_complex_l1_never_rises_within_stage(self):
         # Complex rows take the full spectrum.
@@ -384,6 +387,9 @@ class TestSparseReconstruct:
         a = sparse_reconstruct(y, phi, n_stages=2)
         b = sparse_reconstruct(y, phi.entries, n_stages=2)
         npt.assert_allclose(a.coefficients, b.coefficients)
+        # An object array may hold complex numbers, so it takes the complex path.
+        c = sparse_reconstruct(y.astype(object), phi, n_stages=2)
+        npt.assert_array_equal(c.coefficients, a.coefficients)
 
     def test_shape_validation(self):
         phi = self.phi()
@@ -421,9 +427,11 @@ class TestSparseReconstruct:
 
     @pytest.mark.parametrize("m", [256, 255])
     @pytest.mark.parametrize("as_complex", [False, True])
-    def test_real_batch_matches_full_spectrum(self, m, as_complex):
-        # Real measurements take the half-spectrum path; it must reproduce
-        # the full complex algorithm to roundoff, zero row included.
+    def test_real_batch_matches_full_spectrum(self, monkeypatch, m, as_complex):
+        # The dtype picks the path: real measurements take the half spectrum
+        # and come back real, the same values cast to complex take the full
+        # spectrum.  Both reproduce the full complex algorithm to roundoff,
+        # zero row included.
         phi = draw_jl_matrix(m, self.M_PRIME, "gaussian", seed=304)
         rng = np.random.Generator(np.random.Philox(24))
         t = np.arange(m)
@@ -432,11 +440,21 @@ class TestSparseReconstruct:
                        rng.normal(size=self.M_PRIME)])
         if as_complex:
             y = y.astype(complex)
+        transforms = []
+        with monkeypatch.context() as patch:
+            for name in ("fft", "rfft"):
+                def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                    transforms.append(_fn.__name__)
+                    return _fn(*args, **kwargs)
+                patch.setattr(np.fft, name, counted)
+            sparse_reconstruct(y, phi, n_stages=1)
+        assert transforms == ["fft" if as_complex else "rfft"]
         got = self.assert_matches_full_spectrum(y, phi)
-        mirror = got.coefficients[:, (-np.arange(m)) % m]
-        npt.assert_array_equal(mirror, got.coefficients.conj())
-        npt.assert_array_equal(got.signal.imag, 0.0)
+        assert got.signal.dtype == (np.complex128 if as_complex else np.float64)
         npt.assert_array_equal(got.coefficients[1], 0.0)
+        if not as_complex:
+            mirror = got.coefficients[:, (-np.arange(m)) % m]
+            npt.assert_array_equal(mirror, got.coefficients.conj())
 
     @pytest.mark.parametrize("m", [256, 255])
     def test_complex_batch_matches_full_spectrum(self, m):

@@ -10,6 +10,7 @@ import pytest
 from modalcs import (
     DomainError,
     InvalidArgument,
+    ShapeError,
     align_and_error,
     build_data_matrix,
     build_steering,
@@ -25,6 +26,7 @@ from modalcs import (
 )
 from modalcs.bounds import SamplingPlan, harmonic_number_bounds, kl_div, psinc, sep_values
 from modalcs.sampling import rng_from_seed
+from test_acceptance import euler_diff
 
 ROOT2 = math.sqrt(2.0)
 GAMMA_DIAG = np.array([1.0, 0.45, 0.15, 0.01])
@@ -120,10 +122,10 @@ class TestHarmonicNumberBounds:
 
     @pytest.mark.parametrize("n", [10_000, 10**5, 10**6])
     def test_large_n_self_check(self, n):
-        # The constructor-time bracket check is cancellation-free; at these
-        # sizes it is the only evaluation precise enough to trust.
+        # At these sizes only the cancellation-free evaluation is precise
+        # enough to resolve the upper margin 1/(72 n^3).
         lower, _, upper = harmonic_number_bounds(n)
-        assert 0.0 < lower < upper
+        assert lower - 1e-14 <= euler_diff(n) < upper
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):
@@ -306,9 +308,14 @@ class TestGramDeviation:
     def test_eigenvalue_sandwich_identity(self):
         schedule = random_schedule(3.0, 40, seed=12)
         steering = build_steering(SET2, schedule)
-        gram = steering.entries @ steering.entries.conj().T
+        gram = steering @ steering.conj().T
         via_eigs = np.abs(np.linalg.eigvalsh(gram) - 1.0).max()
         assert via_eigs == pytest.approx(gram_deviation(steering), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ShapeError):
+            gram_deviation(np.ones(shape, dtype=complex))
 
 
 class TestModeErrorBoundEndToEnd:
@@ -372,7 +379,7 @@ class TestExpectedGramRandom:
         devs = []
         for s in range(trials):
             steering = build_steering(SET2, random_schedule(t_max, m, seed=1000 + s))
-            gram = steering.entries @ steering.entries.conj().T
+            gram = steering @ steering.conj().T
             grams.append(gram)
             devs.append(np.abs(np.linalg.eigvalsh(gram) - 1.0).max())
         grams = np.array(grams)

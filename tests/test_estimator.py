@@ -70,6 +70,22 @@ class TestEstimateModes:
         with pytest.raises(ShapeError):
             estimate_modes(data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    def test_non_finite_entries_rejected(self, set1_basis, bad):
+        data = build_data_matrix(set1_basis, uniform_schedule(0.1, 21))
+        entries = data.entries.copy()
+        entries[2, 5] = bad
+        with pytest.raises(InvalidArgument):
+            estimate_modes(DataMatrix(entries, "raw", schedule=data.schedule))
+
+    def test_real_data_matches_complex_cast(self):
+        rows = rng_from_seed(104).normal(size=(5, 40))
+        real = estimate_modes(DataMatrix(rows, "raw"))
+        cast = estimate_modes(DataMatrix(rows.astype(complex), "raw"))
+        npt.assert_array_equal(real.mode_shapes_hat.imag, 0.0)
+        npt.assert_allclose(real.singular_values, cast.singular_values, rtol=1e-13)
+        npt.assert_allclose(real.mode_shapes_hat, cast.mode_shapes_hat, atol=1e-12)
+
     def test_estimate_carries_kind_and_schedule(self, set1_basis):
         schedule = uniform_schedule(0.1, 21)
         data = build_data_matrix(set1_basis, schedule)
@@ -199,9 +215,9 @@ class TestAlignAndError:
         assert align_and_error(estimate, basis).max() <= 1e-8
 
 
-def peak_frequencies(estimate, t_s):
+def peak_frequencies(estimate):
     """Padded-FFT peak of each right-factor row, as exp5 reads it out."""
-    omega, mags = frequency_spectra(estimate, t_s)
+    omega, mags = frequency_spectra(estimate)
     return omega[np.argmax(mags, axis=1)]
 
 
@@ -214,7 +230,7 @@ class TestFrequencyReadout:
         estimate = estimate_modes(data)
         rank = np.argsort(-np.abs(basis.amplitudes), kind="stable")
         npt.assert_allclose(
-            peak_frequencies(estimate, t_s),
+            peak_frequencies(estimate),
             basis.frequencies[rank],
             rtol=1e-12,
         )
@@ -226,34 +242,41 @@ class TestFrequencyReadout:
         m, t_s = 64, 0.1
         basis = on_grid_basis(rng, 2, m, t_s, amp_scale=np.array([0.2, 1.0]))
         data = build_data_matrix(basis, uniform_schedule(t_s, m))
-        freqs = peak_frequencies(estimate_modes(data), t_s)
+        freqs = peak_frequencies(estimate_modes(data))
         assert freqs[0] == pytest.approx(basis.frequencies[1], rel=1e-12)
         assert freqs[1] == pytest.approx(basis.frequencies[0], rel=1e-12)
 
     def test_spectra_shapes_and_grid(self, set1_basis):
         m, t_s, zpf = 21, 0.1, 8
         data = build_data_matrix(set1_basis, uniform_schedule(t_s, m))
-        omega, mags = frequency_spectra(estimate_modes(data), t_s, zpf)
+        omega, mags = frequency_spectra(estimate_modes(data), zpf)
         assert omega.shape == (zpf * m,)
         assert mags.shape == (4, zpf * m)
         assert omega[0] == 0.0
         assert omega[-1] < 2 * np.pi / t_s
 
+    @pytest.mark.parametrize("t_s", [0.1, 0.2, 0.03])
+    def test_grid_spacing_from_schedule(self, set1_basis, t_s):
+        m, zpf = 21, 4
+        data = build_data_matrix(set1_basis, uniform_schedule(t_s, m))
+        omega, _ = frequency_spectra(estimate_modes(data), zpf)
+        npt.assert_array_equal(omega, 2.0 * np.pi * np.arange(zpf * m) / (zpf * m * t_s))
+
     def test_random_schedule_rejected(self, set1_basis):
         data = build_data_matrix(set1_basis, random_schedule(2.0, 25, seed=4))
         with pytest.raises(NonUniformSchedule):
-            frequency_spectra(estimate_modes(data), 0.1)
+            frequency_spectra(estimate_modes(data))
 
     def test_compressed_data_rejected(self, set1_basis):
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 21))
         compressed = compress(data, draw_jl_matrix(21, 8, seed=2))
         with pytest.raises(NonUniformSchedule):
-            frequency_spectra(estimate_modes(compressed), 0.1)
+            frequency_spectra(estimate_modes(compressed))
 
     def test_invalid_padding(self, set1_basis):
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 21))
         with pytest.raises(InvalidArgument):
-            frequency_spectra(estimate_modes(data), 0.1, zero_pad_factor=0)
+            frequency_spectra(estimate_modes(data), zero_pad_factor=0)
 
 
 def reference_aligned_distance(est, truth):

@@ -1,6 +1,7 @@
 """Configuration, result serialization, experiment runner, and CLI."""
 
 import csv
+import importlib.util
 import io
 import itertools
 import json
@@ -268,6 +269,13 @@ class TestConfigValidation:
         target[field[-1]] = value
         with pytest.raises(ConfigError, match=rf"^{'.'.join(field)}: asks for .* limit is"):
             ExperimentConfig.from_dict(raw)
+
+    def test_integral_floats_become_ints(self):
+        raw = {**preset("realdata"), "seed": 7.0, "n_benchmark_modes": 2.0, "data_path": "x.csv"}
+        raw["sampling"] = {"t_s": 0.01, "m_prime": 50.0}
+        cfg = ExperimentConfig.from_dict(raw)
+        assert [type(v) for v in (cfg.seed, cfg.n_benchmark_modes, cfg.sampling["m_prime"])] == [int] * 3
+        assert type(cfg.sampling["t_s"]) is float
 
     def test_round_trip_through_as_dict(self):
         cfg = preset_config("exp4")
@@ -1048,6 +1056,49 @@ class TestCli:
             blobs.append((out / "exp1_results.csv").read_bytes())
         assert blobs[0] == blobs[1]
         assert blobs[0] != blobs[2]
+
+    @pytest.mark.parametrize("experiment, given, want", [
+        ("exp4", {"seed": 3.0}, {"seed": 3}),
+        ("exp4", {"seed": 1e300}, {"seed": int(1e300)}),
+        ("exp4", {"n_phi_seeds": 2.0}, {"n_phi_seeds": 2}),
+        ("exp4", {"sampling": {"m_prime": 32.0}}, {"sampling": {"m_prime": 32}}),
+        ("exp3", {"n_trials": 2.0}, {"n_trials": 2}),
+        ("exp3", {"sampling": {"m_values": [6.0, 10]}}, {"sampling": {"m_values": [6, 10]}}),
+        ("exp5", {"sampling": {"zero_pad_factor": 8.0}}, {"sampling": {"zero_pad_factor": 8}}),
+    ])
+    def test_integral_float_for_integer_field(self, tmp_path, capsys, experiment, given, want):
+        # JSON Schema counts 3.0 as an integer, so the run must treat it as 3.
+        written = []
+        for label, overlay in (("given", given), ("want", want)):
+            config, out = tmp_path / f"{label}.json", tmp_path / label
+            config.write_text(json.dumps(overlay))
+            assert cli_run(["run", "--experiment", experiment, "--config", str(config), "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] == written[1]
+
+    def test_traced_run_records_layer_spans(self, tmp_path, capsys):
+        # perfbench's --trace wraps package functions by name; an API change
+        # that drops one would leave traced runs without its layer.
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "spans.py")
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        data = tmp_path / "sensors.csv"
+        save_sensor_csv(synthetic_sensors()[:, :1000], str(data))
+        realdata = tmp_path / "realdata.json"
+        realdata.write_text(json.dumps({"data_path": str(data), "sampling": {"t_s": 0.01}}))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            for experiment, config in [("exp1", self.overlay(tmp_path)), ("exp4", None), ("realdata", str(realdata))]:
+                argv = ["run", "--experiment", experiment, "--out", str(tmp_path / experiment)]
+                assert cli_run(argv + (["--config", config] if config else [])) == 0
+        finally:
+            tracer.uninstall()
+        names = {span[3] for span in tracer.spans}
+        for layer in ("sampling.compress", "estimator.estimate_modes", "sampling.build_steering",
+                      "baselines.sparse_reconstruct"):
+            assert layer in names
 
     def test_unknown_experiment_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -189,6 +189,12 @@ class TestModalBasis:
         assert basis.amplitudes is None
         assert basis.with_amplitudes([1.0, 2.0]).amplitudes.shape == (2,)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_with_amplitudes_rejects_non_finite(self, bad):
+        basis = ModalBasis(np.eye(2), np.array([2.0, 1.0]))
+        with pytest.raises(InvalidArgument):
+            basis.with_amplitudes([1.0, bad])
+
 
 class TestResponseEvaluation:
     """The analytic response v(t) = sum_n psi_n A_n e^{i w_n t} as sampled by

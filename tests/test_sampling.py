@@ -92,7 +92,6 @@ class TestRandomSchedule:
         assert schedule.scheme == "random"
         assert np.all(np.diff(schedule.times) > 0)
         assert schedule.times[0] >= 0.0 and schedule.times[-1] <= 2.0
-        assert schedule.seed == 4
 
     def test_deterministic_per_seed(self):
         a = random_schedule(3.0, 20, seed=8)
@@ -136,33 +135,41 @@ class TestBuildSteering:
     def test_single_sample_constant_rows(self):
         schedule = uniform_schedule(1.0, 1)
         steering = build_steering([1.0, 2.0], schedule)
-        npt.assert_allclose(steering.entries, np.ones((2, 1)))
-        npt.assert_allclose(np.linalg.norm(steering.entries, axis=1), 1.0)
+        npt.assert_allclose(steering, np.ones((2, 1)))
+        npt.assert_allclose(np.linalg.norm(steering, axis=1), 1.0)
 
     def test_on_grid_rows_orthonormal(self):
         m, t_s = 64, 0.2
         schedule = uniform_schedule(t_s, m)
         freqs = 2 * np.pi * np.array([3.0, 11.0, 27.0]) / (m * t_s)
         steering = build_steering(freqs, schedule)
-        gram = steering.entries @ steering.entries.conj().T
+        gram = steering @ steering.conj().T
         npt.assert_allclose(gram, np.eye(3), atol=1e-10)
 
     def test_first_set_off_grid_leakage_bounded(self, set1_basis):
         schedule = uniform_schedule(0.1, 21)
         steering = build_steering(set1_basis.frequencies, schedule)
-        gram = steering.entries @ steering.entries.conj().T
+        gram = steering @ steering.conj().T
         assert np.linalg.norm(gram - np.eye(4), 2) < 1.0
 
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(InvalidArgument):
             build_steering([1.0, -2.0], uniform_schedule(0.1, 4))
 
-    def test_entry_modulus_enforced(self):
-        from modalcs import SteeringMatrix
-
-        schedule = uniform_schedule(0.1, 2)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_frequencies(self, bad):
         with pytest.raises(InvalidArgument):
-            SteeringMatrix(np.ones((1, 2)), np.array([1.0]), schedule)
+            build_steering([1.0, bad], uniform_schedule(0.1, 4))
+
+    def test_entry_modulus_enforced(self):
+        # Every entry has modulus 1/sqrt(M), on uniform and random schedules.
+        rng = rng_from_seed(31)
+        for m in (1, 7, 500):
+            freqs = rng.uniform(0.1, 400.0, size=5)
+            for schedule in (uniform_schedule(0.013, m), random_schedule(9.0, m, seed=m)):
+                steering = build_steering(freqs, schedule)
+                assert steering.shape == (5, m)
+                npt.assert_allclose(np.abs(steering), 1.0 / math.sqrt(m), rtol=1e-13)
 
 
 class TestBuildDataMatrix:
@@ -181,7 +188,7 @@ class TestBuildDataMatrix:
         via_steering = (
             set1_basis.mode_shapes
             @ (math.sqrt(m) * np.diag(set1_basis.amplitudes))
-            @ steering.entries
+            @ steering
         )
         npt.assert_allclose(data.entries, via_steering, atol=1e-12)
 
@@ -193,6 +200,13 @@ class TestBuildDataMatrix:
     def test_kind_validation(self):
         with pytest.raises(InvalidArgument):
             DataMatrix(np.zeros((2, 3)), "folded")
+
+    @pytest.mark.parametrize("given, kept", [
+        (np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
+        (np.complex64, np.complex128), (np.complex128, np.complex128), (object, np.complex128),
+    ])
+    def test_dtype_keeps_realness(self, given, kept):
+        assert DataMatrix(np.ones((2, 3), dtype=given), "raw").entries.dtype == kept
 
 
 class TestJlMatrices:
@@ -312,10 +326,15 @@ class TestCompress:
         with pytest.raises(DimensionMismatch):
             compress(data, draw_jl_matrix(9, 3, seed=0))
 
-    def test_seed_recorded(self, set1_basis):
-        data = build_data_matrix(set1_basis, uniform_schedule(0.1, 8))
-        compressed = compress(data, draw_jl_matrix(8, 4, seed=77))
-        assert compressed.compression_seed == 77
+    def test_real_rows_stay_real(self):
+        # M = 3000 at M' = 256 spans six 512-row blocks of Phi.
+        rows = rng_from_seed(41).normal(size=(5, 3000))
+        phi = draw_jl_matrix(3000, 256, "gaussian", seed=8)
+        real = compress(DataMatrix(rows, "raw"), phi).entries
+        cast = compress(DataMatrix(rows.astype(complex), "raw"), phi).entries
+        assert real.dtype == np.float64 and cast.dtype == np.complex128
+        assert np.array_equal(real, cast.real)
+        assert not cast.imag.any()
 
 
 def _wide_basis(n, seed):
