@@ -79,8 +79,8 @@ def estimate_modes(data: DataMatrix) -> ModeEstimate:
     """
     entries = data.entries
     n, m = entries.shape
-    if n > m:
-        raise ShapeError(f"need at least as many samples as modes, got N={n} > M={m}")
+    if not 0 < n <= m:
+        raise ShapeError(f"need at least one mode and as many samples as modes, got N={n}, M={m}")
     if not np.isfinite(entries).all():
         raise InvalidArgument("data matrix entries must be finite")
     u, s, vh = _svd_modes(entries)
@@ -91,13 +91,14 @@ def _phase_aligned(estimate, truth) -> np.ndarray:
     """c * estimate for the unit c that minimizes || truth - c * estimate ||_2.
 
     Row by row on (..., n) stacks; the minimum is at the phase of <est, truth>
-    (c = 1 if that is 0).  One np.vdot per row: a batched sum rounds otherwise.
+    (c = 1 if that is 0).  A stacked (..., 1, n) @ (..., n, 1) product runs the
+    BLAS dot that np.vdot runs on each row, with the same strides (np.conj keeps
+    a stack's layout); einsum or sum(axis) round otherwise.
     """
     est = np.asarray(estimate, dtype=complex)
-    rows = np.asarray(truth, dtype=complex).reshape(-1, est.shape[-1])
-    blocks = est.reshape((-1,) + rows.shape)
-    inner = np.array([np.vdot(e, t) for block in blocks for e, t in zip(block, rows)])
-    return _unit_phase(inner.reshape(est.shape[:-1]))[..., None] * est
+    truth = np.asarray(truth, dtype=complex)
+    inner = (np.conj(est)[..., None, :] @ truth[..., :, None])[..., 0, 0]
+    return _unit_phase(inner)[..., None] * est
 
 
 def aligned_distance(estimate_vec, truth_vec) -> float:
@@ -119,9 +120,10 @@ def _mode_errors(shapes_hat: np.ndarray, truth: ModalBasis) -> np.ndarray:
     order = np.argsort(-np.abs(truth.amplitudes), kind="stable")
     rows = truth.mode_shapes.T[order].astype(complex)
     diff = rows - _phase_aligned(np.swapaxes(shapes_hat, -1, -2), rows)
-    # One norm per vector, as in aligned_distance: a batched norm rounds otherwise.
-    norms = np.array([np.linalg.norm(d) for d in diff.reshape(-1, rows.shape[1])])
-    return norms.reshape(diff.shape[:-1])
+    # Each row's np.linalg.norm, by its BLAS dots; norm(axis=-1) or einsum round otherwise.
+    re, im = diff.real, diff.imag
+    squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(squares[..., 0, 0])
 
 
 def align_and_error(estimate: ModeEstimate, truth: ModalBasis) -> np.ndarray:
@@ -156,8 +158,8 @@ def frequency_spectra(estimate: ModeEstimate, zero_pad_factor: int = 8):
     sched = estimate.schedule
     if sched is None or sched.scheme != "uniform":
         raise NonUniformSchedule("frequency estimation requires a uniform schedule")
-    if zero_pad_factor < 1:
-        raise InvalidArgument("zero_pad_factor must be >= 1")
+    if not isinstance(zero_pad_factor, (int, np.integer)) or zero_pad_factor < 1:
+        raise InvalidArgument(f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
     m = estimate.right_factors_hat.shape[1]
     k = zero_pad_factor * m
     omega = 2.0 * np.pi * np.arange(k) / (k * sched.t_s)

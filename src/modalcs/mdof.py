@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NonPositiveEigenvalue, NotSymmetric
+from .errors import InvalidArgument, NonPositiveEigenvalue, NotSymmetric, ShapeError
 
 # Tolerances are part of the public contract: constructors reject anything
 # worse, so downstream code can rely on the invariants without re-checking.
@@ -146,6 +146,8 @@ def canonical_sign(matrix: np.ndarray) -> np.ndarray:
     back unchanged.  Returns a new array.
     """
     out = np.asarray(matrix)
+    if out.ndim < 2 or out.shape[-2] == 0:
+        raise ShapeError(f"need columns of at least one entry, got shape {out.shape}")
     if not np.iscomplexobj(out):
         out = out.astype(float, copy=False)
     return out * np.conj(_pivot_phases(out))

@@ -26,6 +26,7 @@ from .results import Panel, ResultTable, load_sensor_csv
 from .sampling import (
     _BLOCK_BYTES,
     DataMatrix,
+    _random_times,
     _response,
     build_data_matrix,
     build_steering,
@@ -76,25 +77,18 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
         m = _samples_for(t_max, t_s)
         if m < n or t_max <= 0.0:
             continue
+        gersh = gershgorin_uniform_bound(basis.frequencies, t_s, m)
         schedules = (
-            ("uniform", None, uniform_schedule(t_s, m)),
-            ("random", int(seeds[i]), random_schedule(t_max, m, int(seeds[i]))),
+            ("uniform", None, uniform_schedule(t_s, m), gersh),
+            ("random", int(seeds[i]), random_schedule(t_max, m, int(seeds[i])), None),
         )
         point = []
-        for scheme, seed, schedule in schedules:
+        for scheme, seed, schedule, bound in schedules:
             errors = _point_errors(basis, schedule)
             point.append(errors)
             steering = build_steering(basis.frequencies, schedule)
-            gersh = (
-                gershgorin_uniform_bound(basis.frequencies, t_s, m)
-                if scheme == "uniform"
-                else None
-            )
-            rows.append(
-                (t_max, m, scheme, seed)
-                + tuple(float(e) for e in errors)
-                + (float(errors.max()), gram_deviation(steering), gersh)
-            )
+            row = (*errors.tolist(), float(errors.max()), gram_deviation(steering), bound)
+            rows.append((t_max, m, scheme, seed) + row)
         for curve, err_uniform, err_random in zip(curves, *point):
             curve.append((t_max, float(err_uniform), float(err_random)))
     if not rows:
@@ -119,8 +113,8 @@ def _mean_max_error(basis, t_max: float, m: int, seeds) -> float:
     chunk = max(1, _BLOCK_BYTES // (16 * basis.n_dof * m))
     maxima = []
     for start in range(0, len(seeds), chunk):
-        times = [random_schedule(t_max, m, int(s)).times for s in seeds[start : start + chunk]]
-        shapes = _svd_modes(_response(basis, np.stack(times)))[0]
+        times = _random_times(t_max, m, seeds[start : start + chunk])
+        shapes = _svd_modes(_response(basis, times))[0]
         maxima.extend(_mode_errors(shapes, basis).max(axis=-1))
     return float(np.mean(maxima))
 
@@ -207,9 +201,7 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
         per_seed.append((int(seed), errors))
 
     def _row(variant, seed, t_s, m, m_pr, errors, max_err):
-        return (variant, seed, t_s, m, m_pr) + tuple(
-            float(e) for e in errors
-        ) + (float(max_err),)
+        return (variant, seed, t_s, m, m_pr, *errors.tolist(), float(max_err))
 
     rows = [_row("uniform_sub", None, t_s_sub, m_sub, None, errors_sub, errors_sub.max())]
     for seed, errors in per_seed:
@@ -268,20 +260,15 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
     t_max_u = (m - 1) * t_s
     tolerance = 2.0 * np.pi / t_max_u
     rank = np.argsort(-np.abs(basis.amplitudes), kind="stable")
-    rows = []
-    for k in range(basis.n_dof):
-        true = float(basis.frequencies[rank[k]])
-        est = float(omega_est[k])
-        rows.append((k + 1, true, est, abs(est - true), float(tolerance)))
+    pairs = zip(basis.frequencies[rank].tolist(), omega_est.tolist())
+    rows = [(k, true, est, abs(est - true), tolerance) for k, (true, est) in enumerate(pairs, 1)]
     columns = ("mode", "omega_true", "omega_est", "abs_error", "tolerance")
+    is_peak = (np.arange(omega.size) == peak_bins[:, None]).astype(int)
     panels = tuple(
         Panel(
             f"spectrum_mode{k + 1}.csv",
             ("omega", "magnitude", "is_peak"),
-            [
-                (float(w), float(mag), 1 if j == peak_bins[k] else 0)
-                for j, (w, mag) in enumerate(zip(omega, mags[k]))
-            ],
+            list(zip(omega.tolist(), mags[k].tolist(), is_peak[k].tolist())),
             "omega",
             ("magnitude",),
             f"mode {k + 1} spectrum",

@@ -93,22 +93,29 @@ def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
 
 
 def random_schedule(t_max: float, m: int, seed: int) -> SampleSchedule:
-    """M i.i.d. uniform draws over [0, t_max], sorted ascending.
+    """M i.i.d. uniform draws over [0, t_max], sorted ascending: _random_times for one seed."""
+    return SampleSchedule(_random_times(t_max, m, [seed])[0], "random", t_max=float(t_max))
 
-    Exact collisions (probability zero in theory, possible in floats) are
-    resolved by redrawing from the same stream, keeping the result a
-    deterministic function of the seed.
+
+def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
+    """(len(seeds), M) times; row i is M i.i.d. uniform draws over [0, t_max]
+    from rng_from_seed(seeds[i]), sorted.  A row with a repeated time (possible
+    in floats) is redrawn from its own stream, so it stays a function of its
+    seed; 64 colliding draws mean t_max is too small to hold M distinct floats.
     """
     if not 0.0 < t_max < np.inf:
         raise InvalidArgument(f"t_max must be finite and > 0, got {t_max}")
     if m < 1:
         raise InvalidArgument("m must be >= 1")
-    rng = rng_from_seed(seed)
-    while True:
-        times = np.sort(rng.uniform(0.0, t_max, size=m))
-        if m == 1 or np.all(np.diff(times) > 0.0):
-            break
-    return SampleSchedule(times, "random", t_max=float(t_max))
+    rngs = [rng_from_seed(seed) for seed in seeds]
+    times = np.sort([rng.uniform(0.0, t_max, size=m) for rng in rngs])
+    for _ in range(64):
+        collided = np.flatnonzero((np.diff(times) <= 0.0).any(axis=-1))
+        if not collided.size:
+            return times
+        for i in collided:
+            times[i] = np.sort(rngs[i].uniform(0.0, t_max, size=m))
+    raise InvalidArgument(f"t_max = {t_max} cannot hold M = {m} distinct sample times")
 
 
 def build_steering(frequencies, schedule: SampleSchedule) -> np.ndarray:

@@ -27,7 +27,7 @@ from modalcs import (
     random_schedule,
     uniform_schedule,
 )
-from modalcs.estimator import _mode_errors, _svd_modes
+from modalcs.estimator import _mode_errors, _phase_aligned, _svd_modes
 from modalcs.mdof import _pivot_phases, canonical_sign
 from modalcs.runner import _run_exp3
 from modalcs.sampling import rng_from_seed, spawn_seeds
@@ -47,6 +47,12 @@ def on_grid_basis(rng, n, m, t_s, amp_scale=None):
 
 
 class TestEstimateModes:
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5)])
+    def test_no_modes_is_shape_error(self, shape):
+        # An empty data matrix used to leak ValueError from the pivot argmax.
+        with pytest.raises(ShapeError, match="at least one mode"):
+            estimate_modes(DataMatrix(np.zeros(shape), "raw"))
+
     def test_on_grid_exact_recovery(self):
         rng = rng_from_seed(100)
         m, t_s = 64, 0.1
@@ -278,6 +284,13 @@ class TestFrequencyReadout:
         with pytest.raises(InvalidArgument):
             frequency_spectra(estimate_modes(data), zero_pad_factor=0)
 
+    @pytest.mark.parametrize("factor", [2.5, 2.0, "8"])
+    def test_non_integer_padding(self, set1_basis, factor):
+        # 2.5 used to leak TypeError from np.arange.
+        data = build_data_matrix(set1_basis, uniform_schedule(0.1, 21))
+        with pytest.raises(InvalidArgument, match="zero_pad_factor must be an integer"):
+            frequency_spectra(estimate_modes(data), zero_pad_factor=factor)
+
 
 def reference_aligned_distance(est, truth):
     """The one-vector alignment that the stacked helpers must reproduce bit for bit."""
@@ -358,3 +371,72 @@ class TestStackedTrials:
             ]
         )
         assert _mode_errors(shape_stack, set1_basis).tobytes() == expected.tobytes()
+
+
+def reference_phase_aligned(est, truth):
+    """_phase_aligned one row at a time: np.vdot on the row as it lies, then its phase."""
+    out = np.empty(est.shape, dtype=complex)
+    rows = np.broadcast_to(truth, est.shape)
+    for idx in np.ndindex(est.shape[:-1]):
+        inner = np.vdot(est[idx], rows[idx])
+        out[idx] = (inner / np.abs(inner) if np.abs(inner) > 0.0 else 1.0) * est[idx]
+    return out
+
+
+@st.composite
+def stacked(draw, square=False):
+    """(rng, (..., N, n) complex stack): 0-2 leading axes, C-ordered or a swapaxes view.
+
+    The vectors are the rows, or the columns of a square stack of mode shapes.
+    """
+    n_rows = draw(st.integers(1, 8))
+    n = n_rows if square else draw(st.integers(1, 64))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rng = rng_from_seed(draw(st.integers(0, 2**32)))
+    swap = draw(st.booleans())
+    shape = lead + ((n, n_rows) if swap else (n_rows, n))
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack = np.swapaxes(stack, -1, -2) if swap else stack
+    if draw(st.booleans()):  # a zero vector: np.vdot gives 0, and the phase is 1
+        (np.swapaxes(stack, -1, -2) if square else stack)[..., 0, :] = 0.0
+    return rng, stack
+
+
+class TestStackedAlignment:
+    """The stacked matmul alignment reproduces the per-vector np.vdot and
+    np.linalg.norm loops byte for byte; einsum or norm(axis=-1) would not."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(drawn=stacked())
+    def test_phase_aligned_matches_vdot_loop(self, drawn):
+        rng, est = drawn
+        truth = rng.normal(size=est.shape[-2:]) + 1j * rng.normal(size=est.shape[-2:])
+        expected = reference_phase_aligned(est, truth)
+        assert _phase_aligned(est, truth).tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(drawn=stacked(square=True))
+    def test_mode_errors_match_norm_loop(self, drawn):
+        rng, shapes = drawn
+        n = shapes.shape[-1]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        basis = ModalBasis(q, np.arange(n, 0, -1.0), amps)
+        order = np.argsort(-np.abs(amps), kind="stable")
+        expected = np.empty(shapes.shape[:-1])
+        for idx in np.ndindex(shapes.shape[:-2]):
+            u = shapes[idx]
+            expected[idx] = [reference_aligned_distance(u[:, k], q[:, i]) for k, i in enumerate(order)]
+        assert _mode_errors(shapes, basis).tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**32), columns=st.booleans())
+    def test_one_vector_matches_vdot_and_norm(self, n, seed, columns):
+        # realdata aligns columns of C-ordered shape matrices, so both operands are strided.
+        rng = rng_from_seed(seed)
+        pair = rng.normal(size=(2, n, 3)) + 1j * rng.normal(size=(2, n, 3))
+        est, truth = (pair[:, :, 1] if columns else np.ascontiguousarray(pair[:, :, 1]))
+        distance = np.float64(aligned_distance(est, truth))
+        assert distance.tobytes() == reference_aligned_distance(est, truth).tobytes()
+        expected = reference_phase_aligned(est, truth)
+        assert _phase_aligned(est, truth).tobytes() == expected.tobytes()

@@ -13,6 +13,7 @@ from modalcs import (
     ModalBasis,
     NonPositiveEigenvalue,
     NotSymmetric,
+    ShapeError,
     build_data_matrix,
     preset_config,
     random_schedule,
@@ -125,6 +126,12 @@ def sign_flip_loop(matrix):
 
 
 class TestCanonicalSign:
+    @pytest.mark.parametrize("shape", [(3,), (), (0, 2)])
+    def test_no_columns_is_shape_error(self, shape):
+        # A 1-d vector used to leak numpy's AxisError.
+        with pytest.raises(ShapeError, match="columns of at least one entry"):
+            canonical_sign(np.ones(shape))
+
     def test_flips_negative_pivot(self):
         m = np.array([[-0.8, 0.6], [0.6, 0.8]])
         fixed = canonical_sign(m)

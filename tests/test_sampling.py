@@ -26,7 +26,7 @@ from modalcs import (
 )
 from modalcs import sampling
 from modalcs.runner import _mean_max_error
-from modalcs.sampling import _BLOCK_BYTES, _response, rng_from_seed, spawn_seeds
+from modalcs.sampling import _BLOCK_BYTES, _random_times, _response, rng_from_seed, spawn_seeds
 
 
 class TestRngPlumbing:
@@ -111,6 +111,36 @@ class TestRandomSchedule:
         schedule = random_schedule(t_max, m, seed=2)
         tol = 3.0 * t_max / math.sqrt(12.0 * m)
         assert abs(schedule.times.mean() - t_max / 2.0) < tol
+
+    @pytest.mark.parametrize("m", [1, 2, 60, 1001])
+    def test_stacked_rows_are_each_seeds_own_draw(self, m):
+        seeds = spawn_seeds(5, 200)
+        expected = [np.sort(rng_from_seed(int(s)).uniform(0.0, 2.5, size=m)) for s in seeds]
+        times = _random_times(2.5, m, seeds)
+        assert times.shape == (200, m)
+        assert times.tobytes() == np.stack(expected).tobytes()
+        assert random_schedule(2.5, m, int(seeds[7])).times.tobytes() == times[7].tobytes()
+
+    def test_colliding_row_is_redrawn_from_its_own_stream(self):
+        # On [0, 5e-324] a draw is 0 or 5e-324, so two times collide about
+        # half the time; only the colliding rows draw again.
+        def sequential(seed):
+            rng = rng_from_seed(seed)
+            while True:
+                times = np.sort(rng.uniform(0.0, 5e-324, size=2))
+                if times[1] > times[0]:
+                    return times
+
+        seeds = list(range(40))
+        first = [np.sort(rng_from_seed(s).uniform(0.0, 5e-324, size=2)) for s in seeds]
+        assert any(t[0] == t[1] for t in first) and any(t[0] < t[1] for t in first)
+        expected = np.stack([sequential(s) for s in seeds])
+        assert _random_times(5e-324, 2, seeds).tobytes() == expected.tobytes()
+
+    def test_no_room_for_distinct_times_raises(self):
+        # Three distinct floats do not fit in [0, 5e-324]; this draw used to loop forever.
+        with pytest.raises(InvalidArgument, match="cannot hold M = 3 distinct"):
+            random_schedule(5e-324, 3, 0)
 
 
 class TestSampleScheduleValidation:
