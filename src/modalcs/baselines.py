@@ -71,6 +71,8 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
     u = np.asarray(samples, dtype=float)
     if u.ndim != 2:
         raise ShapeError("samples must be (n_channels, n_samples)")
+    if not np.isfinite(u).all():
+        raise InvalidArgument("samples must be finite")
     if t_s <= 0.0:
         raise InvalidArgument("t_s must be > 0")
     m = u.shape[1]

@@ -42,7 +42,7 @@ def psinc(x, m: int):
     # keeps sin(r/2) well away from catastrophic cancellation at multiples.
     k = np.round(x / (2.0 * math.pi))
     r = x - 2.0 * math.pi * k
-    sign = np.where((k.astype(np.int64) * (m - 1)) % 2 == 0, 1.0, -1.0)
+    sign = np.where(np.fmod(k, 2.0) * (m - 1) % 2.0 == 0.0, 1.0, -1.0)  # k's parity, exact
     with np.errstate(invalid="ignore"):
         core = np.where(r == 0.0, 1.0, np.sin(m * r / 2.0) / (m * np.sin(r / 2.0)))
     out = sign * core
@@ -238,10 +238,10 @@ def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
     T_s > pi / delta_max, outside the region the sampling theorem addresses.
     """
     freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or freqs.size < 2:
-        raise InvalidArgument("need at least two frequencies")
-    if t_s <= 0.0 or m < 1:
-        raise InvalidArgument("t_s must be > 0 and m >= 1")
+    if freqs.ndim != 1 or freqs.size < 2 or not np.isfinite(freqs).all():
+        raise InvalidArgument("need at least two finite frequencies")
+    if not 0.0 < t_s < math.inf or m < 1:
+        raise InvalidArgument("t_s must be finite and > 0, and m >= 1")
     diffs = np.abs(freqs[:, None] - freqs[None, :])
     delta_max = diffs.max()
     # Relative slack keeps the exact theorem rate T_s = pi/delta_max from

@@ -3,7 +3,9 @@
 Tables serialize to RFC-4180 CSV with CRLF line endings and '.' decimal
 separators regardless of locale.  Cells are None, str, int or float; floats,
 np.float64 included, are written with repr(), whose shortest round-trip form
-makes the serialization lossless and the bytes deterministic.
+makes the serialization lossless and the bytes deterministic.  Tables whose
+columns are all float or all int are formatted column by column with repr()
+and joined without csv.writer; the bytes are the ones csv.writer writes.
 """
 
 from __future__ import annotations
@@ -21,13 +23,30 @@ import numpy as np
 from .errors import InvalidArgument, IoError, ParseError, RaggedRows
 
 
+def _repr_column(cells):
+    """cells as csv.writer prints them if all are float (np.float64 too) or all int, else None."""
+    kinds = set(map(type, cells))
+    if kinds <= {float, np.float64}:
+        return list(map(float.__repr__, cells))
+    if kinds == {int}:
+        return list(map(int.__repr__, cells))
+    return None
+
+
 def _csv_text(header, rows) -> str:
-    """CRLF CSV text: the header row (when not None), then the rows."""
+    """CRLF CSV text: the header row (when not None), then the rows.
+
+    A table of numeric columns is joined from repr() strings, without csv.writer's per-cell work.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if header is not None:
         writer.writerow(header)
-    writer.writerows(rows)
+    columns = [_repr_column(col) for col in zip(*rows)]
+    if columns and None not in columns and all(len(row) == len(columns) for row in rows):
+        buf.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+    else:
+        writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -132,7 +151,9 @@ def save_sensor_csv(matrix, path: str, header: list[str] | None = None) -> None:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise InvalidArgument(f"expected a 2-d matrix, got shape {arr.shape}")
-    _write_text(path, _csv_text(header, arr))
+    if not np.isfinite(arr).all():
+        raise InvalidArgument("sensor values must be finite; load_sensor_csv refuses nan and inf")
+    _write_text(path, _csv_text(header, arr.tolist()))
 
 
 def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:

@@ -10,6 +10,7 @@ random M x M' matrix with the distributional Johnson-Lindenstrauss property.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,24 +98,61 @@ def random_schedule(t_max: float, m: int, seed: int) -> SampleSchedule:
     return SampleSchedule(_random_times(t_max, m, [seed])[0], "random", t_max=float(t_max))
 
 
+def _philox_keys(seeds: np.ndarray) -> np.ndarray:
+    """Row i = SeedSequence(seeds[i]).generate_state(2, np.uint64) for uint64 seeds: numpy's
+    stream-stable hash in uint32 arithmetic.  A seed below 2**32 hashes as [seed, 0] would.
+    """
+    const = 0x43B0D7E5  # the hash's running multiplier
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value = (value ^ np.uint32(const)) * np.uint32(const := const * mult & 0xFFFFFFFF)
+        return value ^ (value >> np.uint32(16))
+
+    low, high = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
+    pool = [hashmix(word) for word in (low, high, 0 * low, 0 * low)]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashmix(pool[src])
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const = 0x8B51F9DD
+    state = np.stack([hashmix(word, 0x58F38DED) for word in pool], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
     """(len(seeds), M) times; row i is M i.i.d. uniform draws over [0, t_max]
     from rng_from_seed(seeds[i]), sorted.  A row with a repeated time (possible
     in floats) is redrawn from its own stream, so it stays a function of its
     seed; 64 colliding draws mean t_max is too small to hold M distinct floats.
+    Philox is counter-based, so all rows share the first row's generator: a
+    row's key (from _philox_keys) and a zeroed counter restart its stream.
     """
     if not 0.0 < t_max < np.inf:
         raise InvalidArgument(f"t_max must be finite and > 0, got {t_max}")
     if m < 1:
         raise InvalidArgument("m must be >= 1")
-    rngs = [rng_from_seed(seed) for seed in seeds]
-    times = np.sort([rng.uniform(0.0, t_max, size=m) for rng in rngs])
-    for _ in range(64):
+    rest = [int(seed) for seed in seeds[1:]]
+    if rest and (min(rest) < 0 or max(rest) >> 64):
+        raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")
+    rng = rng_from_seed(int(seeds[0]))
+    state = rng.bit_generator.state
+    keys = [state["state"]["key"]]
+    if rest:
+        keys += list(_philox_keys(np.array(rest, dtype=np.uint64)))
+
+    def draw(i, count):  # the first `count` U[0, 1) draws of row i's stream
+        state["state"]["key"] = keys[i]
+        rng.bit_generator.state = state
+        return rng.random(count)
+
+    # t_max * U[0, 1) is uniform(0, t_max)'s own arithmetic, done for all rows at once.
+    times = np.sort(t_max * np.array([draw(i, m) for i in range(len(seeds))]))
+    for draws in range(2, 66):  # a row colliding now has drawn (draws - 1) * M values
         collided = np.flatnonzero((np.diff(times) <= 0.0).any(axis=-1))
         if not collided.size:
             return times
         for i in collided:
-            times[i] = np.sort(rngs[i].uniform(0.0, t_max, size=m))
+            times[i] = np.sort(t_max * draw(i, draws * m)[-m:])
     raise InvalidArgument(f"t_max = {t_max} cannot hold M = {m} distinct sample times")
 
 

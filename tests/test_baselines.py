@@ -80,6 +80,17 @@ class TestWelchCsd:
         with pytest.raises(InvalidArgument):
             welch_csd(np.zeros((2, 16)), 0.1, nperseg=17)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # An all-nan record used to come back as a CsdCube of nan, and an
+        # inf row warned "invalid value encountered in multiply".
+        with pytest.raises(InvalidArgument, match="finite"):
+            welch_csd(np.full((2, 64), bad), 0.1)
+        u = np.zeros((2, 64))
+        u[1] = bad
+        with pytest.raises(InvalidArgument, match="finite"):
+            welch_csd(u, 0.1)
+
     def test_frequency_axis(self):
         u = np.random.Generator(np.random.Philox(7)).normal(size=(2, 512))
         cube = welch_csd(u, 0.05)

@@ -59,6 +59,11 @@ class TestPsinc:
         x = rng.uniform(-50.0, 50.0, size=2000)
         assert np.all(np.abs(psinc(x, 9)) <= 1.0 + 1e-12)
 
+    def test_huge_argument_stays_bounded(self):
+        # x / 2 pi beyond int64 used to warn from the integer cast of k.
+        assert abs(psinc(1e300, 4)) <= 1.0
+        assert psinc(2.0**80 * math.pi, 4) == 1.0  # k = 2**79 is even
+
     def test_period_shift_sign(self):
         x = np.linspace(0.2, 1.0, 5)
         npt.assert_allclose(psinc(x + 2 * math.pi, 4), -psinc(x, 4), atol=1e-12)
@@ -363,6 +368,14 @@ class TestGershgorin:
         values = [gershgorin_uniform_bound(SET1, 0.1, m) for m in (21, 51, 101, 210)]
         assert values[0] == pytest.approx(0.2419, abs=2e-4)
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("freqs, t_s", [
+        ([1.0, math.nan], 0.1), ([math.inf, 2.0], 0.1), ([1.0, 2.0], math.inf), ([1.0, 2.0], math.nan),
+    ])
+    def test_rejects_non_finite_inputs(self, freqs, t_s):
+        # [1, nan] used to return a float after a RuntimeWarning from psinc.
+        with pytest.raises(InvalidArgument):
+            gershgorin_uniform_bound(freqs, t_s, 10)
 
     def test_warns_outside_validity_region(self):
         delta_max = np.max(SET1) - np.min(SET1)

@@ -40,7 +40,7 @@ from modalcs import config as config_module
 from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
 from modalcs.config import CONFIG_SCHEMA, build_system
-from modalcs.results import Panel
+from modalcs.results import Panel, _csv_text
 from modalcs.sampling import rng_from_seed
 from test_acceptance import synthetic_sensors
 
@@ -448,7 +448,8 @@ class TestResultTable:
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_runner_cells_are_csv_writer_types(self, tmp_path, experiment):
-        # to_csv and emit_plot_data hand cells straight to csv.writer.
+        # to_csv and emit_plot_data print cells as csv.writer does: numeric
+        # columns through repr(), everything else through csv.writer itself.
         raw = preset(experiment)
         if experiment == "realdata":
             raw["data_path"] = str(tmp_path / "sensors.csv")
@@ -459,6 +460,45 @@ class TestResultTable:
         cells += [v for panel in table.panels for row in panel.rows for v in row]
         assert table.rows and table.panels
         assert [v for v in cells if not _is_csv_cell(v)] == []
+
+    @staticmethod
+    def writer_text(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+
+    special_floats = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5])
+    floats = st.one_of(special_floats, st.floats())
+    csv_cells = {
+        "float": floats,
+        "float64": floats.map(np.float64),
+        "int": st.integers(-(2**70), 2**70),
+        "any": st.one_of(
+            floats, floats.map(np.float64), st.integers(), st.none(), st.booleans(),
+            st.text(alphabet="a,\"\r\n 1."), st.sampled_from(["", "a,b", 'say "hi"', "x\r\ny"]),
+        ),
+    }
+
+    @st.composite
+    def csv_tables(draw, cells=csv_cells):
+        kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=5))
+        rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=12))
+        return draw(st.none() | st.just([f"c{i}" for i in range(len(kinds))])), rows
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(csv_tables())
+    def test_csv_text_is_csv_writer_text(self, table):
+        header, rows = table
+        assert _csv_text(header, rows) == self.writer_text(header, rows)
+
+    def test_sensor_csv_bytes_are_csv_writer_bytes(self, tmp_path):
+        data = np.array([[-0.0, 5e-324, 1e16], [1e-5, 1.0 / 3.0, -2.5e300]])
+        path = tmp_path / "u.csv"
+        save_sensor_csv(data, str(path), header=["a", "b,c", "d"])
+        assert path.read_bytes() == self.writer_text(["a", "b,c", "d"], data).encode()
 
     def test_write_result_csv(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -544,6 +584,14 @@ class TestSensorCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             load_sensor_csv(str(tmp_path / "nope.csv"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected_before_writing(self, tmp_path, bad):
+        # These used to be written, and load_sensor_csv then refused the file.
+        path = tmp_path / "bad.csv"
+        with pytest.raises(InvalidArgument, match="finite"):
+            save_sensor_csv([[1.0, 2.0], [3.0, bad]], str(path))
+        assert not path.exists()
 
     def test_non_matrix_rejected(self, tmp_path):
         with pytest.raises(InvalidArgument):
@@ -893,7 +941,9 @@ class TestCli:
         data = rng_from_seed(41).normal(size=(4, 200))
         data[2, 17] = np.nan
         data_path = str(tmp_path / "sensors.csv")
-        save_sensor_csv(data, data_path)
+        # Written by hand: save_sensor_csv refuses to write a nan.
+        with open(data_path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\r\n").writerows(data)
         cfg = tmp_path / "rd.json"
         cfg.write_text(json.dumps({"data_path": data_path, "sampling": {"t_s": 0.01}}))
         code = cli_run(

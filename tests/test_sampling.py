@@ -26,7 +26,14 @@ from modalcs import (
 )
 from modalcs import sampling
 from modalcs.runner import _mean_max_error
-from modalcs.sampling import _BLOCK_BYTES, _random_times, _response, rng_from_seed, spawn_seeds
+from modalcs.sampling import (
+    _BLOCK_BYTES,
+    _philox_keys,
+    _random_times,
+    _response,
+    rng_from_seed,
+    spawn_seeds,
+)
 
 
 class TestRngPlumbing:
@@ -136,6 +143,40 @@ class TestRandomSchedule:
         assert any(t[0] == t[1] for t in first) and any(t[0] < t[1] for t in first)
         expected = np.stack([sequential(s) for s in seeds])
         assert _random_times(5e-324, 2, seeds).tobytes() == expected.tobytes()
+
+    def test_philox_keys_are_seed_sequence_states(self):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds = np.concatenate([
+            np.array(edges, dtype=np.uint64),
+            rng_from_seed(12).integers(0, 2**64, size=10_000, dtype=np.uint64),
+        ])
+        expected = [np.random.SeedSequence(int(s)).generate_state(2, np.uint64) for s in seeds]
+        keys = _philox_keys(seeds)
+        assert keys.dtype == np.uint64
+        npt.assert_array_equal(keys, expected)
+
+    def test_batch_builds_one_philox(self, monkeypatch):
+        built, philox = [], np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        seeds = spawn_seeds(8, 500)
+        expected = np.stack([np.sort(rng_from_seed(int(s)).uniform(0.0, 3.0, size=9)) for s in seeds])
+        monkeypatch.setattr(np.random, "Philox", counting)
+        times = _random_times(3.0, 9, seeds)
+        assert len(built) <= 1
+        assert times.tobytes() == expected.tobytes()
+
+    def test_batch_seed_range(self):
+        # Batched keys come from uint64 words: a seed at 2**64 or below 0 is
+        # refused as an argument, never leaked as numpy's OverflowError.
+        top = [np.sort(rng_from_seed(s).uniform(0.0, 1.0, size=3)) for s in (1, 2**64 - 1)]
+        assert _random_times(1.0, 3, [1, 2**64 - 1]).tobytes() == np.stack(top).tobytes()
+        for seeds in ([1, 2**64], [1, -1], [1, 2, 2**70]):
+            with pytest.raises(InvalidArgument, match="seeds must lie in"):
+                _random_times(1.0, 3, seeds)
 
     def test_no_room_for_distinct_times_raises(self):
         # Three distinct floats do not fit in [0, 5e-324]; this draw used to loop forever.
