@@ -34,10 +34,7 @@ def _repr_column(cells):
 
 
 def _csv_text(header, rows) -> str:
-    """CRLF CSV text: the header row (when not None), then the rows.
-
-    A table of numeric columns is joined from repr() strings, without csv.writer's per-cell work.
-    """
+    """CRLF CSV text: the header row (when not None), then the rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if header is not None:
