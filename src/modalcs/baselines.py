@@ -5,7 +5,8 @@ peak picking) for operational modal analysis, and a basis-pursuit style
 sparse reconstruction that recovers a frequency-sparse signal from its
 compressed samples before any modal processing.  Both run on numpy alone.
 The reconstruction takes the DFT of the compression matrix once; each
-iteration is then two products with precomputed matrices and runs no FFT.
+iteration is then two products with precomputed matrices, runs no FFT and
+reuses buffers allocated before the first iteration.
 """
 
 from __future__ import annotations
@@ -205,25 +206,31 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
         a_op = np.conjugate(spectrum, out=spectrum).T
     doubled = slice(1, paired) if real else slice(0)
 
-    def apply_pinv(r):
-        return (r @ pinv_op).view(complex)
-
-    alpha = apply_pinv(rows)  # min-norm feasible start
+    alpha = (rows @ pinv_op).view(complex)  # min-norm feasible start
     mags = np.abs(alpha)
     # All-zero rows get theta = 0 and stay exactly zero: nothing exceeds it.
     theta = 0.9 * mags.max(axis=1, keepdims=True)
+    # Every iteration writes into these buffers and allocates no large array.
+    shrink, step = np.empty_like(mags), np.empty_like(alpha)
+    resid = np.empty(rows.shape, rows.dtype)
     history = []
-    for _ in range(n_stages):
-        stage = []
-        for _ in range(iters_per_stage):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shrink = np.where(mags > theta, 1.0 - theta / mags, 0.0)
-            alpha *= shrink
-            alpha += apply_pinv(rows - alpha.view(a_op.dtype) @ a_op)
-            mags = np.abs(alpha)
-            stage.append(float(mags.sum() + mags[:, doubled].sum()))
-        history.append(tuple(stage))
-        theta *= threshold_ratio
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_stages):
+            stage = []
+            for _ in range(iters_per_stage):
+                # max(1 - theta/|alpha|, 0): fmax turns a zero row's 0/0 = nan into 0.
+                np.divide(theta, mags, out=shrink)
+                np.subtract(1.0, shrink, out=shrink)
+                np.fmax(shrink, 0.0, out=shrink)
+                alpha *= shrink
+                np.matmul(alpha.view(a_op.dtype), a_op, out=resid)
+                np.subtract(rows, resid, out=resid)
+                np.matmul(resid, pinv_op, out=step.view(pinv_op.dtype))
+                alpha += step
+                np.abs(alpha, out=mags)
+                stage.append(float(mags.sum() + mags[:, doubled].sum()))
+            history.append(tuple(stage))
+            theta *= threshold_ratio
 
     if real:
         signal = np.fft.irfft(alpha, n=m, axis=1, norm="ortho")

@@ -42,7 +42,8 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # Not UTF-8, or nested deeper than the parser's recursion limit.
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -64,7 +65,9 @@ def _resolve_config(args) -> ExperimentConfig:
                     f"--experiment {args.experiment} conflicts with config file "
                     f"experiment {declared!r}"
                 )
-            sampling = {**raw.get("sampling", {}), **overlay.get("sampling", {})}
+            sampling = overlay.get("sampling", {})
+            if isinstance(sampling, dict):  # anything else is left for validation to refuse
+                sampling = {**raw.get("sampling", {}), **sampling}
             raw.update(overlay)
             raw["sampling"] = sampling
             raw["experiment"] = args.experiment

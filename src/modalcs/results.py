@@ -138,6 +138,8 @@ def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
                 values.append(_parse_row(row, line_no))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     if not values:
         raise ParseError(f"no data rows in {path}")
     return np.array(values)

@@ -863,6 +863,24 @@ class TestCli:
         bad.write_text("{not json")
         assert cli_run(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b'{"experiment": "exp1", "seed": "\xff\xfe"}',  # not UTF-8: was a UnicodeDecodeError
+        b'{"a": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",  # was a RecursionError
+    ], ids=["non_utf8", "nested_1e5_deep"])
+    def test_unparsable_json_config(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert cli_run(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "invalid JSON" in err
+
+    def test_non_object_sampling_overlay(self, tmp_path, capsys):
+        # Merging it into the preset's sampling block was a TypeError.
+        overlay = self.overlay(tmp_path, {"sampling": 5})
+        code = cli_run(["run", "--experiment", "exp1", "--config", overlay, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: sampling:")
+
     def test_experiment_mismatch(self, tmp_path, capsys):
         overlay = self.overlay(tmp_path, {"experiment": "exp2"})
         code = cli_run(["run", "--experiment", "exp1", "--config", overlay, "--out", str(tmp_path / "o")])
@@ -936,6 +954,19 @@ class TestCli:
             )
         )
         assert cli_run(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+
+    def test_non_utf8_sensor_csv_exit_code(self, tmp_path, capsys):
+        # A UTF-16 byte-order mark used to leak a UnicodeDecodeError.
+        data_path = tmp_path / "sensors.csv"
+        data_path.write_bytes(b"\xff\xfe" + "1.0,2.0\r\n3.0,4.0\r\n".encode("utf-16-le"))
+        cfg = tmp_path / "rd.json"
+        cfg.write_text(json.dumps({"data_path": str(data_path), "sampling": {"t_s": 0.01}}))
+        code = cli_run(
+            ["run", "--experiment", "realdata", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(data_path) in err
 
     def test_non_finite_sensor_data_exit_code(self, tmp_path, capsys):
         data = rng_from_seed(41).normal(size=(4, 200))

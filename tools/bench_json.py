@@ -14,9 +14,10 @@ benchmark's own ``run_seconds``. Each side uses its own ``perfbench/`` and
 The output, ``BENCH_<HEAD sha>.json`` in the repository root, holds both
 commit SHAs, every run's end-to-end metrics, each side's per-metric median
 and quartiles, how many pairs the change won per metric, the environment
-lines perfbench printed, and each side's tier-1 wall time with its
-pass/fail counts. A full run of three workloads over ten seeds takes about half an
-hour on two cores; nothing else should load the machine meanwhile.
+lines perfbench printed, whether bytecode writing was off, and each side's
+tier-1 wall time with its pass/fail counts. A full run of three workloads
+over ten seeds takes about half an hour on two cores; nothing else should
+load the machine meanwhile.
 """
 
 from __future__ import annotations
@@ -151,7 +152,12 @@ def main(argv=None) -> int:
                     status = run.get("error") or f"{run['failed']} of {run['attempted']} ops failed"
                     print(f"{workload} seed {seed} {side}: {status}", flush=True)
         result["tier1"] = {side: _tier1(tree) for side, tree in trees.items()}
-    result["env"] = envs
+    # With bytecode writing off, every fresh process compiles src/modalcs
+    # again, which shows in setup_s; the runs inherit this environment.
+    result["env"] = {**envs, "dont_write_bytecode": {
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "sys.flags.dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+    }}
     result["workloads"] = {
         w: {"metrics": _summarize(runs[w], bench["end_to_end"]), "runs": runs[w]}
         for w in workloads
