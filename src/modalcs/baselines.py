@@ -169,8 +169,6 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
         raise DimensionMismatch(
             f"measurement length {y.shape[-1]} does not match phi columns {m_prime}"
         )
-    if not np.isfinite(y).all():
-        raise InvalidArgument("measurements must be finite")
     if not (n_stages >= 1 and iters_per_stage >= 1 and 0.0 < threshold_ratio < 1.0):
         raise InvalidArgument("need n_stages, iters_per_stage >= 1 and ratio in (0, 1)")
 

@@ -81,8 +81,6 @@ def estimate_modes(data: DataMatrix) -> ModeEstimate:
     n, m = entries.shape
     if not 0 < n <= m:
         raise ShapeError(f"need at least one mode and as many samples as modes, got N={n}, M={m}")
-    if not np.isfinite(entries).all():
-        raise InvalidArgument("data matrix entries must be finite")
     u, s, vh = _svd_modes(entries)
     return ModeEstimate(u, s, vh, schedule=data.schedule, kind=data.kind)
 

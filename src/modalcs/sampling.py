@@ -33,9 +33,15 @@ def _checked_seed(seed: int) -> int:
 
 
 def _real_or_complex(values) -> np.ndarray:
-    """values as float64 if their dtype is bool, integer or real, else as complex128."""
-    values = np.asarray(values)
-    return np.asarray(values, dtype=float if values.dtype.kind in "biuf" else complex)
+    """Finite values as float64 if their dtype is bool, integer or real, else as complex128."""
+    try:
+        values = np.asarray(values)
+        values = np.asarray(values, dtype=float if values.dtype.kind in "biuf" else complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"values must be numbers: {exc}") from None
+    if not np.isfinite(values).all():
+        raise InvalidArgument("values must be finite")
+    return values
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -85,10 +91,10 @@ class SampleSchedule:
 
 def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
     """M samples at t_m = (m-1) t_s for m = 1..M."""
-    if not t_s > 0.0:
-        raise InvalidArgument("t_s must be > 0")
-    if m < 1:
-        raise InvalidArgument("m must be >= 1")
+    if not 0.0 < t_s < np.inf:
+        raise InvalidArgument(f"t_s must be finite and > 0, got {t_s}")
+    if not 1 <= m < np.inf:
+        raise InvalidArgument(f"m must be a finite number >= 1, got {m}")
     times = np.arange(m) * t_s
     return SampleSchedule(times, "uniform", t_max=float((m - 1) * t_s), t_s=t_s)
 
@@ -173,9 +179,10 @@ class DataMatrix:
     """Sampled (or compressed) analytic response with its provenance.
 
     ``kind`` is "raw" for N x M sampled responses or "compressed" for
-    N x M' products with a compression matrix.  Real entries stay float64
-    and complex ones become complex128.  The schedule rides along so
-    downstream frequency estimation can refuse non-uniform inputs.
+    N x M' products with a compression matrix.  Entries must be finite;
+    real ones stay float64 and complex ones become complex128.  The schedule
+    rides along so downstream frequency estimation can refuse non-uniform
+    inputs.
     """
 
     entries: np.ndarray
@@ -224,17 +231,44 @@ def _rotated_response(basis: ModalBasis, times: np.ndarray) -> np.ndarray:
     return v
 
 
+class _ModalData(DataMatrix):
+    """Raw [V] = [Psi] diag(A) [E], E = e^{i w t}, kept as its factors until ``entries`` is read."""
+
+    def __init__(self, basis: ModalBasis, schedule: SampleSchedule):
+        for name, value in (("basis", basis), ("kind", "raw"), ("schedule", schedule)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self):
+        return (self.basis.n_dof, self.schedule.n_samples)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        build = _rotated_response if self.schedule.scheme == "uniform" else _response
+        return _real_or_complex(build(self.basis, self.schedule.times))
+
+    def _steering(self, start: int, rows: int) -> np.ndarray:
+        """Columns start..start+rows of [E]; uniform ones rotate a cached first block."""
+        freqs, times = self.basis.frequencies[:, None], self.schedule.times
+        if self.schedule.scheme != "uniform":
+            return np.exp(1j * (freqs * times[start : start + rows]))
+        first = self.__dict__.get("_first")
+        if first is None or first.shape[1] < rows:
+            first = self.__dict__["_first"] = np.exp(1j * (freqs * times[:rows]))
+        return first[:, :rows] * np.exp(1j * (freqs * times[start])) if start else first[:, :rows]
+
+
 def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix:
-    """[V] with columns v(t_m) = sum_n psi_n A_n e^{i w_n t_m}.
+    """[V] with columns v(t_m) = sum_n psi_n A_n e^{i w_n t_m}, kept as its factors.
 
     Equals [Psi] (sqrt(M) diag(A)) [S] for the steering matrix of the same
-    frequencies and schedule.  Uniform schedules rotate the first ~1 MB column
-    block into the rest; that moves [V] by about 4e-13 relative at M = 10^5.
+    frequencies and schedule.  Reading ``entries`` builds [V]; uniform
+    schedules rotate its first ~1 MB column block into the rest, which moves
+    [V] by about 4e-13 relative at M = 10^5.  compress never builds [V].
     """
     if basis.amplitudes is None:
         raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")
-    build = _rotated_response if schedule.scheme == "uniform" else _response
-    return DataMatrix(build(basis, schedule.times), "raw", schedule=schedule)
+    return _ModalData(basis, schedule)
 
 
 @dataclass(frozen=True)
@@ -279,10 +313,16 @@ class JlMatrix:
     def row_blocks(self):
         """Yield (start, block) for consecutive row blocks of about 1 MB.
 
-        ``block`` is one buffer reused from block to block: copy it to keep it.
+        Once ``entries`` has been read, blocks are slices of it and nothing is
+        drawn again.  Otherwise ``block`` is one buffer reused from block to
+        block: copy it to keep it.
         """
-        rng = rng_from_seed(self.seed)
         rows = max(1, _BLOCK_BYTES // (8 * self.m_prime))
+        drawn = self.__dict__.get("entries")  # where cached_property keeps it
+        if drawn is not None:
+            yield from ((start, drawn[start : start + rows]) for start in range(0, self.m, rows))
+            return
+        rng = rng_from_seed(self.seed)
         buf = np.empty((min(rows, self.m), self.m_prime))
         for start in range(0, self.m, rows):
             yield start, self._fill(rng, buf[: min(rows, self.m - start)])
@@ -294,26 +334,42 @@ class JlMatrix:
 
 def draw_jl_matrix(m: int, m_prime: int, kind: str = "gaussian", seed: int = 0) -> JlMatrix:
     """Describe an M x M' compression matrix of the given kind; nothing is drawn yet."""
-    return JlMatrix(int(m), int(m_prime), kind, int(seed))
+    try:
+        m, m_prime, seed = int(m), int(m_prime), int(seed)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"M, M' and seed must be integers: {m!r}, {m_prime!r}, {seed!r}") from None
+    return JlMatrix(m, m_prime, kind, seed)
 
 
 def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
     """[Y] = [V] [Phi]; each row of [V] is compressed by the same [Phi].
 
-    [Phi] is drawn and applied one row block at a time; the full matrix is
-    never held.  [Phi] is real, so real [V] gives real [Y] and complex [V]
-    is compressed as two real products, one per part.
+    [Phi] is applied one row block at a time (JlMatrix.row_blocks).  Data
+    from build_data_matrix is never built: each block's steering columns
+    [E] = e^{i w t} go through one real GEMM as [Re E; Im E], and the loop
+    ends with [Y] = [Psi] diag(A) ([E] [Phi]).  Other data is compressed by
+    its columns, real and imaginary parts as two N-row products, so that
+    complex data with a zero imaginary part gives real data's [Y] exactly.
     """
     if data.kind != "raw":
         raise InvalidArgument("only raw data matrices can be compressed")
-    if data.entries.shape[1] != phi.m:
-        raise DimensionMismatch(
-            f"data has {data.entries.shape[1]} columns but Phi has {phi.m} rows"
-        )
-    y = np.zeros((data.entries.shape[0], phi.m_prime), dtype=data.entries.dtype)
+    n, m = data.shape
+    if m != phi.m:
+        raise DimensionMismatch(f"data has {m} columns but Phi has {phi.m} rows")
+    modal = isinstance(data, _ModalData)
+    stacked = modal or np.iscomplexobj(data.entries)
+    acc = np.zeros((2 * n if stacked else n, phi.m_prime))
     for start, block in phi.row_blocks():
-        part = data.entries[:, start : start + block.shape[0]]
-        y.real += part.real @ block
-        if np.iscomplexobj(y):
-            y.imag += part.imag @ block
+        rows = block.shape[0]
+        if modal:
+            e = data._steering(start, rows)
+            acc += np.concatenate((e.real, e.imag)) @ block
+        else:
+            part = data.entries[:, start : start + rows]
+            acc[:n] += part.real @ block
+            if stacked:
+                acc[n:] += part.imag @ block
+    y = acc[:n] + 1j * acc[n:] if stacked else acc
+    if modal:
+        y = (data.basis.mode_shapes * data.basis.amplitudes) @ y
     return DataMatrix(y, "compressed", schedule=data.schedule)

@@ -23,6 +23,7 @@ from modalcs import (
     ExperimentConfig,
     InvalidArgument,
     IoError,
+    JlMatrix,
     ParseError,
     RaggedRows,
     ResultTable,
@@ -773,6 +774,24 @@ class TestEmitPlotData:
 
 
 class TestRunExperiment:
+    def test_realdata_draws_phi_once(self, tmp_path, monkeypatch):
+        # compress slices the Phi that sparse_reconstruct reads whole, so its
+        # 3000 rows are filled in one pass, not streamed and then drawn again.
+        data_path = str(tmp_path / "sensors.csv")
+        save_sensor_csv(synthetic_sensors(), data_path)
+        filled = []
+        fill = JlMatrix._fill
+
+        def counting_fill(self, rng, out):
+            filled.append(out.shape[0])
+            return fill(self, rng, out)
+
+        monkeypatch.setattr(JlMatrix, "_fill", counting_fill)
+        sampling = {"t_s": 0.01, "m_prime": 50}
+        overlay = {"experiment": "realdata", "data_path": data_path, "sampling": sampling}
+        run_experiment(ExperimentConfig.from_dict({**preset("realdata"), **overlay}))
+        assert filled == [3000]
+
     def test_sweep_skips_underdetermined_points(self):
         table = run_experiment(small_sweep_config())
         t_max = table.column("t_max")

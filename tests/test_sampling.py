@@ -31,6 +31,7 @@ from modalcs.sampling import (
     _philox_keys,
     _random_times,
     _response,
+    _rotated_response,
     rng_from_seed,
     spawn_seeds,
 )
@@ -87,7 +88,10 @@ class TestUniformSchedule:
         assert schedule.t_max == 0.0
         npt.assert_array_equal(schedule.times, [0.0])
 
-    @pytest.mark.parametrize("t_s, m", [(0.0, 3), (-0.1, 3), (0.1, 0)])
+    # A nan M used to leak numpy's ValueError; an infinite t_s warned before it raised.
+    @pytest.mark.parametrize(
+        "t_s, m", [(0.0, 3), (-0.1, 3), (0.1, 0), (0.01, math.nan), (math.inf, 3), (math.nan, 3)]
+    )
     def test_invalid_arguments(self, t_s, m):
         with pytest.raises(InvalidArgument):
             uniform_schedule(t_s, m)
@@ -272,6 +276,27 @@ class TestBuildDataMatrix:
         with pytest.raises(InvalidArgument):
             DataMatrix(np.zeros((2, 3)), "folded")
 
+    # These leaked numpy's ValueError and TypeError.
+    @pytest.mark.parametrize("entries", [
+        np.array([["a", "b"]]), np.array([[None, 1.0]], dtype=object), [[1.0], [1.0, 2.0]],
+    ], ids=["str", "object", "ragged"])
+    def test_non_numeric_entries_rejected(self, entries):
+        with pytest.raises(InvalidArgument):
+            DataMatrix(entries, "raw")
+
+    @pytest.mark.parametrize("scheme", ["uniform", "random"])
+    def test_entries_are_the_eager_build(self, scheme):
+        # Lazy entries are the direct build of the scheme, bit for bit, over
+        # several of _rotated_response's column blocks.
+        basis = _wide_basis(TestRotatedBuild.N, seed=13)
+        m = 3 * TestRotatedBuild.COLS + 5
+        schedule = uniform_schedule(0.01, m) if scheme == "uniform" else random_schedule(50.0, m, 9)
+        eager = (_rotated_response if scheme == "uniform" else _response)(basis, schedule.times)
+        data = build_data_matrix(basis, schedule)
+        assert data.shape == (basis.n_dof, m) and "entries" not in vars(data)
+        assert np.array_equal(data.entries, eager)
+        assert data.entries is data.entries
+
     @pytest.mark.parametrize("given, kept", [
         (np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
         (np.complex64, np.complex128), (np.complex128, np.complex128), (object, np.complex128),
@@ -300,6 +325,20 @@ class TestJlMatrices:
             JlMatrix(4, 4, "identity", 0)
         with pytest.raises(InvalidArgument):
             draw_jl_matrix(4, 4, seed=-1)
+
+    # int() of these raised ValueError or OverflowError through draw_jl_matrix.
+    @pytest.mark.parametrize("args", [(math.nan, 5), (100, 5, "gaussian", "a"), (math.inf, 5)])
+    def test_non_integer_arguments(self, args):
+        with pytest.raises(InvalidArgument):
+            draw_jl_matrix(*args)
+
+    def test_row_blocks_slice_drawn_entries(self, monkeypatch):
+        phi = draw_jl_matrix(3000, 256, "gaussian", seed=8)
+        entries = phi.entries
+        monkeypatch.setattr(JlMatrix, "_fill", None)  # any further draw fails
+        blocks = [block for _, block in phi.row_blocks()]
+        assert len(blocks) == 6 and all(np.shares_memory(b, entries) for b in blocks)
+        npt.assert_array_equal(np.concatenate(blocks), entries)
 
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
     def test_row_blocks_equal_entries(self, kind):
@@ -396,6 +435,27 @@ class TestCompress:
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 8))
         with pytest.raises(DimensionMismatch):
             compress(data, draw_jl_matrix(9, 3, seed=0))
+
+    @pytest.mark.parametrize("scheme", ["uniform", "random"])
+    @pytest.mark.parametrize("m_prime", [5, 37, 256])
+    def test_modal_data_matches_dense_product(self, scheme, m_prime):
+        # M = 20011 is no multiple of the 26214-, 3542- or 512-row Phi blocks
+        # and spans one, six or 40 of them.
+        basis, m = _wide_basis(8, seed=14), 20_011
+        schedule = uniform_schedule(0.01, m) if scheme == "uniform" else random_schedule(200.0, m, 3)
+        data = build_data_matrix(basis, schedule)
+        phi = draw_jl_matrix(m, m_prime, "gaussian", seed=m_prime)
+        y = compress(data, phi).entries
+        assert "entries" not in vars(data)
+        want = data.entries @ phi.entries
+        assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_non_finite_raw_data_rejected(self):
+        # A raw matrix holding inf used to compress to a nan Y without a word.
+        rows = np.ones((2, 8))
+        rows[1, 3] = np.inf
+        with pytest.raises(InvalidArgument, match="finite"):
+            compress(DataMatrix(rows, "raw"), draw_jl_matrix(8, 4, seed=0))
 
     def test_real_rows_stay_real(self):
         # M = 3000 at M' = 256 spans six 512-row blocks of Phi.
@@ -505,9 +565,24 @@ class TestStreamingMemory:
         assert peak < 16 * self.MB
 
     def test_build_data_matrix_holds_one_block_of_phases(self, set1_basis):
-        schedule = uniform_schedule(1e-4, self.M)
-        data, peak = _traced_peak(build_data_matrix, set1_basis, schedule)
-        assert peak < 1.5 * data.entries.nbytes
+        # The build itself allocates nothing: [V] is made when entries is read.
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-4, self.M))
+        entries, peak = _traced_peak(lambda: data.entries)
+        assert peak < 1.5 * entries.nbytes
+
+    @pytest.mark.parametrize("scheme", ["uniform", "random"])
+    def test_modal_compress_never_builds_v(self, set1_basis, scheme):
+        # [V] would be 4 x 200000 complex, 12.8 MB; one Phi block is 1 MB.
+        uniform = scheme == "uniform"
+        schedule = uniform_schedule(1e-4, self.M) if uniform else random_schedule(20.0, self.M, 2)
+
+        def build_and_compress():
+            data = build_data_matrix(set1_basis, schedule)
+            return data, compress(data, draw_jl_matrix(self.M, 64, "gaussian", seed=1))
+
+        (data, compressed), peak = _traced_peak(build_and_compress)
+        assert compressed.shape == (4, 64) and "entries" not in vars(data)
+        assert peak < 16 * 4 * self.M / 4
 
     def test_exp3_trials_stack_in_bounded_chunks(self, set1_basis):
         # One trial's V is 4 x 50000 complex, 3.2 MB; an unchunked stack of

@@ -9,16 +9,21 @@ that export and in the working tree, runs ``modalcs.cli.run`` for exp1-exp5
 and for realdata on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs.
 Each side runs in a fresh interpreter on its own ``src/``; both read the
 same sensor files. It then compares the two output trees file by file, as
-``diff -r`` would, and prints "identical" with the file count, or the first
-file that differs.
+``diff -r`` would, and prints "identical" with the file count, or every file
+that differs: for a CSV in both trees, the largest relative difference
+|a - b| / max(|a|, |b|) between numeric cells in the same place, and
+whether any other cell or the row layout differs.
 Exit status: 0 identical, 1 different, 2 a run failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,13 +66,48 @@ def _files(top: str) -> set[str]:
     return {os.path.relpath(os.path.join(d, f), top) for d, _, names in os.walk(top) for f in names}
 
 
-def first_difference(a: str, b: str) -> str | None:
-    """The first path (sorted) present in only one tree or with different bytes, else None."""
+def _rows(path: str) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _number(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def csv_difference(pa: str, pb: str) -> str:
+    """How two CSVs differ: the largest relative difference between numeric
+    cells in the same place, and whether any other cell or the layout differs.
+    """
+    rows_a, rows_b = _rows(pa), _rows(pb)
+    largest, other = 0.0, [len(r) for r in rows_a] != [len(r) for r in rows_b]
+    for ca, cb in zip(itertools.chain(*rows_a), itertools.chain(*rows_b)):
+        if ca == cb:
+            continue
+        x, y = _number(ca), _number(cb)
+        if x is None or y is None:
+            other = True
+        else:
+            largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+    text = f"largest relative difference {largest:.3g} between numeric cells"
+    return text + ("; other cells or the row layout differ too" if other else "")
+
+
+def differences(a: str, b: str) -> list[str]:
+    """One line (sorted by path) per file present in only one tree or with different bytes."""
+    lines = []
     for rel in sorted(_files(a) | _files(b)):
         pa, pb = os.path.join(a, rel), os.path.join(b, rel)
-        if not (os.path.isfile(pa) and os.path.isfile(pb) and filecmp.cmp(pa, pb, shallow=False)):
-            return rel
-    return None
+        if not (os.path.isfile(pa) and os.path.isfile(pb)):
+            lines.append(f"{rel}: only in {'parent' if os.path.isfile(pa) else 'change'}")
+        elif not filecmp.cmp(pa, pb, shallow=False):
+            lines.append(f"{rel}: " + (csv_difference(pa, pb) if rel.endswith(".csv")
+                                       else "bytes differ"))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -88,9 +128,11 @@ def main(argv=None) -> int:
                 print(f"{side}: a run exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
                 return 2
         outs = [os.path.join(tmp, "out", side) for side in trees]
-        diff, count = first_difference(*outs), len(_files(outs[0]))
-    print(f"identical ({count} files)" if diff is None else f"differs: {diff}")
-    return 0 if diff is None else 1
+        diffs, count = differences(*outs), len(_files(outs[0]))
+    print(f"differs: {len(diffs)} of {count} files" if diffs else f"identical ({count} files)")
+    for line in diffs:
+        print(f"  {line}")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
