@@ -10,11 +10,13 @@ and joined without csv.writer; the bytes are the ones csv.writer writes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -103,12 +105,10 @@ def write_result_csv(table: ResultTable, path: str) -> None:
 
 def _parse_row(row: list[str], line_no: int) -> np.ndarray:
     """One CSV row as float64, each cell read as float() reads it."""
-    try:  # numpy converts each str with float(), without a Python float per cell
+    with contextlib.suppress(ValueError):  # numpy reads each str as float() does, in C
         parsed = np.array(row, dtype=float)
         if np.isfinite(parsed).all():
             return parsed
-    except ValueError:
-        pass
     for j, cell in enumerate(row):  # the failing row only: name its bad cell
         try:
             value = float(cell)
@@ -126,20 +126,30 @@ def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
     Every cell must be a finite number.  Line and column numbers in errors
     are 1-based and count the header row.  Blank lines are ignored.
     """
-    values = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
-                if line_no <= header or not row:
-                    continue
-                if values and len(row) != values[0].size:
-                    raise RaggedRows(f"expected {values[0].size} columns, "
-                                     f"found {len(row)}", line=line_no)
-                values.append(_parse_row(row, line_no))
+            text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    # numpy strips "\x1c".."\x1f" and splitlines() splits at "\x0b" etc.; csv and float() do neither.
+    if not any(map(text.__contains__, "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029")):
+        lines = iter(text.splitlines(keepends=True))
+        if header:
+            next(csv.reader(lines), None)
+        with contextlib.suppress(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+            parsed = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+            if parsed.size and np.isfinite(parsed).all():
+                return parsed
+    values = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if line_no <= header or not row:
+            continue
+        if values and len(row) != values[0].size:
+            raise RaggedRows(f"expected {values[0].size} columns, found {len(row)}", line=line_no)
+        values.append(_parse_row(row, line_no))
     if not values:
         raise ParseError(f"no data rows in {path}")
     return np.array(values)

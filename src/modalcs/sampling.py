@@ -32,6 +32,12 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
+def _checked_count(m) -> int:
+    if not (1 <= m <= 2**53 and m == int(m)):  # float64 holds every index up to 2**53
+        raise InvalidArgument(f"m must be an integer in [1, 2**53], got {m}")
+    return int(m)
+
+
 def _real_or_complex(values) -> np.ndarray:
     """Finite values as float64 if their dtype is bool, integer or real, else as complex128."""
     try:
@@ -93,10 +99,10 @@ def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
     """M samples at t_m = (m-1) t_s for m = 1..M."""
     if not 0.0 < t_s < np.inf:
         raise InvalidArgument(f"t_s must be finite and > 0, got {t_s}")
-    if not 1 <= m < np.inf:
-        raise InvalidArgument(f"m must be a finite number >= 1, got {m}")
-    times = np.arange(m) * t_s
-    return SampleSchedule(times, "uniform", t_max=float((m - 1) * t_s), t_s=t_s)
+    m = _checked_count(m)
+    if (m - 1) * float(t_s) == np.inf:  # in Python floats, which overflow without a warning
+        raise InvalidArgument(f"(m - 1) * t_s must be finite, got m = {m}, t_s = {t_s}")
+    return SampleSchedule(np.arange(m) * t_s, "uniform", t_max=float((m - 1) * t_s), t_s=t_s)
 
 
 def random_schedule(t_max: float, m: int, seed: int) -> SampleSchedule:
@@ -135,8 +141,7 @@ def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
     """
     if not 0.0 < t_max < np.inf:
         raise InvalidArgument(f"t_max must be finite and > 0, got {t_max}")
-    if m < 1:
-        raise InvalidArgument("m must be >= 1")
+    m = _checked_count(m)
     rest = [int(seed) for seed in seeds[1:]]
     if rest and (min(rest) < 0 or max(rest) >> 64):
         raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import jsonschema
@@ -597,6 +598,155 @@ class TestSensorCsv:
     def test_non_matrix_rejected(self, tmp_path):
         with pytest.raises(InvalidArgument):
             save_sensor_csv(np.zeros(3), str(tmp_path / "v.csv"))
+
+
+def reference_parse_row(row: list[str], line_no: int) -> np.ndarray:
+    """One CSV row as float64, each cell read as float() reads it."""
+    try:  # numpy converts each str with float(), without a Python float per cell
+        parsed = np.array(row, dtype=float)
+        if np.isfinite(parsed).all():
+            return parsed
+    except ValueError:
+        pass
+    for j, cell in enumerate(row):  # the failing row only: name its bad cell
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        # float() also accepts "nan" and "inf", which no sensor records.
+        if not math.isfinite(value):
+            raise ParseError(f"invalid number {cell.strip()!r}", line=line_no, column=j + 1)
+    return np.array([float(cell) for cell in row])
+
+
+def reference_load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
+    """load_sensor_csv as the csv module alone read every file, kept verbatim:
+    the reference for the values the numpy pass returns and the errors raised."""
+    values = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                if line_no <= header or not row:
+                    continue
+                if values and len(row) != values[0].size:
+                    raise RaggedRows(f"expected {values[0].size} columns, "
+                                     f"found {len(row)}", line=line_no)
+                values.append(reference_parse_row(row, line_no))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not values:
+        raise ParseError(f"no data rows in {path}")
+    return np.array(values)
+
+
+def _digits(script: str) -> dict:
+    return str.maketrans("0123456789", "".join(chr(ord(script) + d) for d in range(10)))
+
+
+# Cells float() and the csv module accept but numpy's reader declines, or the
+# reverse ("\x1c".."\x1f" padding), or that neither accepts; padding that
+# str.splitlines() splits at but csv does not ("\x0b", "\x85", "\u2028").
+_ODD_CELLS = {
+    "underscored": lambda cell: re.sub(r"(\d)(\d)", r"\1_\2", cell, count=1),
+    "fullwidth": lambda cell: cell.translate(_digits("０")),
+    "arabic_indic": lambda cell: cell.translate(_digits("٠")),
+    "quoted": lambda cell: f'"{cell}"',
+    "quoted_lines": lambda cell: f'"{cell}\n"',
+}
+_PADS = [" ", "\t", "\x0b", "\x0c", "\xa0", "\x85", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x00"]
+_BAD_CELLS = ["nan", "-inf", "Infinity", "1e400", "", "abc", "1 2", "0x1p3", ".", "+-1", "#1", "1,2"]
+_HEADERS = ["s1,s2,s3", '"sensor\r\nA",b', '"a,b",c', "", "1,2,3", '"unclosed\n1,2']
+
+
+@st.composite
+def sensor_files(draw):
+    """(file text, header flag): a float matrix written with repr or %.17g,
+    then a few cells swapped for odd ones, rows made ragged, blank or
+    whitespace-only lines inserted, an optional header row, mixed line ends."""
+    fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
+    n_cols = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(finite.map(fmt), min_size=n_cols, max_size=n_cols), max_size=4))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, n_cols - 1))
+        kind = draw(st.sampled_from(["pad", "bad"] + sorted(_ODD_CELLS)))
+        if kind == "pad":  # before, inside or after the number
+            k = draw(st.sampled_from([0, len(row[j])]) | st.integers(0, len(row[j])))
+            row[j] = row[j][:k] + draw(st.sampled_from(_PADS)) + row[j][k:]
+        elif kind == "bad":
+            row[j] = draw(st.sampled_from(_BAD_CELLS))
+        else:
+            row[j] = _ODD_CELLS[kind](row[j])
+    if rows and draw(st.integers(0, 4)) == 0:  # ragged: one row loses or gains a cell
+        row = draw(st.sampled_from(rows))
+        row.append("1.5") if draw(st.booleans()) or len(row) == 1 else row.pop()
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(_HEADERS)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last row
+    return text, draw(st.booleans())
+
+
+def _outcome(reader, path, header):
+    """The array's dtype, shape and bytes, or the error's class, position and message."""
+    try:
+        values = reader(path, header)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "column", None), str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+class TestSensorCsvMatchesCsvModule:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(drawn=sensor_files())
+    def test_same_values_or_same_error(self, tmp_path_factory, drawn):
+        text, header = drawn
+        path = str(tmp_path_factory.getbasetemp() / "differential.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = _outcome(reference_load_sensor_csv, path, header)
+        assert _outcome(load_sensor_csv, path, header) == expected
+
+    @pytest.mark.parametrize("text, header", [
+        ("1,2\n3,4\n", False),  # numpy's pass
+        ("s1,s2\r\n1,2\r\n", True),  # numpy's pass after the csv header row
+        ('"sensor\nA",b\n1,2\n', True),  # a quoted two-line header
+        ("1_0,2\n", False),  # float() accepts underscores, numpy does not
+        ('"1",2\n', False),  # quoted cell
+        ("１,٢\n", False),  # full-width and Arabic-Indic digits
+        ("1\x1c,2\n", False),  # numpy strips "\x1c" as whitespace, float() refuses it
+        ("1,2\n3,nan\n", False),  # numpy reads nan, the sensor reader refuses it
+        ("1,2\r\r3,4\r", False),  # lone-CR endings and a blank line
+        ("1,2\n \n3,4\n", False),  # a whitespace-only line is a row with a bad cell
+        ("1,2,3\n4,5\n", False),  # ragged
+        ("\n\n", False),  # no data rows
+        ("a,b\n", True),  # a header alone: no data rows
+    ])
+    def test_named_cases(self, tmp_path, text, header):
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(reference_load_sensor_csv, str(path), header)
+        assert _outcome(load_sensor_csv, str(path), header) == expected
+
+    # Inside a number, str.splitlines() ends a line at each of these but "\x1f";
+    # next to one, numpy strips each as whitespace, float() only "\x0b", "\x0c",
+    # "\x85", "\u2028" and "\u2029".
+    @pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"))
+    @pytest.mark.parametrize("template", ["1{}2\n", "1{},2\n"])
+    def test_characters_numpy_or_splitlines_read_otherwise(self, tmp_path, char, template):
+        path = tmp_path / "case.csv"
+        path.write_bytes(template.format(char).encode())
+        expected = _outcome(reference_load_sensor_csv, str(path), False)
+        assert _outcome(load_sensor_csv, str(path), False) == expected
 
 
 def run_cli(tmp_path, experiment, overlay=None):

@@ -54,6 +54,24 @@ def test_import_loads_numpy_fft():
     assert proc.stdout.strip() == "True"
 
 
+def test_first_sensor_csv_read_loads_no_module(tmp_path):
+    # np.loadtxt on a path imports gzip, and a numpy submodule loaded lazily
+    # inside an op is where a signal handler can hit numpy's loader recursion.
+    save_sensor_csv(synthetic_sensors()[:, :100], str(tmp_path / "sensors.csv"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, modalcs; before = set(sys.modules); "
+        "shape = modalcs.load_sensor_csv('sensors.csv').shape; "
+        "print(shape, sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "(18, 100) []"
+
+
 def test_realdata_run_loads_no_scipy(tmp_path):
     # realdata runs the Welch/FDD baselines, the one stage that used scipy.
     save_sensor_csv(synthetic_sensors()[:, :1000], str(tmp_path / "sensors.csv"))

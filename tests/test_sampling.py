@@ -96,6 +96,16 @@ class TestUniformSchedule:
         with pytest.raises(InvalidArgument):
             uniform_schedule(t_s, m)
 
+    # (m - 1) * t_s overflowing used to warn from numpy; 1e19 samples leaked
+    # numpy's "Maximum allowed size exceeded"; 2.5 samples made 3 times.
+    @pytest.mark.parametrize("t_s, m", [(1e308, 3), (0.1, 1e19), (0.1, 2.5), (0.1, 2**53 + 1)])
+    def test_counts_and_spans_numpy_cannot_hold(self, t_s, m):
+        with pytest.raises(InvalidArgument):
+            uniform_schedule(t_s, m)
+
+    def test_integral_float_count(self):
+        npt.assert_array_equal(uniform_schedule(0.1, 21.0).times, uniform_schedule(0.1, 21).times)
+
 
 class TestRandomSchedule:
     def test_sorted_within_range(self):
@@ -115,6 +125,15 @@ class TestRandomSchedule:
         # An infinite t_max overflowed inside numpy's uniform draw.
         with pytest.raises(InvalidArgument, match="t_max must be finite and > 0"):
             random_schedule(t_max, 5, 1)
+
+    # Each used to leak a TypeError from the generator's draw.
+    @pytest.mark.parametrize("m", [math.nan, 1e19, 2.5, 0])
+    def test_invalid_counts(self, m):
+        with pytest.raises(InvalidArgument, match="m must be an integer"):
+            random_schedule(1.0, m, 1)
+
+    def test_integral_float_count(self):
+        npt.assert_array_equal(random_schedule(2.0, 5.0, 4).times, random_schedule(2.0, 5, 4).times)
 
     def test_draws_are_uniform_on_average(self):
         # Mean of M = 1e5 i.i.d. U(0, t_max) draws: t_max/2 +/- 3 sigma/sqrt(M).

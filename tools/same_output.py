@@ -6,9 +6,11 @@ Usage (from the repository root):
 
 Exports REV with ``git archive`` (as ``tools/bench_json.py`` does) and, in
 that export and in the working tree, runs ``modalcs.cli.run`` for exp1-exp5
-and for realdata on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs.
-Each side runs in a fresh interpreter on its own ``src/``; both read the
-same sensor files. It then compares the two output trees file by file, as
+and for realdata on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs,
+plus two variants of ``(1)``: one behind a header row (``"header": true``)
+and one with every cell quoted, which load_sensor_csv reads through its
+csv-module path. Each side runs in a fresh interpreter on its own
+``src/``; both read the same sensor files. It then compares the two output trees file by file, as
 ``diff -r`` would, and prints "identical" with the file count, or every file
 that differs: for a CSV in both trees, the largest relative difference
 |a - b| / max(|a|, |b|) between numeric cells in the same place, and
@@ -37,7 +39,13 @@ sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]  # perfbench.workloads imports 
 from perfbench.workloads import synthetic_sensors  # noqa: E402
 
 PRESETS = ("exp1", "exp2", "exp3", "exp4", "exp5")
-SENSOR_SEEDS = (1, 2)
+# realdata run name: (synthetic_sensors seed, header row, every cell quoted)
+SENSOR_FILES = {
+    "realdata1": (1, False, False),
+    "realdata2": (2, False, False),
+    "realdata1_header": (1, True, False),
+    "realdata1_quoted": (1, False, True),
+}
 # Runs each argument list in turn and exits with the largest exit code.
 RUN_ALL = ("import json, sys; from modalcs.cli import run; "
            "sys.exit(max(run(argv) for argv in json.loads(sys.argv[1])))")
@@ -46,20 +54,25 @@ RUN_ALL = ("import json, sys; from modalcs.cli import run; "
 def _runs(inputs: str, out: str) -> list[list[str]]:
     """The cli.run argument lists: every preset, then realdata on each sensor file."""
     runs = [["run", "--experiment", e, "--out", os.path.join(out, e)] for e in PRESETS]
-    for seed in SENSOR_SEEDS:
-        config = os.path.join(inputs, f"realdata{seed}.json")
+    for name in SENSOR_FILES:
+        config = os.path.join(inputs, f"{name}.json")
         runs.append(["run", "--experiment", "realdata", "--config", config,
-                     "--out", os.path.join(out, f"realdata{seed}")])
+                     "--out", os.path.join(out, name)])
     return runs
 
 
 def _write_inputs(inputs: str):
-    """Sensor CSVs and realdata configs as perfbench's sensor workload writes them."""
-    for seed in SENSOR_SEEDS:
-        data_path = os.path.join(inputs, f"sensors{seed}.csv")
-        np.savetxt(data_path, synthetic_sensors(seed), fmt="%.17g", delimiter=",")
-        with open(os.path.join(inputs, f"realdata{seed}.json"), "w", encoding="utf-8") as fh:
-            json.dump({"data_path": data_path, "sampling": {"t_s": 0.01}}, fh)
+    """Sensor CSVs as perfbench's sensor workload writes them (the variants
+    add a header row or quotes), and a realdata config for each."""
+    for name, (seed, header, quoted) in SENSOR_FILES.items():
+        data = synthetic_sensors(seed)
+        data_path = os.path.join(inputs, f"{name}.csv")
+        np.savetxt(data_path, data, fmt='"%.17g"' if quoted else "%.17g", delimiter=",",
+                   header=",".join(f"t{j}" for j in range(data.shape[1])) if header else "",
+                   comments="")
+        config = {"data_path": data_path, "sampling": {"t_s": 0.01}, "header": header}
+        with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
 
 
 def _files(top: str) -> set[str]:
