@@ -105,7 +105,7 @@ def write_result_csv(table: ResultTable, path: str) -> None:
 
 def _parse_row(row: list[str], line_no: int) -> np.ndarray:
     """One CSV row as float64, each cell read as float() reads it."""
-    with contextlib.suppress(ValueError):  # numpy reads each str as float() does, in C
+    with contextlib.suppress(ValueError):  # numpy converts each str with float(), in C
         parsed = np.array(row, dtype=float)
         if np.isfinite(parsed).all():
             return parsed

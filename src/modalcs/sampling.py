@@ -100,9 +100,9 @@ def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
     if not 0.0 < t_s < np.inf:
         raise InvalidArgument(f"t_s must be finite and > 0, got {t_s}")
     m = _checked_count(m)
-    if (m - 1) * float(t_s) == np.inf:  # in Python floats, which overflow without a warning
+    if (t_max := (m - 1) * float(t_s)) == np.inf:  # Python floats overflow without a warning
         raise InvalidArgument(f"(m - 1) * t_s must be finite, got m = {m}, t_s = {t_s}")
-    return SampleSchedule(np.arange(m) * t_s, "uniform", t_max=float((m - 1) * t_s), t_s=t_s)
+    return SampleSchedule(np.arange(m) * t_s, "uniform", t_max=t_max, t_s=t_s)
 
 
 def random_schedule(t_max: float, m: int, seed: int) -> SampleSchedule:

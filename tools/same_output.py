@@ -10,11 +10,11 @@ and for realdata on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs,
 plus two variants of ``(1)``: one behind a header row (``"header": true``)
 and one with every cell quoted, which load_sensor_csv reads through its
 csv-module path. Each side runs in a fresh interpreter on its own
-``src/``; both read the same sensor files. It then compares the two output trees file by file, as
-``diff -r`` would, and prints "identical" with the file count, or every file
-that differs: for a CSV in both trees, the largest relative difference
-|a - b| / max(|a|, |b|) between numeric cells in the same place, and
-whether any other cell or the row layout differs.
+``src/``; both read the same sensor files. It then compares the two output
+trees file by file, as ``diff -r`` would, and prints "identical" with the
+file count, or every file that differs: for a CSV in both trees, the
+largest relative difference |a - b| / max(|a|, |b|) between numeric cells
+in the same place, and whether any other cell or the row layout differs.
 Exit status: 0 identical, 1 different, 2 a run failed.
 """
 
