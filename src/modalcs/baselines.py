@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .mdof import canonical_sign
-from .sampling import _real_or_complex
+from .sampling import _checked_count, _real_or_complex
 
 # A local maximum of the top eigenvalue curve counts as a spectral peak only
 # above this share of the curve's maximum: a constant or silent record still
@@ -74,12 +74,11 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
         raise ShapeError("samples must be (n_channels, n_samples)")
     if not np.isfinite(u).all():
         raise InvalidArgument("samples must be finite")
-    if t_s <= 0.0:
-        raise InvalidArgument("t_s must be > 0")
+    if not 0.0 < t_s < np.inf:
+        raise InvalidArgument(f"t_s must be finite and > 0, got {t_s}")
     m = u.shape[1]
-    if nperseg is None:
-        nperseg = _default_nperseg(m)
-    if not 1 <= nperseg <= m:
+    nperseg = _default_nperseg(m) if nperseg is None else _checked_count(nperseg, "nperseg")
+    if nperseg > m:
         raise InvalidArgument("nperseg must lie in [1, n_samples]")
     hop = nperseg - nperseg // 2
     n_segments = (m - nperseg // 2) // hop
@@ -106,8 +105,7 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     phase-aligned so its largest entry is real positive.  Raises
     InsufficientPeaks when fewer peaks than requested pass.
     """
-    if n_modes < 1:
-        raise InvalidArgument("n_modes must be >= 1")
+    n_modes = _checked_count(n_modes, "n_modes")
     top = np.linalg.eigvalsh(cube.matrices)[:, -1]
     interior = np.arange(1, top.size - 1)
     mask = (top[interior] > top[interior - 1]) & (top[interior] > top[interior + 1])
@@ -169,8 +167,10 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
         raise DimensionMismatch(
             f"measurement length {y.shape[-1]} does not match phi columns {m_prime}"
         )
-    if not (n_stages >= 1 and iters_per_stage >= 1 and 0.0 < threshold_ratio < 1.0):
-        raise InvalidArgument("need n_stages, iters_per_stage >= 1 and ratio in (0, 1)")
+    n_stages = _checked_count(n_stages, "n_stages")
+    iters_per_stage = _checked_count(iters_per_stage, "iters_per_stage")
+    if not 0.0 < threshold_ratio < 1.0:
+        raise InvalidArgument(f"threshold_ratio must lie in (0, 1), got {threshold_ratio}")
 
     rows = y.reshape(-1, m_prime)
     out_shape = y.shape[:-1] + (m,)

@@ -11,7 +11,8 @@ dataset and must be supplied by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,51 +106,66 @@ CONFIG_SCHEMA = {
 }
 
 
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-               "number": (int, float), "integer": int}
+def _error(path: str, reason: str) -> ConfigError:
+    return ConfigError(f"{path or '<top level>'}: {reason}")
 
 
-def _conforms(value, schema) -> bool:
-    """False unless jsonschema accepts value under schema, for CONFIG_SCHEMA's keywords.
+def _checked(value, schema, path=""):
+    """value with every "integer" field as an int, or ConfigError naming the first bad field.
 
-    It may turn down what jsonschema accepts (numpy integers, a str subclass),
-    never the reverse; from_dict then asks jsonschema, which words rejections.
+    Reads CONFIG_SCHEMA's keywords as jsonschema's Draft 2020-12 does, with
+    one rule for values a library caller may pass: a number is an int or
+    float (np.float64 is one) but no bool, and a "number" field must fit a
+    finite float64; a string is a str and compares with ==.  So it accepts no
+    value jsonschema refuses, and of the values jsonschema accepts refuses
+    only numbers no float64 holds and non-JSON numbers (numpy integers,
+    np.float32).
     """
     kind = schema.get("type")
-    # A bool is an int but no JSON number; an integral float is an integer.
-    if kind and not (
-        isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean")
-        or kind == "integer" and isinstance(value, float) and value.is_integer()
-    ):
-        return False
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind and not {
+        "object": isinstance(value, dict), "array": isinstance(value, list),
+        "string": isinstance(value, str), "boolean": isinstance(value, bool),
+        "number": number, "integer": number and (isinstance(value, int) or value.is_integer()),
+    }[kind]:
+        raise _error(path, f"expected {kind}, got {type(value).__name__}")
     options = schema.get("enum", [schema["const"]] if "const" in schema else None)
-    if options is not None and not any(type(value) is type(o) and value == o for o in options):
-        return False
-    # CONFIG_SCHEMA's oneOf branches differ in type, so no value passes two.
-    if "oneOf" in schema and sum(_conforms(value, s) for s in schema["oneOf"]) != 1:
-        return False
+    if options is not None and not (isinstance(value, str) and value in options):
+        raise _error(path, f"expected one of {options}")
+    if "oneOf" in schema:  # its branches differ in type (a test checks), so one fits at most
+        errors = []
+        for branch in schema["oneOf"]:
+            try:
+                return _checked(value, branch, path)
+            except ConfigError as exc:
+                errors.append(str(exc))
+        # An error below path comes from the branch that fits the value's type.
+        where = f"{path or '<top level>'}: "
+        deep = [e for e in errors if not e.startswith(where)]
+        raise ConfigError(deep[0] if deep else where + " or ".join(e[len(where):] for e in errors))
     if kind in ("number", "integer"):
-        return value >= schema.get("minimum", -math.inf) and value > schema.get("exclusiveMinimum", -math.inf)
+        # JSON parsers read NaN, Infinity and ints that overflow a float.
+        if kind == "number" and not abs(value) <= sys.float_info.max:
+            raise _error(path, "must be a finite number within float64 range")
+        if value < schema.get("minimum", -math.inf):
+            raise _error(path, f"expected >= {schema['minimum']}, got {value}")
+        if value <= schema.get("exclusiveMinimum", -math.inf):
+            raise _error(path, f"expected > {schema['exclusiveMinimum']}, got {value}")
+        return int(value) if kind == "integer" else value
     if kind == "array":
-        return len(value) >= schema.get("minItems", 0) and all(_conforms(v, schema["items"]) for v in value)
-    if kind == "object":
+        if len(value) < schema.get("minItems", 0):
+            raise _error(path, f"expected at least {schema['minItems']} items, got {len(value)}")
+        items = schema["items"]
+        return [_checked(v, items, f"{path}.{i}" if path else str(i)) for i, v in enumerate(value)]
+    if kind == "object":  # every object schema sets additionalProperties false (a test checks)
         props = schema["properties"]
-        return (
-            all(key in value for key in schema.get("required", ())) and all(key in props for key in value)
-            and all(_conforms(value[key], s) for key, s in props.items() if key in value)
-        )
-    return True
-
-
-def _as_ints(value, schema):
-    """value with every field that schema types "integer" as an int (_conforms passes 3.0)."""
-    kind = schema.get("type")
-    if kind == "integer":
-        return int(value)
-    if kind == "array":
-        return [_as_ints(v, schema["items"]) for v in value]
-    if kind == "object":
-        return {key: _as_ints(v, schema["properties"][key]) for key, v in value.items()}
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _error(path, f"missing required field {key!r}")
+        for key in value:
+            if key not in props:
+                raise _error(path, f"unknown field {key!r}")
+        return {k: _checked(v, props[k], f"{path}.{k}" if path else k) for k, v in value.items()}
     return value
 
 
@@ -176,73 +192,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        bad = _non_finite_field(raw)
-        if bad is not None:
-            # JSON parsers accept NaN and Infinity, and every schema bound
-            # lets NaN through.
-            raise ConfigError(f"{bad}: must be a finite number")
-        if not _conforms(raw, CONFIG_SCHEMA):  # importing jsonschema outlasts a preset run
-            from jsonschema.exceptions import best_match
-            from jsonschema.validators import validator_for
-
-            # Not jsonschema.validate: it checks the constant schema against
-            # the metaschema on each call (about 20 ms); the tests do that once.
-            error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
-            if error is not None:
-                where = ".".join(str(p) for p in error.absolute_path) or "<top level>"
-                raise ConfigError(f"{where}: {error.message}") from error
-        raw = _as_ints(raw, CONFIG_SCHEMA)
-        cfg = cls(
-            experiment=raw["experiment"],
-            seed=raw["seed"],
-            system=raw.get("system", "paper-4dof"),
-            frequencies=_opt_tuple(raw.get("frequencies")),
-            magnitudes=_opt_tuple(raw.get("magnitudes")),
-            sampling=dict(raw.get("sampling", {})),
-            n_trials=raw.get("n_trials"),
-            n_phi_seeds=raw.get("n_phi_seeds"),
-            data_path=raw.get("data_path"),
-            header=raw.get("header", False),
-            n_benchmark_modes=raw.get("n_benchmark_modes"),
-        )
+        # CONFIG_SCHEMA's properties are the dataclass fields (a test checks).
+        raw = _checked(raw, CONFIG_SCHEMA)
+        for key in ("frequencies", "magnitudes"):
+            if key in raw:
+                raw[key] = tuple(float(v) for v in raw[key])
+        cfg = cls(**raw)
         _validate_semantics(cfg)
         return cfg
 
     def as_dict(self) -> dict:
-        """JSON-serializable echo of the resolved configuration."""
-        out = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "system": self.system,
-            "sampling": dict(self.sampling),
-            "header": self.header,
+        """JSON-serializable echo of the resolved configuration, without its None fields."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            key: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+            for key, v in values.items() if v is not None
         }
-        for key in ("frequencies", "magnitudes"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = list(value)
-        for key in ("n_trials", "n_phi_seeds", "data_path", "n_benchmark_modes"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
-
-def _non_finite_field(value, path=()):
-    """Dotted path of the first NaN or infinite number in a JSON value, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else ".".join(path) or "<top level>"
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        found = _non_finite_field(item, path + (str(key),))
-        if found is not None:
-            return found
-    return None
 
 
 def _cap(name: str, count: float, limit: int, what: str):
@@ -250,12 +215,8 @@ def _cap(name: str, count: float, limit: int, what: str):
         raise ConfigError(f"{name}: asks for {count:.3g} {what}; the limit is {limit}")
 
 
-def _opt_tuple(values):
-    return None if values is None else tuple(float(v) for v in values)
-
-
-def _need(cfg: ExperimentConfig, *fields: str):
-    for name in fields:
+def _need(cfg: ExperimentConfig, *names: str):
+    for name in names:
         if getattr(cfg, name) is None:
             raise ConfigError(f"{cfg.experiment}: field {name!r} is required")
 

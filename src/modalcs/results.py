@@ -136,20 +136,24 @@ def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
     # numpy strips "\x1c".."\x1f" and splitlines() splits at "\x0b" etc.; csv and float() do neither.
     if not any(map(text.__contains__, "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029")):
         lines = iter(text.splitlines(keepends=True))
-        if header:
-            next(csv.reader(lines), None)
-        with contextlib.suppress(ValueError), warnings.catch_warnings():
+        with contextlib.suppress(ValueError, csv.Error), warnings.catch_warnings():
+            if header:  # the loop below names a csv.Error's line
+                next(csv.reader(lines), None)
             warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
             parsed = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
             if parsed.size and np.isfinite(parsed).all():
                 return parsed
-    values = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-        if line_no <= header or not row:
-            continue
-        if values and len(row) != values[0].size:
-            raise RaggedRows(f"expected {values[0].size} columns, found {len(row)}", line=line_no)
-        values.append(_parse_row(row, line_no))
+    values, line_no = [], 0
+    try:
+        for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if line_no <= header or not row:
+                continue
+            if values and len(row) != values[0].size:
+                raise RaggedRows(f"expected {values[0].size} columns, found {len(row)}",
+                                 line=line_no)
+            values.append(_parse_row(row, line_no))
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit(), say
+        raise ParseError(str(exc), line=line_no + 1) from None
     if not values:
         raise ParseError(f"no data rows in {path}")
     return np.array(values)

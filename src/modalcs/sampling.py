@@ -32,9 +32,13 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def _checked_count(m) -> int:
-    if not (1 <= m <= 2**53 and m == int(m)):  # float64 holds every index up to 2**53
-        raise InvalidArgument(f"m must be an integer in [1, 2**53], got {m}")
+def _checked_count(m, name: str = "m") -> int:
+    try:
+        valid = 1 <= m <= 2**53 and m == int(m)  # float64 holds every index up to 2**53
+    except (TypeError, ValueError):  # not a number
+        valid = False
+    if not valid:
+        raise InvalidArgument(f"{name} must be an integer in [1, 2**53], got {m!r}")
     return int(m)
 
 

@@ -72,13 +72,16 @@ class TestCsdCube:
 
 
 class TestWelchCsd:
-    def test_validation(self):
+    # A nan t_s used to return nan frequencies; 2.5 and "8" leaked a TypeError.
+    @pytest.mark.parametrize(
+        "t_s, nperseg",
+        [(0.0, None), (math.nan, None), (math.inf, None), (0.1, 17), (0.1, 2.5), (0.1, "8")],
+    )
+    def test_validation(self, t_s, nperseg):
         with pytest.raises(ShapeError):
             welch_csd(np.zeros(16), 0.1)
         with pytest.raises(InvalidArgument):
-            welch_csd(np.zeros((2, 16)), 0.0)
-        with pytest.raises(InvalidArgument):
-            welch_csd(np.zeros((2, 16)), 0.1, nperseg=17)
+            welch_csd(np.zeros((2, 16)), t_s, nperseg=nperseg)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, bad):
@@ -226,10 +229,12 @@ class TestFddPeaks:
         with pytest.raises(InsufficientPeaks):
             fdd_peaks(cube, 2)
 
-    def test_invalid_mode_count(self):
+    # nan and 1.5 used to leak a TypeError from the peak slice.
+    @pytest.mark.parametrize("n_modes", [0, math.nan, 1.5])
+    def test_invalid_mode_count(self, n_modes):
         cube = self.synthetic_cube([1.0, 5.0, 1.0])
-        with pytest.raises(InvalidArgument):
-            fdd_peaks(cube, 0)
+        with pytest.raises(InvalidArgument, match="n_modes must be an integer"):
+            fdd_peaks(cube, n_modes)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_matches_full_eigh_reference(self, n_modes):
@@ -478,14 +483,19 @@ class TestSparseReconstruct:
         c = sparse_reconstruct(y.astype(object), phi, n_stages=2)
         npt.assert_array_equal(c.coefficients, a.coefficients)
 
-    def test_shape_validation(self):
+    # n_stages "3" and 2.5 used to leak a TypeError from range().
+    @pytest.mark.parametrize(
+        "options",
+        [{"threshold_ratio": 1.0}, {"n_stages": "3"}, {"n_stages": 2.5}, {"iters_per_stage": 0}],
+    )
+    def test_shape_validation(self, options):
         phi = self.phi()
         with pytest.raises(DimensionMismatch):
             sparse_reconstruct(np.ones(self.M_PRIME + 1), phi)
         with pytest.raises(ShapeError):
             sparse_reconstruct(np.ones((2, 2, self.M_PRIME)), phi)
         with pytest.raises(InvalidArgument):
-            sparse_reconstruct(np.ones(self.M_PRIME), phi, threshold_ratio=1.0)
+            sparse_reconstruct(np.ones(self.M_PRIME), phi, **options)
 
     def test_batch_rows_match_single_calls(self):
         rng = np.random.Generator(np.random.Philox(23))

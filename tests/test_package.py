@@ -6,13 +6,9 @@ import os
 import subprocess
 import sys
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
 import modalcs
-from modalcs import preset, save_sensor_csv
+from modalcs import save_sensor_csv
 from modalcs.cli import run as cli_run
-from modalcs.config import CONFIG_SCHEMA
 from test_acceptance import synthetic_sensors
 
 
@@ -94,29 +90,26 @@ def test_realdata_run_loads_no_scipy(tmp_path):
 
 
 def test_valid_run_leaves_jsonschema_unloaded(tmp_path):
-    # Importing jsonschema takes longer than a preset run; only a rejected
-    # config loads it, to word the error.
+    # jsonschema is a test-only dependency: no run, valid or rejected, loads it.
+    (tmp_path / "bad.json").write_text(json.dumps({"sampling": {"t_s": "fast"}}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, modalcs; from modalcs.cli import run; "
         "code = run(['run', '--experiment', 'exp5', '--out', 'o']); "
+        "print(code, 'jsonschema' in sys.modules); "
+        "code = run(['run', '--experiment', 'exp5', '--config', 'bad.json', '--out', 'o']); "
         "print(code, 'jsonschema' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-2:] == ["0 False", "2 False"]
 
 
-def test_rejected_config_is_worded_by_jsonschema(tmp_path, capsys):
-    overlay = {"sampling": {"t_s": "fast"}}
-    (tmp_path / "bad.json").write_text(json.dumps(overlay))
+def test_rejected_config_names_its_field(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(json.dumps({"sampling": {"t_s": "fast"}}))
     argv = ["run", "--experiment", "exp1", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path)]
     assert cli_run(argv) == 2
-    raw = preset("exp1")
-    raw["sampling"].update(overlay["sampling"])
-    error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
-    assert capsys.readouterr().err == f"error: sampling.t_s: {error.message}\n"
-    assert error.message == "'fast' is not of type 'number'"
+    assert capsys.readouterr().err.startswith("error: sampling.t_s: ")

@@ -127,7 +127,7 @@ class TestRandomSchedule:
             random_schedule(t_max, 5, 1)
 
     # Each used to leak a TypeError from the generator's draw.
-    @pytest.mark.parametrize("m", [math.nan, 1e19, 2.5, 0])
+    @pytest.mark.parametrize("m", [math.nan, 1e19, 2.5, 0, "5", None])
     def test_invalid_counts(self, m):
         with pytest.raises(InvalidArgument, match="m must be an integer"):
             random_schedule(1.0, m, 1)

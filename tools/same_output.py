@@ -10,9 +10,11 @@ and for realdata on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs,
 plus two variants of ``(1)``: one behind a header row (``"header": true``)
 and one with every cell quoted, which load_sensor_csv reads through its
 csv-module path. Each side runs in a fresh interpreter on its own
-``src/``; both read the same sensor files. It then compares the two output
-trees file by file, as ``diff -r`` would, and prints "identical" with the
-file count, or every file that differs: for a CSV in both trees, the
+``src/`` with ``OPENBLAS_NUM_THREADS=1``, since realdata's bytes depend on
+the BLAS thread count; both read the same sensor files. It prints the
+thread count, compares the two output trees file by file, as ``diff -r``
+would, and prints "identical" with the file count, or every file that
+differs: for a CSV in both trees, the
 largest relative difference |a - b| / max(|a|, |b|) between numeric cells
 in the same place, and whether any other cell or the row layout differs.
 Exit status: 0 identical, 1 different, 2 a run failed.
@@ -46,6 +48,8 @@ SENSOR_FILES = {
     "realdata1_header": (1, True, False),
     "realdata1_quoted": (1, False, True),
 }
+# Output bytes are fixed only for a fixed numpy, BLAS build and BLAS thread count.
+BLAS_THREADS = "1"
 # Runs each argument list in turn and exits with the largest exit code.
 RUN_ALL = ("import json, sys; from modalcs.cli import run; "
            "sys.exit(max(run(argv) for argv in json.loads(sys.argv[1])))")
@@ -132,8 +136,10 @@ def main(argv=None) -> int:
         os.makedirs(inputs)
         _write_inputs(inputs)
         trees = {"parent": _export(args.parent, tmp), "change": ROOT}
+        print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS} on both sides")
         for side, tree in trees.items():
-            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+                       OPENBLAS_NUM_THREADS=BLAS_THREADS)
             argvs = json.dumps(_runs(inputs, os.path.join(tmp, "out", side)))
             proc = subprocess.run([sys.executable, "-c", RUN_ALL, argvs], cwd=tmp, env=env,
                                   capture_output=True, text=True)
