@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .mdof import canonical_sign
-from .sampling import _checked_count, _real_or_complex
+from .sampling import _checked_count, _checked_real, _real_or_complex
 
 # A local maximum of the top eigenvalue curve counts as a spectral peak only
 # above this share of the curve's maximum: a constant or silent record still
@@ -74,8 +74,7 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
         raise ShapeError("samples must be (n_channels, n_samples)")
     if not np.isfinite(u).all():
         raise InvalidArgument("samples must be finite")
-    if not 0.0 < t_s < np.inf:
-        raise InvalidArgument(f"t_s must be finite and > 0, got {t_s}")
+    t_s = _checked_real(t_s, "t_s")
     m = u.shape[1]
     nperseg = _default_nperseg(m) if nperseg is None else _checked_count(nperseg, "nperseg")
     if nperseg > m:
@@ -169,8 +168,7 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
         )
     n_stages = _checked_count(n_stages, "n_stages")
     iters_per_stage = _checked_count(iters_per_stage, "iters_per_stage")
-    if not 0.0 < threshold_ratio < 1.0:
-        raise InvalidArgument(f"threshold_ratio must lie in (0, 1), got {threshold_ratio}")
+    threshold_ratio = _checked_real(threshold_ratio, "threshold_ratio", hi=1.0)
 
     rows = y.reshape(-1, m_prime)
     out_shape = y.shape[:-1] + (m,)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArgument, ShapeError
+from .sampling import _checked_count, _checked_real
 
 EULER_GAMMA = float(np.euler_gamma)
 ROOT2 = math.sqrt(2.0)
@@ -35,8 +36,7 @@ def psinc(x, m: int):
     At the removable singularities x = 2 pi k the value is (-1)^(k (m - 1)).
     Accepts scalars or arrays; m is the number of samples in the kernel.
     """
-    if m < 1:
-        raise InvalidArgument("m must be >= 1")
+    m = _checked_count(m)
     x = np.asarray(x, dtype=float)
     # Reduce to r = x - 2 pi k, which is exact up to rounding of 2 pi k and
     # keeps sin(r/2) well away from catastrophic cancellation at multiples.
@@ -53,8 +53,7 @@ def kl_div(a: float, b: float) -> float:
     """Binary KL divergence D(a || b) in nats, with 0 log 0 taken as 0."""
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"a must lie in [0, 1], got {a}")
-    if not 0.0 < b < 1.0:
-        raise DomainError(f"b must lie in (0, 1), got {b}")
+    _checked_real(b, "b", hi=1.0)
     total = 0.0
     if a > 0.0:
         total += a * math.log(a / b)
@@ -100,18 +99,11 @@ class SamplingPlan:
     t_s: float | None = None
     tau: float | None = None
 
-    def __post_init__(self):
-        if self.scheme not in ("uniform", "random"):
-            raise InvalidArgument(f"unknown scheme {self.scheme!r}")
-        if not (self.t_max_min > 0.0 and self.m_min >= self.n_modes):
-            raise InvalidArgument("plan must have t_max_min > 0 and m_min >= n_modes")
-
 
 def _check_common(n: int, epsilon: float) -> float:
-    if n < 2:
+    if _checked_count(n, "n") < 2:
         raise DomainError("n must be >= 2")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
+    _checked_real(epsilon, "epsilon", hi=1.0)
     return math.log(n // 2) + _HARMONIC_PAD
 
 
@@ -125,7 +117,7 @@ def uniform_requirements(n: int, delta_min: float, delta_max: float, epsilon: fl
     pairwise separations lie in [delta_min, delta_max].
     """
     log_term = _check_common(n, epsilon)
-    if not 0.0 < delta_min <= delta_max:
+    if not _checked_real(delta_min, "delta_min") <= _checked_real(delta_max, "delta_max"):
         raise DomainError("need 0 < delta_min <= delta_max")
     t_s = math.pi / delta_max
     t_max_min = 2.0 * math.pi * log_term / (epsilon * delta_min)
@@ -145,12 +137,8 @@ def random_requirements(n: int, delta_min: float, epsilon: float, tau: float) ->
     (1 +/- epsilon)/N against the expected one (1 +/- epsilon/10)/N.
     """
     log_term = _check_common(n, epsilon)
-    if not delta_min > 0.0:
-        raise DomainError("delta_min must be > 0")
-    if not 0.0 < tau < 1.0:
-        raise DomainError("tau must lie in (0, 1)")
-    if (1.0 + epsilon) / n > 1.0:
-        raise DomainError("(1 + epsilon)/n must not exceed 1; the KL bound is undefined")
+    _checked_real(delta_min, "delta_min")
+    _checked_real(tau, "tau", hi=1.0)
     t_max_min = 40.0 * log_term / (epsilon * delta_min)
     d1 = kl_div((1.0 + epsilon) / n, (1.0 + epsilon / 10.0) / n)
     d2 = kl_div((1.0 - epsilon) / n, (1.0 - epsilon / 10.0) / n)
@@ -165,8 +153,7 @@ def jl_tail_rate(epsilon: float) -> float:
     A matrix with the distributional JL property satisfies, for fixed x,
     Pr[| ||Phi* x||^2 - ||x||^2 | > eps ||x||^2] <= 4 exp(-M' f(eps)).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
+    epsilon = _checked_real(epsilon, "epsilon", hi=1.0)
     return epsilon**2 / 4.0 - epsilon**3 / 6.0
 
 
@@ -180,8 +167,7 @@ def sep_values(magnitudes, epsilon: float) -> np.ndarray:
     changes over [-1, 1] (then sep_n = inf) and otherwise sits at one of the
     endpoints.  Modes with identical magnitudes also give inf.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
+    _checked_real(epsilon, "epsilon", hi=1.0)
     mags = np.abs(np.asarray(magnitudes, dtype=float))
     if mags.ndim != 1 or mags.size < 2:
         raise InvalidArgument("need at least two magnitudes")
@@ -240,8 +226,7 @@ def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or freqs.size < 2 or not np.isfinite(freqs).all():
         raise InvalidArgument("need at least two finite frequencies")
-    if not 0.0 < t_s < math.inf or m < 1:
-        raise InvalidArgument("t_s must be finite and > 0, and m >= 1")
+    t_s, m = _checked_real(t_s, "t_s"), _checked_count(m)
     diffs = np.abs(freqs[:, None] - freqs[None, :])
     delta_max = diffs.max()
     # Relative slack keeps the exact theorem rate T_s = pi/delta_max from

@@ -42,8 +42,8 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # Not UTF-8, or nested deeper than the parser's recursion limit.
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON, not UTF-8, a 4,301-digit int, or nesting past the recursion limit.
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

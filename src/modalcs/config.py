@@ -37,6 +37,9 @@ PAPER_4DOF_STIFFNESS = (
 MAX_POINTS = 100_000
 MAX_SAMPLES = 1_000_000
 
+# A count past 2**53 is no float64 index, and the caps below compare floats.
+_COUNT = {"type": "integer", "minimum": 1, "maximum": 2**53}
+
 _MATRIX_SCHEMA = {
     "type": "array",
     "minItems": 1,
@@ -55,13 +58,13 @@ _SAMPLING_SCHEMA = {
         "m_values": {
             "type": "array",
             "minItems": 1,
-            "items": {"type": "integer", "minimum": 1},
+            "items": _COUNT,
         },
         "extension": {"type": "number", "exclusiveMinimum": 0},
         "t_s_sub": {"type": "number", "exclusiveMinimum": 0},
         "t_s_super": {"type": "number", "exclusiveMinimum": 0},
-        "m_prime": {"type": "integer", "minimum": 1},
-        "zero_pad_factor": {"type": "integer", "minimum": 1},
+        "m_prime": _COUNT,
+        "zero_pad_factor": _COUNT,
     },
 }
 
@@ -97,11 +100,11 @@ CONFIG_SCHEMA = {
             "items": {"type": "number", "exclusiveMinimum": 0},
         },
         "sampling": _SAMPLING_SCHEMA,
-        "n_trials": {"type": "integer", "minimum": 1},
-        "n_phi_seeds": {"type": "integer", "minimum": 1},
+        "n_trials": _COUNT,
+        "n_phi_seeds": _COUNT,
         "data_path": {"type": "string"},
         "header": {"type": "boolean"},
-        "n_benchmark_modes": {"type": "integer", "minimum": 1},
+        "n_benchmark_modes": _COUNT,
     },
 }
 
@@ -149,6 +152,8 @@ def _checked(value, schema, path=""):
             raise _error(path, "must be a finite number within float64 range")
         if value < schema.get("minimum", -math.inf):
             raise _error(path, f"expected >= {schema['minimum']}, got {value}")
+        if value > schema.get("maximum", math.inf):
+            raise _error(path, f"expected <= {schema['maximum']}")  # value may print 4,300+ digits
         if value <= schema.get("exclusiveMinimum", -math.inf):
             raise _error(path, f"expected > {schema['exclusiveMinimum']}, got {value}")
         return int(value) if kind == "integer" else value

@@ -1,12 +1,13 @@
 """Undamped multi-degree-of-freedom models and their modal bases.
 
-The model is [M]{u''} + [K]{u} = {0} with a diagonal positive mass matrix
-and a symmetric stiffness matrix.  Free vibration decomposes into modes:
-unit-norm shape vectors at distinct modal frequencies, each carrying a
-complex amplitude A_n set by the initial conditions.  solve_modes returns
-the shapes and frequencies; the sampling module turns a basis with
-amplitudes into data.  canonical_sign fixes the phase of any set of shape
-columns so that results do not depend on the eigen- or SVD solver.
+The model is [M]{u''} + [K]{u} = {0} with a mass matrix that is a positive
+multiple of the identity and a symmetric stiffness matrix.  Free vibration
+decomposes into modes: unit-norm shape vectors at distinct modal
+frequencies, each carrying a complex amplitude A_n set by the initial
+conditions.  solve_modes returns the shapes and frequencies; the sampling
+module turns a basis with amplitudes into data.  canonical_sign fixes the
+phase of any set of shape columns so that results do not depend on the
+eigen- or SVD solver.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ _FREQUENCY_GAP_RTOL = 1e-9
 
 def _as_square(a, name):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgument(f"{name} must be a square 2-d matrix, got shape {a.shape}")
+    if a.ndim != 2 or not a.shape[0] == a.shape[1] > 0:
+        raise InvalidArgument(f"{name} must be a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidArgument(f"{name} contains non-finite entries")
     return a
@@ -40,7 +41,8 @@ class MdofSystem:
     Parameters
     ----------
     mass : (N, N) array_like
-        Diagonal matrix with strictly positive diagonal entries.
+        Positive multiple of the identity: only then are the pencil's
+        eigenvectors mutually orthogonal, as a ModalBasis needs.
     stiffness : (N, N) array_like
         Symmetric matrix (relative asymmetry at most 1e-12).
     """
@@ -55,11 +57,8 @@ class MdofSystem:
             raise InvalidArgument(
                 f"mass {mass.shape} and stiffness {stiffness.shape} differ in size"
             )
-        off = mass - np.diag(np.diag(mass))
-        if np.any(off != 0.0):
-            raise InvalidArgument("mass matrix must be diagonal")
-        if np.any(np.diag(mass) <= 0.0):
-            raise InvalidArgument("mass matrix diagonal must be strictly positive")
+        if mass[0, 0] <= 0.0 or np.any(mass != mass[0, 0] * np.eye(len(mass))):
+            raise InvalidArgument("mass matrix must be a positive multiple of the identity")
         scale = max(1.0, np.abs(stiffness).max())
         if np.abs(stiffness - stiffness.T).max() > _SYMMETRY_RTOL * scale:
             raise NotSymmetric("stiffness matrix is not symmetric to 1e-12 relative")
@@ -174,22 +173,9 @@ def solve_modes(system: MdofSystem) -> ModalBasis:
         free-vibrating structure).
     InvalidArgument
         If two modal frequencies coincide to within 1e-9 relative; repeated
-        frequencies make individual mode shapes non-identifiable.  Also if
-        the mass matrix is diagonal but not scalar: pencil eigenvectors are
-        then mass-orthogonal rather than mutually orthogonal, and no scaling
-        can satisfy the orthonormal-basis contract.
+        frequencies make individual mode shapes non-identifiable.
     """
-    diagonal = np.diag(system.mass)
-    if np.any(diagonal != diagonal[0]):
-        raise InvalidArgument(
-            "mass matrix must be a scalar multiple of the identity, "
-            "or the mode shapes cannot be orthonormal"
-        )
-    # The mass is diagonal and positive: with D = M^-1/2 the pencil becomes
-    # the symmetric problem (D K D) z = w^2 z, and psi = D z.
-    d = 1.0 / np.sqrt(diagonal)
-    evals, z = np.linalg.eigh(d[:, None] * system.stiffness * d)
-    vecs = d[:, None] * z
+    evals, vecs = np.linalg.eigh(system.stiffness / system.mass[0, 0])
     if evals[0] <= 0.0:
         raise NonPositiveEigenvalue(
             f"smallest pencil eigenvalue is {evals[0]:.6e}; expected > 0"

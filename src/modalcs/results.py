@@ -105,19 +105,16 @@ def write_result_csv(table: ResultTable, path: str) -> None:
 
 def _parse_row(row: list[str], line_no: int) -> np.ndarray:
     """One CSV row as float64, each cell read as float() reads it."""
-    with contextlib.suppress(ValueError):  # numpy converts each str with float(), in C
-        parsed = np.array(row, dtype=float)
-        if np.isfinite(parsed).all():
-            return parsed
-    for j, cell in enumerate(row):  # the failing row only: name its bad cell
+    values = []
+    for j, cell in enumerate(row):
         try:
-            value = float(cell)
+            values.append(float(cell))
         except ValueError:
-            value = math.nan
+            values.append(math.nan)
         # float() also accepts "nan" and "inf", which no sensor records.
-        if not math.isfinite(value):
+        if not math.isfinite(values[-1]):
             raise ParseError(f"invalid number {cell.strip()!r}", line=line_no, column=j + 1)
-    return np.array([float(cell) for cell in row])
+    return np.array(values)
 
 
 def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:

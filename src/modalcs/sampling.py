@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, ShapeError
+from .errors import DimensionMismatch, DomainError, InvalidArgument, ShapeError
 from .mdof import ModalBasis
 
 _UNIFORM_KINDS = ("uniform", "random")
@@ -27,8 +27,8 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _checked_seed(seed: int) -> int:
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed!r}; seeds are integers")
     return seed
 
 
@@ -40,6 +40,18 @@ def _checked_count(m, name: str = "m") -> int:
     if not valid:
         raise InvalidArgument(f"{name} must be an integer in [1, 2**53], got {m!r}")
     return int(m)
+
+
+def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
+    """x as a float if lo < x < hi, else DomainError; nan and non-numbers fail."""
+    try:
+        valid = lo < x < hi
+    except (TypeError, ValueError):  # not a number
+        valid = False
+    if not valid:
+        bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
+        raise DomainError(f"{name} must {bound}, got {x!r}")
+    return float(x)
 
 
 def _real_or_complex(values) -> np.ndarray:
@@ -85,12 +97,12 @@ class SampleSchedule:
             raise InvalidArgument(f"unknown scheme {self.scheme!r}")
         if np.any(np.diff(times) <= 0.0):
             raise InvalidArgument("times must be strictly increasing")
-        if times[0] < 0.0 or times[-1] > self.t_max + 1e-12 * max(1.0, self.t_max):
+        t_max = _checked_real(self.t_max, "t_max", lo=-np.inf)  # a negative one fails below
+        if times[0] < 0.0 or times[-1] > t_max + 1e-12 * max(1.0, t_max):
             raise InvalidArgument("times must lie within [0, t_max]")
         if self.scheme == "uniform":
-            if self.t_s is None or self.t_s <= 0.0:
-                raise InvalidArgument("uniform schedule requires t_s > 0")
-            if times.size > 1 and np.any(times != np.arange(times.size) * self.t_s):
+            t_s = _checked_real(self.t_s, "t_s")
+            if times.size > 1 and np.any(times != np.arange(times.size) * t_s):
                 raise InvalidArgument("uniform times must equal (m-1)*t_s exactly")
         object.__setattr__(self, "times", times)
 
@@ -101,10 +113,9 @@ class SampleSchedule:
 
 def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
     """M samples at t_m = (m-1) t_s for m = 1..M."""
-    if not 0.0 < t_s < np.inf:
-        raise InvalidArgument(f"t_s must be finite and > 0, got {t_s}")
+    t_s = _checked_real(t_s, "t_s")
     m = _checked_count(m)
-    if (t_max := (m - 1) * float(t_s)) == np.inf:  # Python floats overflow without a warning
+    if (t_max := (m - 1) * t_s) == np.inf:  # Python floats overflow without a warning
         raise InvalidArgument(f"(m - 1) * t_s must be finite, got m = {m}, t_s = {t_s}")
     return SampleSchedule(np.arange(m) * t_s, "uniform", t_max=t_max, t_s=t_s)
 
@@ -143,13 +154,12 @@ def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
     Philox is counter-based, so all rows share the first row's generator: a
     row's key (from _philox_keys) and a zeroed counter restart its stream.
     """
-    if not 0.0 < t_max < np.inf:
-        raise InvalidArgument(f"t_max must be finite and > 0, got {t_max}")
+    t_max = _checked_real(t_max, "t_max")
     m = _checked_count(m)
     rest = [int(seed) for seed in seeds[1:]]
     if rest and (min(rest) < 0 or max(rest) >> 64):
         raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")
-    rng = rng_from_seed(int(seeds[0]))
+    rng = rng_from_seed(seeds[0])
     state = rng.bit_generator.state
     keys = [state["state"]["key"]]
     if rest:
@@ -228,18 +238,6 @@ def _response(basis: ModalBasis, times: np.ndarray) -> np.ndarray:
     return v
 
 
-def _rotated_response(basis: ModalBasis, times: np.ndarray) -> np.ndarray:
-    """_response for uniform times: the column block at time t is block 0 rotated by e^{i w_n t}."""
-    coef, m = basis.mode_shapes * basis.amplitudes, times.size
-    cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1]))
-    first = np.exp(1j * (basis.frequencies[:, None] * times[:cols]))
-    v = np.empty((coef.shape[0], m), dtype=complex)
-    for s in range(0, m, cols):
-        rotated = coef * np.exp(1j * (basis.frequencies * times[s])) if s else coef
-        v[:, s : s + cols] = rotated @ first[:, : m - s]
-    return v
-
-
 class _ModalData(DataMatrix):
     """Raw [V] = [Psi] diag(A) [E], E = e^{i w t}, kept as its factors until ``entries`` is read."""
 
@@ -253,8 +251,12 @@ class _ModalData(DataMatrix):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        build = _rotated_response if self.schedule.scheme == "uniform" else _response
-        return _real_or_complex(build(self.basis, self.schedule.times))
+        coef, (n, m) = self.basis.mode_shapes * self.basis.amplitudes, self.shape
+        cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1]))  # ~1 MB of [E] per block
+        v = np.empty((n, m), dtype=complex)
+        for start in range(0, m, cols):
+            v[:, start : start + cols] = coef @ self._steering(start, min(cols, m - start))
+        return _real_or_complex(v)
 
     def _steering(self, start: int, rows: int) -> np.ndarray:
         """Columns start..start+rows of [E]; uniform ones rotate a cached first block."""
@@ -271,9 +273,10 @@ def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix
     """[V] with columns v(t_m) = sum_n psi_n A_n e^{i w_n t_m}, kept as its factors.
 
     Equals [Psi] (sqrt(M) diag(A)) [S] for the steering matrix of the same
-    frequencies and schedule.  Reading ``entries`` builds [V]; uniform
-    schedules rotate its first ~1 MB column block into the rest, which moves
-    [V] by about 4e-13 relative at M = 10^5.  compress never builds [V].
+    frequencies and schedule.  Reading ``entries`` builds [V] from the
+    steering blocks compress uses; on uniform schedules those rotate the
+    first ~1 MB block, about 4e-12 relative from the direct e^{i w t} at
+    M = 10^5.  compress never builds [V].
     """
     if basis.amplitudes is None:
         raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")
@@ -343,10 +346,7 @@ class JlMatrix:
 
 def draw_jl_matrix(m: int, m_prime: int, kind: str = "gaussian", seed: int = 0) -> JlMatrix:
     """Describe an M x M' compression matrix of the given kind; nothing is drawn yet."""
-    try:
-        m, m_prime, seed = int(m), int(m_prime), int(seed)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidArgument(f"M, M' and seed must be integers: {m!r}, {m_prime!r}, {seed!r}") from None
+    m, m_prime = _checked_count(m, "M"), _checked_count(m_prime, "M'")
     return JlMatrix(m, m_prime, kind, seed)
 
 

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalcs import (
     DomainError,
@@ -24,7 +26,7 @@ from modalcs import (
     uniform_requirements,
     uniform_schedule,
 )
-from modalcs.bounds import SamplingPlan, harmonic_number_bounds, kl_div, psinc, sep_values
+from modalcs.bounds import harmonic_number_bounds, kl_div, psinc, sep_values
 from modalcs.sampling import rng_from_seed
 from test_acceptance import euler_diff
 
@@ -170,11 +172,18 @@ class TestUniformRequirements:
         with pytest.raises(DomainError):
             uniform_requirements(*args)
 
-    def test_plan_validates_fields(self):
-        with pytest.raises(InvalidArgument):
-            SamplingPlan("uniform", 4, 1.0, 3, 0.5)
-        with pytest.raises(InvalidArgument):
-            SamplingPlan("stratified", 4, 1.0, 8, 0.5)
+    # SamplingPlan does not check itself: both factories must build valid plans.
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(n=st.integers(2, 200), delta_min=st.floats(1e-3, 1e3), spread=st.floats(1.0, 1e3),
+           epsilon=st.floats(1e-3, 0.999), tau=st.floats(1e-9, 0.999))
+    def test_factories_build_valid_plans(self, n, delta_min, spread, epsilon, tau):
+        uniform = uniform_requirements(n, delta_min, delta_min * spread, epsilon)
+        random = random_requirements(n, delta_min, epsilon, tau)
+        for plan, scheme in ((uniform, "uniform"), (random, "random")):
+            assert plan.scheme == scheme and plan.n_modes == n and plan.epsilon == epsilon
+            assert 0.0 < plan.t_max_min < math.inf and plan.m_min >= n
+        assert uniform.t_s == math.pi / (delta_min * spread) and uniform.tau is None
+        assert random.t_s is None and random.tau == tau
 
 
 class TestRandomRequirements:

@@ -307,6 +307,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"^{'.'.join(field)}: asks for .* limit is"):
             ExperimentConfig.from_dict(raw)
 
+    # Each leaked an OverflowError from the caps' float formatting.
+    @pytest.mark.parametrize("name, overlay, field", [
+        ("exp3", {"n_trials": 2**1100}, "n_trials"),
+        ("exp4", {"n_phi_seeds": 2**1100}, "n_phi_seeds"),
+        ("exp3", {"sampling": {"m_values": [6, 2**1100]}}, "sampling.m_values.1"),
+        ("exp5", {"sampling": {"zero_pad_factor": 2**1100}}, "sampling.zero_pad_factor"),
+    ])
+    def test_counts_past_2_53_exit_2(self, tmp_path, capsys, name, overlay, field):
+        (tmp_path / "overlay.json").write_text(json.dumps(overlay))
+        argv = ["run", "--experiment", name, "--config", str(tmp_path / "overlay.json"),
+                "--out", str(tmp_path / "o")]
+        assert cli_run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: expected <= {2**53}")
+
     def test_integral_floats_become_ints(self):
         raw = {**preset("realdata"), "seed": 7.0, "n_benchmark_modes": 2.0, "data_path": "x.csv"}
         raw["sampling"] = {"t_s": 0.01, "m_prime": 50.0}
@@ -337,6 +351,7 @@ class TestConfigValidation:
         # fits: each assumption, broken, would make it looser than jsonschema.
         beside = {
             "minimum": ("number", "integer"), "exclusiveMinimum": ("number", "integer"),
+            "maximum": ("number", "integer"),
             "items": ("array",), "minItems": ("array",),
             "properties": ("object",), "required": ("object",), "additionalProperties": ("object",),
         }
@@ -1099,7 +1114,8 @@ class TestCli:
     @pytest.mark.parametrize("content", [
         b'{"experiment": "exp1", "seed": "\xff\xfe"}',  # not UTF-8: was a UnicodeDecodeError
         b'{"a": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",  # was a RecursionError
-    ], ids=["non_utf8", "nested_1e5_deep"])
+        b'{"seed": 1' + b"0" * 5000 + b"}",  # past int's 4,300 digits: was a bare ValueError
+    ], ids=["non_utf8", "nested_1e5_deep", "int_5001_digits"])
     def test_unparsable_json_config(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)

@@ -1,13 +1,34 @@
 """Package surface: what ``import modalcs`` exports and what it loads."""
 
 import ast
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
+
+import numpy as np
+import numpy.testing as npt
+import pytest
 
 import modalcs
-from modalcs import save_sensor_csv
+from modalcs import (
+    ModalcsError,
+    SampleSchedule,
+    draw_jl_matrix,
+    gershgorin_uniform_bound,
+    jl_tail_rate,
+    mode_error_bound,
+    random_requirements,
+    random_schedule,
+    save_sensor_csv,
+    sparse_reconstruct,
+    uniform_requirements,
+    uniform_schedule,
+    welch_csd,
+)
 from modalcs.cli import run as cli_run
 from test_acceptance import synthetic_sensors
 
@@ -113,3 +134,96 @@ def test_rejected_config_names_its_field(tmp_path, capsys):
     argv = ["run", "--experiment", "exp1", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path)]
     assert cli_run(argv) == 2
     assert capsys.readouterr().err.startswith("error: sampling.t_s: ")
+
+
+_SENSORS = np.ones((2, 64))
+_PHI = draw_jl_matrix(16, 8, seed=0)
+
+
+# Each call leaked a TypeError or ValueError from a chained comparison or an int().
+@pytest.mark.parametrize("call", [
+    lambda: welch_csd(_SENSORS, "a"),
+    lambda: welch_csd(_SENSORS, None),
+    lambda: uniform_schedule("a", 3),
+    lambda: random_schedule("a", 3, 1),
+    lambda: random_schedule(1.0, 3, "a"),
+    lambda: jl_tail_rate("a"),
+    lambda: sparse_reconstruct(np.ones(8), _PHI, threshold_ratio="0.5"),
+    lambda: gershgorin_uniform_bound([1, 2], "a", 3),
+    lambda: gershgorin_uniform_bound([1, 2], 0.1, "a"),
+    lambda: uniform_requirements(4, "a", 2, 0.5),
+    lambda: random_requirements(4, 1, 0.5, "a"),
+    lambda: mode_error_bound([1, 2], "a", 0),
+], ids=[
+    "welch_t_s_str", "welch_t_s_none", "uniform_t_s", "random_t_max", "random_seed", "jl_epsilon",
+    "sparse_threshold", "gershgorin_t_s", "gershgorin_m", "uniform_delta_min", "random_tau",
+    "error_bound_epsilon",
+])
+def test_non_numbers_raise_modalcs_errors(call):
+    with warnings.catch_warnings(), pytest.raises(ModalcsError):
+        warnings.simplefilter("error")
+        call()
+
+
+def test_nan_t_max_schedule_is_refused():
+    # A nan t_max made the range check compare false and pass.
+    with pytest.raises(ModalcsError, match="t_max must be finite"):
+        SampleSchedule(np.array([0.0, 0.5]), "random", t_max=math.nan)
+
+
+def test_fractional_jl_size_is_refused():
+    # int() used to turn M = 4.7 into 4 rows without a word.
+    with pytest.raises(ModalcsError, match="M must be an integer"):
+        draw_jl_matrix(4.7, 2)
+
+
+def _cells(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _numbers(cells):
+    """(numeric values, the other cells with numbers blanked) of a CSV's cells."""
+    values, layout = [], []
+    for row in cells:
+        layout.append([])
+        for cell in row:
+            try:
+                values.append(float(cell))
+                layout[-1].append(None)
+            except ValueError:
+                layout[-1].append(cell)
+    return np.array(values), layout
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # Presets must write the same bytes at 1 and 2 OpenBLAS threads; realdata's
+    # compress and sparse-solve GEMMs may round differently, within 1e-12.
+    save_sensor_csv(synthetic_sensors(), str(tmp_path / "sensors.csv"))
+    (tmp_path / "realdata.json").write_text(
+        json.dumps({"data_path": "sensors.csv", "sampling": {"t_s": 0.01}})
+    )
+    experiments = ("exp1", "exp2", "exp3", "exp4", "exp5", "realdata")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
+    procs = {}
+    for threads in ("1", "2"):
+        runs = [["run", "--experiment", e, "--out", os.path.join(threads, e)]
+                + (["--config", "realdata.json"] if e == "realdata" else []) for e in experiments]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import json, sys; from modalcs.cli import run; sys.exit(max(map(run, json.loads(sys.argv[1]))))"
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", code, json.dumps(runs)], cwd=tmp_path, env=env,
+        )
+    assert [proc.wait(timeout=120) for proc in procs.values()] == [0, 0]
+    for experiment in experiments:
+        one, two = tmp_path / "1" / experiment, tmp_path / "2" / experiment
+        names = sorted(os.listdir(one))
+        assert names == sorted(os.listdir(two)) and names
+        for name in names:
+            if experiment != "realdata" or not name.endswith(".csv"):
+                assert (one / name).read_bytes() == (two / name).read_bytes(), (experiment, name)
+                continue
+            (a, layout_a), (b, layout_b) = _numbers(_cells(one / name)), _numbers(_cells(two / name))
+            assert layout_a == layout_b, name
+            npt.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max(initial=0.0))
