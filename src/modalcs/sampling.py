@@ -45,13 +45,13 @@ def _checked_count(m, name: str = "m") -> int:
 def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
     """x as a float if lo < x < hi, else DomainError; nan and non-numbers fail."""
     try:
-        valid = lo < x < hi
-    except (TypeError, ValueError):  # not a number
+        valid, value = lo < x < hi, float(x)
+    except (TypeError, ValueError, OverflowError):  # not a number, or past float64
         valid = False
     if not valid:
         bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
         raise DomainError(f"{name} must {bound}, got {x!r}")
-    return float(x)
+    return value
 
 
 def _real_or_complex(values) -> np.ndarray:
@@ -156,7 +156,7 @@ def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
     """
     t_max = _checked_real(t_max, "t_max")
     m = _checked_count(m)
-    rest = [int(seed) for seed in seeds[1:]]
+    rest = [int(_checked_seed(seed)) for seed in seeds[1:]]
     if rest and (min(rest) < 0 or max(rest) >> 64):
         raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")
     rng = rng_from_seed(seeds[0])

@@ -162,6 +162,8 @@ class TestUniformRequirements:
         "args",
         [
             (1, 1.0, 2.0, 0.5),
+            (0, 1.0, 2.0, 0.5),
+            (2.5, 1.0, 2.0, 0.5),
             (4, 0.0, 2.0, 0.5),
             (4, 3.0, 2.0, 0.5),
             (4, 1.0, 2.0, 0.0),
@@ -213,7 +215,10 @@ class TestRandomRequirements:
         m8 = random_requirements(8, 1.74 * math.pi, 0.5, 0.05).m_min
         assert 2.0 < m8 / m4 < 4.0
 
-    @pytest.mark.parametrize("args", [(1, 1.0, 0.5, 0.1), (4, 1.0, 0.5, 0.0), (4, 1.0, 1.0, 0.1)])
+    @pytest.mark.parametrize("args", [
+        (1, 1.0, 0.5, 0.1), (0, 1.0, 0.5, 0.1), (2**1100, 1.0, 0.5, 0.1),
+        (4, 1.0, 0.5, 0.0), (4, 1.0, 1.0, 0.1),
+    ])
     def test_domain(self, args):
         with pytest.raises(DomainError):
             random_requirements(*args)

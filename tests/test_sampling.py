@@ -195,8 +195,12 @@ class TestRandomSchedule:
         # refused as an argument, never leaked as numpy's OverflowError.
         top = [np.sort(rng_from_seed(s).uniform(0.0, 1.0, size=3)) for s in (1, 2**64 - 1)]
         assert _random_times(1.0, 3, [1, 2**64 - 1]).tobytes() == np.stack(top).tobytes()
-        for seeds in ([1, 2**64], [1, -1], [1, 2, 2**70]):
+        for seeds in ([1, 2**64], [1, 2, 2**70]):
             with pytest.raises(InvalidArgument, match="seeds must lie in"):
+                _random_times(1.0, 3, seeds)
+        # Each batch seed is checked as the first one is: 2.5 was truncated to 2.
+        for seeds, match in (([1, -1], "got -1"), ([1, 2.5], "got 2.5"), ([1, "3"], "got '3'")):
+            with pytest.raises(InvalidArgument, match=f"seed must be >= 0, {match}; seeds are integers"):
                 _random_times(1.0, 3, seeds)
 
     def test_no_room_for_distinct_times_raises(self):
@@ -304,16 +308,16 @@ class TestBuildDataMatrix:
     @pytest.mark.parametrize("scheme", ["uniform", "random"])
     def test_entries_are_the_eager_build(self, scheme):
         # Over several column blocks, lazy random entries are the direct
-        # build bit for bit; uniform ones rotate [E]'s first block where the
-        # eager build rotated the coefficients, a roundoff apart.
+        # build bit for bit; uniform ones rotate [E]'s first block, within
+        # the direct formula's tolerance in test_multi_block_matches_direct_formula.
         basis = _wide_basis(TestRotatedBuild.N, seed=13)
         m = 3 * TestRotatedBuild.COLS + 5
         schedule = uniform_schedule(0.01, m) if scheme == "uniform" else random_schedule(50.0, m, 9)
-        eager = (_coef_rotated_response if scheme == "uniform" else _response)(basis, schedule.times)
+        eager = _response(basis, schedule.times)
         data = build_data_matrix(basis, schedule)
         assert data.shape == (basis.n_dof, m) and "entries" not in vars(data)
         if scheme == "uniform":
-            npt.assert_allclose(data.entries, eager, rtol=0, atol=1e-13 * np.abs(eager).max())
+            assert np.abs(data.entries - eager).max() <= 1e-12 * np.abs(eager).max()
         else:
             assert np.array_equal(data.entries, eager)
         assert data.entries is data.entries
@@ -543,19 +547,6 @@ class TestRotatedBuild:
         coef = set1_basis.mode_shapes * set1_basis.amplitudes
         assert data.shape == (4, 1)
         npt.assert_allclose(data.entries[:, 0], coef.sum(axis=1), rtol=1e-15)
-
-
-def _coef_rotated_response(basis, times):
-    """Uniform [V] with the coefficients rotated instead of [E]: each later column
-    block is (coef * e^{i w_n t}) @ first block, t the block's start time."""
-    coef, m = basis.mode_shapes * basis.amplitudes, times.size
-    cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1]))
-    first = np.exp(1j * (basis.frequencies[:, None] * times[:cols]))
-    v = np.empty((coef.shape[0], m), dtype=complex)
-    for s in range(0, m, cols):
-        rotated = coef * np.exp(1j * (basis.frequencies * times[s])) if s else coef
-        v[:, s : s + cols] = rotated @ first[:, : m - s]
-    return v
 
 
 def _traced_peak(func, *args):
