@@ -20,9 +20,11 @@ from .errors import (
     InsufficientPeaks,
     InvalidArgument,
     ShapeError,
+    _checked_array,
+    _checked_count,
+    _checked_real,
 )
 from .mdof import canonical_sign
-from .sampling import _checked_count, _checked_real, _real_or_complex
 
 # A local maximum of the top eigenvalue curve counts as a spectral peak only
 # above this share of the curve's maximum: a constant or silent record still
@@ -43,8 +45,8 @@ class CsdCube:
     matrices: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
-        mats = np.asarray(self.matrices, dtype=complex)
+        freqs = _checked_array(self.frequencies, "frequencies", float)
+        mats = _checked_array(self.matrices, "matrices", complex)
         if freqs.ndim != 1 or mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ShapeError("expected (F,) frequencies and (F, N, N) matrices")
         if mats.shape[0] != freqs.size:
@@ -69,11 +71,9 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
     smallest power of two at or above M/8: enough averages for well
     conditioned matrices without washing out closely spaced peaks.
     """
-    u = np.asarray(samples, dtype=float)
+    u = _checked_array(samples, "samples", float)
     if u.ndim != 2:
         raise ShapeError("samples must be (n_channels, n_samples)")
-    if not np.isfinite(u).all():
-        raise InvalidArgument("samples must be finite")
     t_s = _checked_real(t_s, "t_s")
     m = u.shape[1]
     nperseg = _default_nperseg(m) if nperseg is None else _checked_count(nperseg, "nperseg")
@@ -156,9 +156,9 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     ``coefficients`` are still the full length-M spectrum.  Complex-dtype
     measurements take the full-spectrum path.
     """
-    y = _real_or_complex(measurements)
+    y = _checked_array(measurements, "measurements")
     real = y.dtype == float
-    entries = np.asarray(getattr(phi, "entries", phi), dtype=float)
+    entries = _checked_array(getattr(phi, "entries", phi), "phi", float)
     if y.ndim not in (1, 2) or entries.ndim != 2:
         raise ShapeError("measurements must be (M',) or (K, M'), phi must be (M, M')")
     m, m_prime = entries.shape

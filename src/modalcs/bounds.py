@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgument, ShapeError
-from .sampling import _checked_count, _checked_real
+from .errors import (DomainError, InvalidArgument, ShapeError, _checked_array, _checked_count,
+                     _checked_real)
 
 EULER_GAMMA = float(np.euler_gamma)
 ROOT2 = math.sqrt(2.0)
@@ -36,8 +36,7 @@ def psinc(x, m: int):
     At the removable singularities x = 2 pi k the value is (-1)^(k (m - 1)).
     Accepts scalars or arrays; m is the number of samples in the kernel.
     """
-    m = _checked_count(m)
-    x = np.asarray(x, dtype=float)
+    m, x = _checked_count(m), _checked_array(x, "x", float)
     # Reduce to r = x - 2 pi k, which is exact up to rounding of 2 pi k and
     # keeps sin(r/2) well away from catastrophic cancellation at multiples.
     k = np.round(x / (2.0 * math.pi))
@@ -75,8 +74,7 @@ def harmonic_number_bounds(n: int) -> tuple[float, float, float]:
     upper margin beyond n ~ 1e4, so the tests check it against a
     cancellation-free evaluation of the difference.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _checked_count(n, "n")
     h_n = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
     lower = 1.0 / (2.0 * n + 1.0 / (1.0 - EULER_GAMMA) - 2.0)
     upper = 1.0 / (2.0 * n + 1.0 / 3.0)
@@ -168,10 +166,10 @@ def sep_values(magnitudes, epsilon: float) -> np.ndarray:
     endpoints.  Modes with identical magnitudes also give inf.
     """
     _checked_real(epsilon, "epsilon", hi=1.0)
-    mags = np.abs(np.asarray(magnitudes, dtype=float))
+    mags = np.abs(_checked_array(magnitudes, "magnitudes", float))
     if mags.ndim != 1 or mags.size < 2:
         raise InvalidArgument("need at least two magnitudes")
-    if np.any(mags == 0.0) or not np.all(np.isfinite(mags)):
+    if np.any(mags == 0.0):
         raise InvalidArgument("magnitudes must be finite and nonzero")
     n = mags.size
     out = np.empty(n)
@@ -189,15 +187,13 @@ def sep_values(magnitudes, epsilon: float) -> np.ndarray:
     return out
 
 
-def mode_error_bound(magnitudes, epsilon: float, n: int, variant: str = "uniform") -> float:
+def mode_error_bound(magnitudes, epsilon: float, n: int) -> float:
     """Per-mode aligned error bound min{sqrt(2), eps sqrt(1+eps)/sqrt(1-eps) sep_n(eps)}.
 
-    ``magnitudes`` are |A_n| for the uniform/random variants and the singular
-    values of the uncompressed data matrix for the compressed variant; the
+    ``magnitudes`` are |A_n| for uniform and random sampling and the singular
+    values of the uncompressed data matrix for compressed sampling; the
     formula is the same, only the inputs differ.  ``n`` indexes magnitudes.
     """
-    if variant not in ("uniform", "random", "compressed"):
-        raise InvalidArgument(f"unknown variant {variant!r}")
     seps = sep_values(magnitudes, epsilon)
     if not 0 <= n < seps.size:
         raise InvalidArgument(f"mode index {n} out of range")
@@ -207,7 +203,7 @@ def mode_error_bound(magnitudes, epsilon: float, n: int, variant: str = "uniform
 
 def gram_deviation(steering) -> float:
     """Spectral norm of [S][S]* - [I] for N x M [S], the perturbation the bounds control."""
-    s = np.asarray(steering)
+    s = _checked_array(steering, "steering")
     if s.ndim != 2:
         raise ShapeError(f"steering matrix must be 2-d, got shape {s.shape}")
     gram = s @ s.conj().T
@@ -223,8 +219,8 @@ def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
     entries have exactly these magnitudes.  A warning is issued when
     T_s > pi / delta_max, outside the region the sampling theorem addresses.
     """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or freqs.size < 2 or not np.isfinite(freqs).all():
+    freqs = _checked_array(frequencies, "frequencies", float)
+    if freqs.ndim != 1 or freqs.size < 2:
         raise InvalidArgument("need at least two finite frequencies")
     t_s, m = _checked_real(t_s, "t_s"), _checked_count(m)
     diffs = np.abs(freqs[:, None] - freqs[None, :])

@@ -220,28 +220,27 @@ def _cap(name: str, count: float, limit: int, what: str):
         raise ConfigError(f"{name}: asks for {count:.3g} {what}; the limit is {limit}")
 
 
+# The fields and "sampling.<key>" entries each experiment needs; exp2 runs exp1's protocol.
+_MODAL = ("frequencies", "magnitudes")
+_REQUIRED = {
+    "exp1": _MODAL + ("sampling.t_s", "sampling.t_max_step", "sampling.t_max_stop"),
+    "exp3": _MODAL + ("sampling.t_s", "sampling.m_values", "n_trials"),
+    "exp4": _MODAL + ("sampling.t_s_sub", "sampling.t_s_super", "sampling.t_max",
+                      "sampling.m_prime", "n_phi_seeds"),
+    "exp5": _MODAL + ("sampling.t_s", "sampling.t_max"),
+    "realdata": ("data_path", "n_benchmark_modes", "sampling.t_s", "sampling.m_prime"),
+}
+_REQUIRED["exp2"] = _REQUIRED["exp1"]
+
+
 def _need(cfg: ExperimentConfig, *names: str):
+    """ConfigError naming the first missing one of names, a field or "sampling.<key>"."""
     for name in names:
-        if getattr(cfg, name) is None:
+        key = name.removeprefix("sampling.")
+        if key == name and getattr(cfg, name) is None:
             raise ConfigError(f"{cfg.experiment}: field {name!r} is required")
-
-
-def _need_sampling(cfg: ExperimentConfig, *keys: str):
-    for key in keys:
-        if key not in cfg.sampling:
-            raise ConfigError(f"{cfg.experiment}: sampling.{key} is required")
-
-
-def _validate_modal_lists(cfg: ExperimentConfig):
-    _need(cfg, "frequencies", "magnitudes")
-    freqs = cfg.frequencies
-    if any(b <= a for a, b in zip(freqs, freqs[1:])):
-        raise ConfigError("frequencies: must be strictly ascending")
-    if len(cfg.magnitudes) != len(freqs):
-        raise ConfigError(
-            f"magnitudes: expected {len(freqs)} entries to match frequencies, "
-            f"got {len(cfg.magnitudes)}"
-        )
+        if key != name and key not in cfg.sampling:
+            raise ConfigError(f"{cfg.experiment}: {name} is required")
 
 
 def _samples_for(t_max: float, t_s: float) -> int:
@@ -261,9 +260,18 @@ def _need_modes(cfg: ExperimentConfig, t_s_key: str):
 
 
 def _validate_semantics(cfg: ExperimentConfig):
+    _need(cfg, *_REQUIRED[cfg.experiment])
+    if cfg.experiment == "realdata":
+        return
+    freqs, n = cfg.frequencies, len(cfg.frequencies)
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise ConfigError("frequencies: must be strictly ascending")
+    if len(cfg.magnitudes) != n:
+        raise ConfigError(
+            f"magnitudes: expected {n} entries to match frequencies, "
+            f"got {len(cfg.magnitudes)}"
+        )
     if cfg.experiment in ("exp1", "exp2"):
-        _validate_modal_lists(cfg)
-        _need_sampling(cfg, "t_s", "t_max_step", "t_max_stop")
         start = cfg.sampling.get("t_max_start", 0.0)
         stop = cfg.sampling["t_max_stop"]
         if stop < start:
@@ -272,27 +280,19 @@ def _validate_semantics(cfg: ExperimentConfig):
         _cap("sampling.t_max_step", points, MAX_POINTS, "sweep points")
         _cap("sampling.t_s", stop / cfg.sampling["t_s"], MAX_SAMPLES, "samples")
     elif cfg.experiment == "exp3":
-        _validate_modal_lists(cfg)
-        _need_sampling(cfg, "t_s", "m_values")
-        n = len(cfg.frequencies)
         bad = [m for m in cfg.sampling["m_values"] if m < n]
         if bad:
             raise ConfigError(
                 f"sampling.m_values: every entry must be >= {n} modes, got {bad}"
             )
-        _need(cfg, "n_trials")
         trials = cfg.n_trials * len(cfg.sampling["m_values"])
         _cap("n_trials", trials, MAX_POINTS, "trials over all m_values")
         _cap("sampling.m_values", max(cfg.sampling["m_values"]), MAX_SAMPLES, "samples")
     elif cfg.experiment == "exp4":
-        _validate_modal_lists(cfg)
-        _need_sampling(cfg, "t_s_sub", "t_s_super", "t_max", "m_prime")
-        _need(cfg, "n_phi_seeds")
         _cap("n_phi_seeds", cfg.n_phi_seeds, MAX_POINTS, "Phi seeds")
         for key in ("t_s_sub", "t_s_super"):
             samples = cfg.sampling["t_max"] / cfg.sampling[key]
             _cap(f"sampling.{key}", samples, MAX_SAMPLES, "samples")
-        n = len(cfg.frequencies)
         m_super = _samples_for(cfg.sampling["t_max"], cfg.sampling["t_s_super"])
         m_prime = cfg.sampling["m_prime"]
         if not n <= m_prime <= m_super:
@@ -302,24 +302,18 @@ def _validate_semantics(cfg: ExperimentConfig):
             )
         _need_modes(cfg, "t_s_sub")
     elif cfg.experiment == "exp5":
-        _validate_modal_lists(cfg)
-        _need_sampling(cfg, "t_s", "t_max")
         samples = cfg.sampling["t_max"] / cfg.sampling["t_s"]
         padded = cfg.sampling.get("zero_pad_factor", 8) * samples
         _cap("sampling.t_s", padded, MAX_SAMPLES, "padded FFT bins")
         _need_modes(cfg, "t_s")
-    elif cfg.experiment == "realdata":
-        _need(cfg, "data_path", "n_benchmark_modes")
-        _need_sampling(cfg, "t_s", "m_prime")
 
 
 def build_system(cfg: ExperimentConfig) -> MdofSystem:
     if cfg.system == "paper-4dof":
-        return MdofSystem(np.eye(4), np.array(PAPER_4DOF_STIFFNESS))
+        return MdofSystem(np.eye(4), PAPER_4DOF_STIFFNESS)
     try:
-        return MdofSystem(np.array(cfg.system["mass"]), np.array(cfg.system["stiffness"]))
-    except ValueError as exc:
-        # Ragged rows (from np.array) and every MdofSystem rejection.
+        return MdofSystem(cfg.system["mass"], cfg.system["stiffness"])
+    except InvalidArgument as exc:  # every MdofSystem rejection, ragged rows included
         raise ConfigError(f"system: {exc}") from exc
 
 
@@ -337,15 +331,13 @@ def build_basis(cfg: ExperimentConfig) -> ModalBasis:
         # The system comes from the config, so a fault the solve finds names it.
         raise ConfigError(f"system: {exc}") from exc
     n = modes.n_dof
-    _need(cfg, "frequencies")
+    _need(cfg, *_MODAL)
     if len(cfg.frequencies) != n:
         raise ConfigError(
             f"frequencies: system has {n} modes, got {len(cfg.frequencies)} entries"
         )
     # solve_modes sorts descending, so reverse the ascending listed values.
-    freqs = np.asarray(cfg.frequencies, dtype=float)[::-1]
-    amps = np.asarray(cfg.magnitudes, dtype=float)[::-1]
-    return ModalBasis(modes.mode_shapes, freqs, amps)
+    return ModalBasis(modes.mode_shapes, cfg.frequencies[::-1], cfg.magnitudes[::-1])
 
 
 def _pi_multiples(*values: float) -> list[float]:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked conversions that raise them."""
+
+import numpy as np
 
 
 class ModalcsError(Exception):
@@ -70,3 +72,54 @@ class ParseError(ModalcsError):
 
 class RaggedRows(ParseError):
     """Rows of a sensor CSV have inconsistent lengths."""
+
+
+def _checked_seed(seed: int) -> int:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed!r}; seeds are integers")
+    return seed
+
+
+def _checked_count(m, name: str = "m") -> int:
+    try:
+        valid = 1 <= m <= 2**53 and m == int(m)  # float64 holds every index up to 2**53
+    except (TypeError, ValueError):  # not a number
+        valid = False
+    if not valid:
+        raise DomainError(f"{name} must be an integer in [1, 2**53], got {m!r}")
+    return int(m)
+
+
+def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
+    """x as a float if lo < x < hi, else DomainError; nan and non-numbers fail."""
+    try:
+        valid, value = lo < x < hi, float(x)
+    except (TypeError, ValueError):  # not a number
+        valid = False
+    except OverflowError:  # an int past float64, whose repr fails past 4,300 digits
+        digits = int(int(x).bit_length() * np.log10(2.0)) + 1  # one too many at most
+        raise DomainError(f"{name} must be a float64, got an int of ~{digits} digits") from None
+    if not valid:
+        bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
+        raise DomainError(f"{name} must {bound}, got {x!r}")
+    return value
+
+
+def _checked_array(values, name: str = "values", dtype=None) -> np.ndarray:
+    """values as a finite array of dtype float or complex, else InvalidArgument naming them.
+
+    Strings, ragged input and, where dtype is float, complex values fail.  With no
+    dtype, bool, integer and real values become float64, complex and object ones complex128.
+    """
+    real = "real " if dtype is float else ""
+    try:
+        values = np.asarray(values)
+        kind = values.dtype.kind
+        if kind not in ("biufO" if real else "biufcO"):  # str, bytes and dates never convert
+            raise TypeError(f"got {values.dtype} values")
+        values = np.asarray(values, dtype=dtype or (float if kind in "biuf" else complex))
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float64
+        raise InvalidArgument(f"{name} must be {real}numbers: {exc}") from None
+    if not np.isfinite(values).all():
+        raise InvalidArgument(f"{name} must be finite")
+    return values

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # eager: np.fft's lazy loader recurses if a signal handler re-enters it
 
-from .errors import DimensionMismatch, InvalidArgument, NonUniformSchedule, ShapeError
+from .errors import (DimensionMismatch, InvalidArgument, NonUniformSchedule, ShapeError,
+                     _checked_array)
 from .mdof import ModalBasis, _pivot_phases, _unit_phase
 from .sampling import DataMatrix, SampleSchedule
 
@@ -38,10 +39,10 @@ class ModeEstimate:
     kind: str = "raw"
 
     def __post_init__(self):
-        u = np.asarray(self.mode_shapes_hat, dtype=complex)
-        s = np.asarray(self.singular_values, dtype=float)
-        vh = np.asarray(self.right_factors_hat, dtype=complex)
-        n = u.shape[0]
+        u = _checked_array(self.mode_shapes_hat, "mode_shapes_hat", complex)
+        s = _checked_array(self.singular_values, "singular_values", float)
+        vh = _checked_array(self.right_factors_hat, "right_factors_hat", complex)
+        n = s.size
         if u.shape != (n, n) or s.shape != (n,) or vh.shape[0] != n:
             raise ShapeError("inconsistent factor shapes")
         if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
@@ -107,10 +108,11 @@ def aligned_distance(estimate_vec, truth_vec) -> float:
     catastrophically near zero and cannot resolve distances below
     sqrt(eps) ~ 1.5e-8.
     """
-    truth = np.asarray(truth_vec, dtype=complex)
-    if np.shape(estimate_vec) != truth.shape:
-        raise DimensionMismatch(f"estimate has shape {np.shape(estimate_vec)}, truth {truth.shape}")
-    return float(np.linalg.norm(truth - _phase_aligned(estimate_vec, truth)))
+    est = _checked_array(estimate_vec, "estimate_vec", complex)
+    truth = _checked_array(truth_vec, "truth_vec", complex)
+    if est.shape != truth.shape:
+        raise DimensionMismatch(f"estimate has shape {est.shape}, truth {truth.shape}")
+    return float(np.linalg.norm(truth - _phase_aligned(est, truth)))
 
 
 def _mode_errors(shapes_hat: np.ndarray, truth: ModalBasis) -> np.ndarray:

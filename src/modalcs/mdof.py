@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NonPositiveEigenvalue, NotSymmetric, ShapeError
+from .errors import InvalidArgument, NonPositiveEigenvalue, NotSymmetric, ShapeError, _checked_array
 
 # Tolerances are part of the public contract: constructors reject anything
 # worse, so downstream code can rely on the invariants without re-checking.
@@ -26,11 +26,9 @@ _FREQUENCY_GAP_RTOL = 1e-9
 
 
 def _as_square(a, name):
-    a = np.asarray(a, dtype=float)
+    a = _checked_array(a, name, float)
     if a.ndim != 2 or not a.shape[0] == a.shape[1] > 0:
         raise InvalidArgument(f"{name} must be a non-empty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidArgument(f"{name} contains non-finite entries")
     return a
 
 
@@ -85,8 +83,8 @@ class ModalBasis:
     amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
-        shapes = np.asarray(self.mode_shapes, dtype=float)
-        freqs = np.asarray(self.frequencies, dtype=float)
+        shapes = _checked_array(self.mode_shapes, "mode_shapes", float)
+        freqs = _checked_array(self.frequencies, "frequencies", float)
         if shapes.ndim != 2 or shapes.shape[0] != shapes.shape[1]:
             raise InvalidArgument(f"mode_shapes must be square, got {shapes.shape}")
         n = shapes.shape[0]
@@ -98,18 +96,16 @@ class ModalBasis:
             raise InvalidArgument(
                 f"mode shapes are not orthonormal (max Gram deviation {dev:.3e})"
             )
-        if np.any(freqs <= 0.0) or not np.all(np.isfinite(freqs)):
+        if np.any(freqs <= 0.0):
             raise InvalidArgument("frequencies must be finite and strictly positive")
         if np.any(np.diff(freqs) > 0.0):
             raise InvalidArgument("frequencies must be sorted in descending order")
         object.__setattr__(self, "mode_shapes", shapes)
         object.__setattr__(self, "frequencies", freqs)
         if self.amplitudes is not None:
-            amps = np.asarray(self.amplitudes, dtype=complex)
+            amps = _checked_array(self.amplitudes, "amplitudes", complex)
             if amps.shape != (n,):
                 raise InvalidArgument(f"expected {n} amplitudes, got shape {amps.shape}")
-            if not np.isfinite(amps).all():
-                raise InvalidArgument("amplitudes must be finite")
             object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -144,11 +140,9 @@ def canonical_sign(matrix: np.ndarray) -> np.ndarray:
     resolve to the first occurrence (np.argmax), and a zero column comes
     back unchanged.  Returns a new array.
     """
-    out = np.asarray(matrix)
+    out = _checked_array(matrix, "matrix")
     if out.ndim < 2 or out.shape[-2] == 0:
         raise ShapeError(f"need columns of at least one entry, got shape {out.shape}")
-    if not np.iscomplexobj(out):
-        out = out.astype(float, copy=False)
     return out * np.conj(_pivot_phases(out))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgument, IoError, ParseError, RaggedRows
+from .errors import InvalidArgument, IoError, ParseError, RaggedRows, _checked_array
 
 
 def _repr_column(cells):
@@ -158,11 +158,9 @@ def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
 
 def save_sensor_csv(matrix, path: str, header: list[str] | None = None) -> None:
     """Write a real matrix as CSV; load_sensor_csv round-trips it bit-exactly."""
-    arr = np.asarray(matrix, dtype=float)
+    arr = _checked_array(matrix, "matrix", float)  # load_sensor_csv refuses nan and inf
     if arr.ndim != 2:
         raise InvalidArgument(f"expected a 2-d matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidArgument("sensor values must be finite; load_sensor_csv refuses nan and inf")
     _write_text(path, _csv_text(header, arr.tolist()))
 
 

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidArgument, ShapeError
+from .errors import (DimensionMismatch, InvalidArgument, ShapeError, _checked_array,
+                     _checked_count, _checked_real, _checked_seed)
 from .mdof import ModalBasis
 
 _UNIFORM_KINDS = ("uniform", "random")
@@ -26,46 +27,6 @@ _JL_KINDS = ("gaussian", "bernoulli")
 _BLOCK_BYTES = 1 << 20
 
 
-def _checked_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed!r}; seeds are integers")
-    return seed
-
-
-def _checked_count(m, name: str = "m") -> int:
-    try:
-        valid = 1 <= m <= 2**53 and m == int(m)  # float64 holds every index up to 2**53
-    except (TypeError, ValueError):  # not a number
-        valid = False
-    if not valid:
-        raise InvalidArgument(f"{name} must be an integer in [1, 2**53], got {m!r}")
-    return int(m)
-
-
-def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
-    """x as a float if lo < x < hi, else DomainError; nan and non-numbers fail."""
-    try:
-        valid, value = lo < x < hi, float(x)
-    except (TypeError, ValueError, OverflowError):  # not a number, or past float64
-        valid = False
-    if not valid:
-        bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
-        raise DomainError(f"{name} must {bound}, got {x!r}")
-    return value
-
-
-def _real_or_complex(values) -> np.ndarray:
-    """Finite values as float64 if their dtype is bool, integer or real, else as complex128."""
-    try:
-        values = np.asarray(values)
-        values = np.asarray(values, dtype=float if values.dtype.kind in "biuf" else complex)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument(f"values must be numbers: {exc}") from None
-    if not np.isfinite(values).all():
-        raise InvalidArgument("values must be finite")
-    return values
-
-
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based generator used for every stochastic operation."""
     return np.random.Generator(np.random.Philox(_checked_seed(seed)))
@@ -73,6 +34,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 def spawn_seeds(seed: int, n: int) -> np.ndarray:
     """Derive n independent 64-bit child seeds from a master seed."""
+    n = _checked_count(n, "n")
     return np.random.SeedSequence(_checked_seed(seed)).generate_state(n, dtype=np.uint64)
 
 
@@ -90,7 +52,7 @@ class SampleSchedule:
     t_s: float | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _checked_array(self.times, "times", float)
         if times.ndim != 1 or times.size < 1:
             raise InvalidArgument("times must be a non-empty 1-d array")
         if self.scheme not in _UNIFORM_KINDS:
@@ -115,8 +77,7 @@ def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
     """M samples at t_m = (m-1) t_s for m = 1..M."""
     t_s = _checked_real(t_s, "t_s")
     m = _checked_count(m)
-    if (t_max := (m - 1) * t_s) == np.inf:  # Python floats overflow without a warning
-        raise InvalidArgument(f"(m - 1) * t_s must be finite, got m = {m}, t_s = {t_s}")
+    t_max = _checked_real((m - 1) * t_s, "(m - 1) * t_s", lo=-np.inf)  # floats overflow to inf
     return SampleSchedule(np.arange(m) * t_s, "uniform", t_max=t_max, t_s=t_s)
 
 
@@ -157,7 +118,7 @@ def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
     t_max = _checked_real(t_max, "t_max")
     m = _checked_count(m)
     rest = [int(_checked_seed(seed)) for seed in seeds[1:]]
-    if rest and (min(rest) < 0 or max(rest) >> 64):
+    if rest and max(rest) >> 64:
         raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")
     rng = rng_from_seed(seeds[0])
     state = rng.bit_generator.state
@@ -187,8 +148,8 @@ def build_steering(frequencies, schedule: SampleSchedule) -> np.ndarray:
     Rows have unit Euclidean norm by construction.  Frequencies must be
     finite and strictly positive; ordering is the caller's business.
     """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or not np.all((freqs > 0.0) & (freqs < np.inf)):
+    freqs = _checked_array(frequencies, "frequencies", float)
+    if freqs.ndim != 1 or not np.all(freqs > 0.0):
         raise InvalidArgument("frequencies must be a 1-d array of finite positive values")
     return np.exp(1j * np.outer(freqs, schedule.times)) / np.sqrt(schedule.n_samples)
 
@@ -209,7 +170,7 @@ class DataMatrix:
     schedule: SampleSchedule | None = None
 
     def __post_init__(self):
-        entries = _real_or_complex(self.entries)
+        entries = _checked_array(self.entries, "entries")
         if entries.ndim != 2:
             raise ShapeError("data matrix must be 2-d")
         if self.kind not in ("raw", "compressed"):
@@ -256,7 +217,7 @@ class _ModalData(DataMatrix):
         v = np.empty((n, m), dtype=complex)
         for start in range(0, m, cols):
             v[:, start : start + cols] = coef @ self._steering(start, min(cols, m - start))
-        return _real_or_complex(v)
+        return _checked_array(v, "entries")
 
     def _steering(self, start: int, rows: int) -> np.ndarray:
         """Columns start..start+rows of [E]; uniform ones rotate a cached first block."""
@@ -300,7 +261,9 @@ class JlMatrix:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.m_prime <= self.m:
+        object.__setattr__(self, "m", _checked_count(self.m, "M"))
+        object.__setattr__(self, "m_prime", _checked_count(self.m_prime, "M'"))
+        if self.m_prime > self.m:
             raise InvalidArgument(f"need 1 <= M' <= M, got M'={self.m_prime}, M={self.m}")
         if self.kind not in _JL_KINDS:
             raise InvalidArgument(f"unknown compression kind {self.kind!r}")
@@ -346,7 +309,6 @@ class JlMatrix:
 
 def draw_jl_matrix(m: int, m_prime: int, kind: str = "gaussian", seed: int = 0) -> JlMatrix:
     """Describe an M x M' compression matrix of the given kind; nothing is drawn yet."""
-    m, m_prime = _checked_count(m, "M"), _checked_count(m_prime, "M'")
     return JlMatrix(m, m_prime, kind, seed)
 
 

@@ -277,12 +277,6 @@ class TestSepAndErrorBound:
             n = int(rng.integers(0, mags.size))
             assert mode_error_bound(mags, eps, n) <= ROOT2
 
-    def test_variants_accepted(self):
-        for variant in ("uniform", "random", "compressed"):
-            assert mode_error_bound(GAMMA_DIAG, 0.2, 0, variant) > 0.0
-        with pytest.raises(InvalidArgument):
-            mode_error_bound(GAMMA_DIAG, 0.2, 0, "adaptive")
-
     def test_epsilon_domain(self):
         with pytest.raises(DomainError):
             mode_error_bound(GAMMA_DIAG, 0.0, 0)

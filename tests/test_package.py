@@ -15,10 +15,19 @@ import pytest
 
 import modalcs
 from modalcs import (
+    CsdCube,
+    DataMatrix,
+    JlMatrix,
+    MdofSystem,
+    ModalBasis,
     ModalcsError,
+    ModeEstimate,
     SampleSchedule,
+    aligned_distance,
+    build_steering,
     draw_jl_matrix,
     gershgorin_uniform_bound,
+    gram_deviation,
     jl_tail_rate,
     mode_error_bound,
     random_requirements,
@@ -29,7 +38,10 @@ from modalcs import (
     uniform_schedule,
     welch_csd,
 )
+from modalcs.bounds import harmonic_number_bounds, psinc
 from modalcs.cli import run as cli_run
+from modalcs.mdof import canonical_sign
+from modalcs.sampling import spawn_seeds
 from test_acceptance import synthetic_sensors
 
 
@@ -138,9 +150,12 @@ def test_rejected_config_names_its_field(tmp_path, capsys):
 
 _SENSORS = np.ones((2, 64))
 _PHI = draw_jl_matrix(16, 8, seed=0)
+_BASIS = ModalBasis(np.eye(2), [2.0, 1.0], [1.0, 0.5])
 
 
-# Each call leaked a TypeError or ValueError from a chained comparison or an int().
+# Each scalar call leaked a TypeError or ValueError from a chained comparison or
+# an int(). Each array call leaked numpy's TypeError, ValueError, LinAlgError or
+# IndexError, or accepted nan or text without a word.
 @pytest.mark.parametrize("call", [
     lambda: welch_csd(_SENSORS, "a"),
     lambda: welch_csd(_SENSORS, None),
@@ -154,10 +169,40 @@ _PHI = draw_jl_matrix(16, 8, seed=0)
     lambda: uniform_requirements(4, "a", 2, 0.5),
     lambda: random_requirements(4, 1, 0.5, "a"),
     lambda: mode_error_bound([1, 2], "a", 0),
+    lambda: gram_deviation([["a"]]),
+    lambda: gram_deviation([[math.nan, 1.0]]),
+    lambda: SampleSchedule(["a"], "random", 1.0),
+    lambda: SampleSchedule([0.0, math.nan], "random", 1.0),
+    lambda: ModalBasis([["a"]], [1.0]),
+    lambda: ModalBasis([[math.nan, 0.0], [0.0, 1.0]], [2.0, 1.0]),
+    lambda: MdofSystem([["a"]], [[1.0]]),
+    lambda: aligned_distance(["a"], ["b"]),
+    lambda: psinc("a", 3),
+    lambda: psinc(math.nan, 3),
+    lambda: canonical_sign([["a"]]),
+    lambda: build_steering(["a"], uniform_schedule(0.1, 3)),
+    lambda: _BASIS.with_amplitudes(["a"] * 2),
+    lambda: ModeEstimate([["a"]], [1.0], [[1.0]]),
+    lambda: ModeEstimate([[math.nan]], [1.0], [[1.0]]),
+    lambda: ModeEstimate(1.0, [1.0], [[1.0]]),
+    lambda: CsdCube(["a"], np.ones((1, 2, 2))),
+    lambda: CsdCube([0.0], np.full((1, 2, 2), math.nan)),
+    lambda: sparse_reconstruct(np.ones(8), np.where(np.arange(8) == 0, math.nan, _PHI.entries)),
+    lambda: DataMatrix([["1.5"]], "raw"),
+    lambda: welch_csd(_SENSORS * 1j, 0.1),
+    lambda: JlMatrix("a", 2, "gaussian", 0),
+    lambda: JlMatrix(4.7, 2, "gaussian", 0),
+    lambda: spawn_seeds(1, "a"),
+    lambda: harmonic_number_bounds("a"),
 ], ids=[
     "welch_t_s_str", "welch_t_s_none", "uniform_t_s", "random_t_max", "random_seed", "jl_epsilon",
     "sparse_threshold", "gershgorin_t_s", "gershgorin_m", "uniform_delta_min", "random_tau",
     "error_bound_epsilon",
+    "gram_str", "gram_nan", "schedule_str", "schedule_nan", "basis_str", "basis_nan", "mdof_str",
+    "aligned_str", "psinc_str", "psinc_nan", "canonical_sign_str", "steering_str",
+    "amplitudes_str", "estimate_str", "estimate_nan", "estimate_0d", "csd_str", "csd_nan",
+    "sparse_nan_phi", "data_matrix_text", "welch_complex", "jl_str", "jl_fraction", "spawn_str",
+    "harmonic_str",
 ])
 def test_non_numbers_raise_modalcs_errors(call):
     with warnings.catch_warnings(), pytest.raises(ModalcsError):
@@ -175,6 +220,20 @@ def test_fractional_jl_size_is_refused():
     # int() used to turn M = 4.7 into 4 rows without a word.
     with pytest.raises(ModalcsError, match="M must be an integer"):
         draw_jl_matrix(4.7, 2)
+
+
+def test_save_sensor_csv_refuses_text_before_writing(tmp_path):
+    path = tmp_path / "text.csv"
+    with warnings.catch_warnings(), pytest.raises(ModalcsError):
+        warnings.simplefilter("error")
+        save_sensor_csv([["a"]], str(path))
+    assert not path.exists()
+
+
+def test_an_int_past_4300_digits_is_named_by_its_digit_count():
+    # The message used to format the value, which Python refuses past 4,300 digits.
+    with pytest.raises(ModalcsError, match="t_s must be a float64, got an int of ~5001 digits"):
+        welch_csd(_SENSORS, 10**5000)
 
 
 def _cells(path):
