@@ -30,45 +30,46 @@ from .mdof import canonical_sign
 # above this share of the curve's maximum: a constant or silent record still
 # has window-leakage ripples, some 1e-33 of the DC value, that are no modes.
 _PEAK_FLOOR = 1e-10
+# sparse_reconstruct's continuation schedule: inner iterations per threshold
+# stage, and the factor the threshold decays by from one stage to the next.
+_ITERS_PER_STAGE = 10
+_THRESHOLD_RATIO = 0.7
 
 
 @dataclass(frozen=True)
 class CsdCube:
-    """Cross-spectral density matrices, one per frequency bin.
+    """Cross-spectral density as scaled segment spectra, one stack per frequency bin.
 
-    ``matrices`` has shape (F, N, N), one matrix per angular frequency
-    ``frequencies[i]`` (rad/s, ascending).  Construction checks only shapes
-    and order; welch_csd's matrices are Hermitian positive semidefinite.
+    ``spectra`` has shape (F, S, N): S segment spectra of N channels at each
+    angular frequency ``frequencies[i]`` (rad/s, ascending), scaled so that
+    ``conj(spectra[i]).T @ spectra[i]`` is that bin's N x N cross-spectral
+    matrix.  Construction checks only shapes and order.
     """
 
     frequencies: np.ndarray
-    matrices: np.ndarray
+    spectra: np.ndarray
 
     def __post_init__(self):
         freqs = _checked_array(self.frequencies, "frequencies", float)
-        mats = _checked_array(self.matrices, "matrices", complex)
-        if freqs.ndim != 1 or mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ShapeError("expected (F,) frequencies and (F, N, N) matrices")
-        if mats.shape[0] != freqs.size:
-            raise DimensionMismatch("one matrix per frequency bin required")
+        spectra = _checked_array(self.spectra, "spectra", complex)
+        if freqs.ndim != 1 or spectra.ndim != 3:
+            raise ShapeError("expected (F,) frequencies and (F, S, N) spectra")
+        if spectra.shape[0] != freqs.size:
+            raise DimensionMismatch("one spectrum stack per frequency bin required")
         if np.any(np.diff(freqs) <= 0.0):
             raise InvalidArgument("frequencies must be strictly increasing")
         object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "spectra", spectra)
 
 
-def _default_nperseg(m: int) -> int:
-    """Smallest power of two at or above M/8, at least 8 and at most M."""
-    return min(m, 1 << max(3, int(np.ceil(np.log2(max(m // 8, 1))))))
-
-
-def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
-    """Welch estimate of the full cross-spectral matrix from (N, M) samples.
+def welch_csd(samples, t_s: float) -> CsdCube:
+    """Welch cross-spectral density of (N, M) samples, kept as its segment spectra.
 
     Periodic Hann window, half-overlap segments from sample 0, no detrending,
-    one-sided density scaling, rad/s: scipy.signal.csd of every channel pair,
-    from one rfft per sensor segment.  The default segment length is the
-    smallest power of two at or above M/8: enough averages for well
+    one-sided density scaling, rad/s: the product of each bin's spectra is
+    scipy.signal.csd of every channel pair, from one rfft per sensor segment.
+    The segment length L is the smallest power of two at or above M/8, at
+    least 8 and at most M: enough averages (S <= 16 segments) for well
     conditioned matrices without washing out closely spaced peaks.
     """
     u = _checked_array(samples, "samples", float)
@@ -76,9 +77,7 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
         raise ShapeError("samples must be (n_channels, n_samples)")
     t_s = _checked_real(t_s, "t_s")
     m = u.shape[1]
-    nperseg = _default_nperseg(m) if nperseg is None else _checked_count(nperseg, "nperseg")
-    if nperseg > m:
-        raise InvalidArgument("nperseg must lie in [1, n_samples]")
+    nperseg = min(m, 1 << max(3, int(np.ceil(np.log2(max(m // 8, 1))))))
     hop = nperseg - nperseg // 2
     n_segments = (m - nperseg // 2) // hop
     # Periodic Hann, written as scipy's get_window writes it (ones at length 1).
@@ -88,10 +87,10 @@ def welch_csd(samples, t_s: float, nperseg: int | None = None) -> CsdCube:
     segments = u.T[np.arange(nperseg)[:, None] + hop * np.arange(n_segments)]
     segments *= window[:, None, None]
     spectra = np.fft.rfft(segments, axis=0)
-    pxy = np.conj(spectra).transpose(0, 2, 1) @ spectra
-    pxy *= t_s / (window @ window) / n_segments
-    pxy[1:(nperseg + 1) // 2] *= 2.0  # paired bins; DC and an even L's Nyquist are not
-    return CsdCube(2.0 * np.pi * np.fft.rfftfreq(nperseg, t_s), pxy)
+    # Each bin takes the square root of its density weight; the product takes it whole.
+    spectra *= np.sqrt(t_s / (window @ window) / n_segments)
+    spectra[1:(nperseg + 1) // 2] *= np.sqrt(2.0)  # paired bins; DC and an even L's Nyquist are not
+    return CsdCube(2.0 * np.pi * np.fft.rfftfreq(nperseg, t_s), spectra)
 
 
 def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,11 +100,16 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     ordered by descending peak height.  Peaks are strict interior local
     maxima of the largest eigenvalue curve that rise above 1e-10 of its
     maximum; the mode shape at a peak is the corresponding eigenvector,
-    phase-aligned so its largest entry is real positive.  Raises
-    InsufficientPeaks when fewer peaks than requested pass.
+    phase-aligned so its largest entry is real positive.  Each bin's
+    cross-spectral matrix X^H X, X its S x N spectra, is never formed: the
+    S x S Gram X X^H has the same nonzero eigenvalues, and its eigenvector
+    w maps to the shape X^H w.  Raises InsufficientPeaks when fewer peaks
+    than requested pass.
     """
     n_modes = _checked_count(n_modes, "n_modes")
-    top = np.linalg.eigvalsh(cube.matrices)[:, -1]
+    spectra = cube.spectra
+    gram = spectra @ np.conj(spectra).transpose(0, 2, 1)
+    top = np.linalg.eigvalsh(gram)[:, -1]
     interior = np.arange(1, top.size - 1)
     mask = (top[interior] > top[interior - 1]) & (top[interior] > top[interior + 1])
     mask &= top[interior] > _PEAK_FLOOR * top.max(initial=0.0)
@@ -113,12 +117,13 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     if peak_idx.size < n_modes:
         raise InsufficientPeaks(f"found {peak_idx.size} spectral peaks, need {n_modes}")
     order = peak_idx[np.argsort(-top[peak_idx], kind="stable")][:n_modes]
-    evecs = np.linalg.eigh(cube.matrices[order])[1]  # vectors at the peaks only
+    w = np.linalg.eigh(gram[order])[1][:, :, -1:]  # vectors at the peaks only
+    shapes = (np.conj(spectra[order]).transpose(0, 2, 1) @ w)[:, :, 0].T
+    shapes /= np.linalg.norm(shapes, axis=0)
     # C order: numpy's dot and multiply loops round contiguous and strided
     # columns differently, so the layout reaches the last digits of the
     # errors that callers compute from these shapes.
-    shapes = canonical_sign(np.ascontiguousarray(evecs[:, :, -1].T))
-    return cube.frequencies[order], shapes
+    return cube.frequencies[order], canonical_sign(np.ascontiguousarray(shapes))
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,7 @@ class SparseRecovery:
     l1_history: tuple[tuple[float, ...], ...]
 
 
-def sparse_reconstruct(measurements, phi, n_stages: int = 30,
-                       iters_per_stage: int = 10,
-                       threshold_ratio: float = 0.7) -> SparseRecovery:
+def sparse_reconstruct(measurements, phi, n_stages: int = 30) -> SparseRecovery:
     """Recover frequency-sparse length-M signals u from y = Phi^T u.
 
     ``measurements`` is one (M',) vector or a (K, M') batch of finite
@@ -148,11 +151,11 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     row of alpha toward the minimum-l1 feasible point by alternating complex
     soft thresholding with reprojection onto the affine constraint set
     {alpha : A alpha = y}, A = Phi^T W.  A row's threshold starts at
-    0.9 max|A^+ y| and decays geometrically by ``threshold_ratio`` per
-    stage, a standard fixed-point continuation schedule.  Every iterate
-    after a projection is feasible up to roundoff.  Real-dtype measurements
-    keep every spectrum conjugate-symmetric and are solved on the rfft half
-    spectrum with real products; their ``signal`` is real and
+    0.9 max|A^+ y| and decays geometrically by 0.7 per stage of ten
+    iterations, a standard fixed-point continuation schedule.  Every
+    iterate after a projection is feasible up to roundoff.  Real-dtype
+    measurements keep every spectrum conjugate-symmetric and are solved on
+    the rfft half spectrum with real products; their ``signal`` is real and
     ``coefficients`` are still the full length-M spectrum.  Complex-dtype
     measurements take the full-spectrum path.
     """
@@ -167,8 +170,6 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
             f"measurement length {y.shape[-1]} does not match phi columns {m_prime}"
         )
     n_stages = _checked_count(n_stages, "n_stages")
-    iters_per_stage = _checked_count(iters_per_stage, "iters_per_stage")
-    threshold_ratio = _checked_real(threshold_ratio, "threshold_ratio", hi=1.0)
 
     rows = y.reshape(-1, m_prime)
     out_shape = y.shape[:-1] + (m,)
@@ -213,7 +214,7 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(n_stages):
             stage = []
-            for _ in range(iters_per_stage):
+            for _ in range(_ITERS_PER_STAGE):
                 # max(1 - theta/|alpha|, 0): fmax turns a zero row's 0/0 = nan into 0.
                 np.divide(theta, mags, out=shrink)
                 np.subtract(1.0, shrink, out=shrink)
@@ -226,7 +227,7 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30,
                 np.abs(alpha, out=mags)
                 stage.append(float(mags.sum() + mags[:, doubled].sum()))
             history.append(tuple(stage))
-            theta *= threshold_ratio
+            theta *= _THRESHOLD_RATIO
 
     if real:
         signal = np.fft.irfft(alpha, n=m, axis=1, norm="ortho")

@@ -50,6 +50,7 @@ def psinc(x, m: int):
 
 def kl_div(a: float, b: float) -> float:
     """Binary KL divergence D(a || b) in nats, with 0 log 0 taken as 0."""
+    a = _checked_real(a, "a", lo=-np.inf)  # a number; the closed range is checked below
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"a must lie in [0, 1], got {a}")
     _checked_real(b, "b", hi=1.0)
@@ -195,7 +196,8 @@ def mode_error_bound(magnitudes, epsilon: float, n: int) -> float:
     formula is the same, only the inputs differ.  ``n`` indexes magnitudes.
     """
     seps = sep_values(magnitudes, epsilon)
-    if not 0 <= n < seps.size:
+    n = _checked_count(n, "n", lo=0)
+    if n >= seps.size:
         raise InvalidArgument(f"mode index {n} out of range")
     factor = epsilon * math.sqrt(1.0 + epsilon) / math.sqrt(1.0 - epsilon)
     return min(ROOT2, factor * seps[n])

@@ -80,13 +80,13 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def _checked_count(m, name: str = "m") -> int:
+def _checked_count(m, name: str = "m", lo: int = 1) -> int:
     try:
-        valid = 1 <= m <= 2**53 and m == int(m)  # float64 holds every index up to 2**53
+        valid = lo <= m <= 2**53 and m == int(m)  # float64 holds every index up to 2**53
     except (TypeError, ValueError):  # not a number
         valid = False
     if not valid:
-        raise DomainError(f"{name} must be an integer in [1, 2**53], got {m!r}")
+        raise DomainError(f"{name} must be an integer in [{lo}, 2**53], got {m!r}")
     return int(m)
 
 

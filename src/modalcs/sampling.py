@@ -212,12 +212,7 @@ class _ModalData(DataMatrix):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        coef, (n, m) = self.basis.mode_shapes * self.basis.amplitudes, self.shape
-        cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1]))  # ~1 MB of [E] per block
-        v = np.empty((n, m), dtype=complex)
-        for start in range(0, m, cols):
-            v[:, start : start + cols] = coef @ self._steering(start, min(cols, m - start))
-        return _checked_array(v, "entries")
+        return _checked_array(_response(self.basis, self.schedule.times), "entries")
 
     def _steering(self, start: int, rows: int) -> np.ndarray:
         """Columns start..start+rows of [E]; uniform ones rotate a cached first block."""
@@ -234,10 +229,9 @@ def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix
     """[V] with columns v(t_m) = sum_n psi_n A_n e^{i w_n t_m}, kept as its factors.
 
     Equals [Psi] (sqrt(M) diag(A)) [S] for the steering matrix of the same
-    frequencies and schedule.  Reading ``entries`` builds [V] from the
-    steering blocks compress uses; on uniform schedules those rotate the
-    first ~1 MB block, about 4e-12 relative from the direct e^{i w t} at
-    M = 10^5.  compress never builds [V].
+    frequencies and schedule.  Reading ``entries`` evaluates [V] directly,
+    one ~1 MB column block of e^{i w t} at a time, as _response does.
+    compress never builds [V].
     """
     if basis.amplitudes is None:
         raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")

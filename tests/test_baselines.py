@@ -1,5 +1,6 @@
 """Frequency-domain decomposition and sparse-recovery baselines."""
 
+import functools
 import math
 import tracemalloc
 
@@ -42,46 +43,51 @@ def two_tone_array(n_channels=2):
     return u, t_s, omega, psi
 
 
+def csd_matrices(cube):
+    """The (F, N, N) cross-spectral matrices conj(X)^T X, X each bin's S x N spectra."""
+    return np.conj(cube.spectra).transpose(0, 2, 1) @ cube.spectra
+
+
 class TestCsdCube:
-    def build(self, f=4, n=3):
+    def build(self, f=4, s=2, n=3):
         freqs = np.linspace(0.0, 10.0, f)
         rng = np.random.Generator(np.random.Philox(3))
-        a = rng.normal(size=(f, n, n)) + 1j * rng.normal(size=(f, n, n))
-        mats = a @ a.conj().transpose(0, 2, 1)
-        return freqs, mats
+        return freqs, rng.normal(size=(f, s, n)) + 1j * rng.normal(size=(f, s, n))
 
     def test_accepts_valid_cube(self):
-        freqs, mats = self.build()
-        cube = CsdCube(freqs, mats)
-        assert cube.matrices.dtype == complex
+        freqs, spectra = self.build()
+        cube = CsdCube(freqs, spectra)
+        assert cube.spectra.dtype == complex
 
     def test_rejects_bad_shapes(self):
-        freqs, mats = self.build()
+        freqs, spectra = self.build()
         with pytest.raises(ShapeError):
-            CsdCube(freqs.reshape(2, 2), mats)
+            CsdCube(freqs.reshape(2, 2), spectra)
         with pytest.raises(ShapeError):
-            CsdCube(freqs, mats[:, :, :2])
+            CsdCube(freqs, spectra[:, 0])
         with pytest.raises(DimensionMismatch):
-            CsdCube(freqs[:-1], mats)
+            CsdCube(freqs[:-1], spectra)
 
     def test_rejects_unsorted_frequencies(self):
-        freqs, mats = self.build()
+        freqs, spectra = self.build()
         freqs = freqs[::-1].copy()
         with pytest.raises(InvalidArgument):
-            CsdCube(freqs, mats)
+            CsdCube(freqs, spectra)
+
+
+def default_nperseg(m):
+    """Welch's segment length: the smallest power of two >= M//8, at least 8, at most M."""
+    return min(m, 1 << max(3, math.ceil(math.log2(max(m // 8, 1)))))
 
 
 class TestWelchCsd:
-    # A nan t_s used to return nan frequencies; 2.5 and "8" leaked a TypeError.
-    @pytest.mark.parametrize(
-        "t_s, nperseg",
-        [(0.0, None), (math.nan, None), (math.inf, None), (0.1, 17), (0.1, 2.5), (0.1, "8")],
-    )
-    def test_validation(self, t_s, nperseg):
+    # A nan t_s used to return nan frequencies.
+    @pytest.mark.parametrize("t_s", [0.0, -0.1, math.nan, math.inf])
+    def test_validation(self, t_s):
         with pytest.raises(ShapeError):
             welch_csd(np.zeros(16), 0.1)
         with pytest.raises(InvalidArgument):
-            welch_csd(np.zeros((2, 16)), t_s, nperseg=nperseg)
+            welch_csd(np.zeros((2, 16)), t_s)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, bad):
@@ -101,12 +107,23 @@ class TestWelchCsd:
         assert cube.frequencies[-1] == pytest.approx(math.pi / 0.05, rel=1e-12)
         assert np.all(np.diff(cube.frequencies) > 0)
 
+    @pytest.mark.parametrize("m_values", [range(1, 2049), [10**5 - 1, 10**5, 2**17 + 7]])
+    def test_at_most_16_segments(self, m_values):
+        # The segment length grows with M, so the segment count never passes 16
+        # (only M = 68 .. 71 reach it) and the bin count never falls.
+        bins = 0
+        for m in m_values:
+            cube = welch_csd(np.zeros((1, m)), 0.1)
+            assert cube.spectra.shape[0] == default_nperseg(m) // 2 + 1 >= bins
+            assert 1 <= cube.spectra.shape[1] <= 16
+            bins = cube.spectra.shape[0]
+
     def test_tone_lands_in_correct_bin(self):
         t_s, m, w0 = 0.02, 4096, 2 * math.pi * 4.0
         t = np.arange(m) * t_s
         u = np.cos(w0 * t)[None, :]
         cube = welch_csd(u, t_s)
-        top = int(np.argmax(cube.matrices[:, 0, 0].real))
+        top = int(np.argmax(csd_matrices(cube)[:, 0, 0].real))
         bin_width = cube.frequencies[1] - cube.frequencies[0]
         assert abs(cube.frequencies[top] - w0) <= bin_width / 2 + 1e-9
 
@@ -115,16 +132,16 @@ class TestWelchCsd:
         t = np.arange(m) * t_s
         base = np.sin(2 * math.pi * 3.0 * t + 0.3)
         u = np.vstack([base, -0.5 * base])
-        cube = welch_csd(u, t_s)
-        idx = int(np.argmax(np.linalg.eigvalsh(cube.matrices)[:, -1]))
-        evals = np.linalg.eigvalsh(cube.matrices[idx])
+        mats = csd_matrices(welch_csd(u, t_s))
+        idx = int(np.argmax(np.linalg.eigvalsh(mats)[:, -1]))
+        evals = np.linalg.eigvalsh(mats[idx])
         assert evals[0] <= 1e-8 * evals[-1]
 
     @staticmethod
     def still_sensor_cube(samples, constant):
         samples = samples.copy()
         samples[0] = constant  # a sensor that never moves
-        return welch_csd(samples, 0.01).matrices
+        return csd_matrices(welch_csd(samples, 0.01))
 
     # CsdCube checks only shapes and order; these guarantees are welch_csd's.
     still_sensor_inputs = given(
@@ -146,34 +163,30 @@ class TestWelchCsd:
         evals = np.linalg.eigvalsh(self.still_sensor_cube(samples, constant))
         assert evals.min() >= -1e-9 * max(1.0, float(evals.max()))
 
-    def test_explicit_nperseg_controls_resolution(self):
-        u = np.random.Generator(np.random.Philox(8)).normal(size=(1, 1024))
-        fine = welch_csd(u, 0.1, nperseg=512)
-        coarse = welch_csd(u, 0.1, nperseg=64)
-        assert fine.frequencies.size > coarse.frequencies.size
-
     @st.composite
     def csd_inputs(draw):
         n, m = draw(st.integers(1, 5)), draw(st.integers(1, 300))
         u = draw(arrays(float, (n, m), elements=st.floats(-1e3, 1e3)))
-        return u, draw(st.sampled_from([0.01, 0.3, 2.0])), draw(st.integers(1, m))
+        return u, draw(st.sampled_from([0.01, 0.3, 2.0]))
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(csd_inputs())
     def test_matches_scipy_csd(self, inputs):
-        u, t_s, nperseg = inputs
+        u, t_s = inputs
+        nperseg = default_nperseg(u.shape[1])
         freqs_hz, pxy = scipy.signal.csd(
             u[:, None], u[None], fs=1.0 / t_s, window="hann", nperseg=nperseg,
             noverlap=nperseg // 2, detrend=False,
         )
-        cube = welch_csd(u, t_s, nperseg=nperseg)
+        cube = welch_csd(u, t_s)
         npt.assert_allclose(cube.frequencies, 2.0 * np.pi * freqs_hz, rtol=1e-12, atol=0.0)
         expected = np.moveaxis(pxy, -1, 0)
-        assert cube.matrices.shape == expected.shape
-        assert np.abs(cube.matrices - expected).max() <= 1e-12 * np.abs(expected).max()
+        mats = csd_matrices(cube)
+        assert mats.shape == expected.shape
+        assert np.abs(mats - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_peak_memory_near_output_size(self):
-        # Pair by pair, scipy.signal.csd peaked at 12.8 times the output here.
+        # Pair by pair, scipy.signal.csd peaked at 21 times these spectra here.
         u = np.random.Generator(np.random.Philox(9)).normal(size=(18, 200_000))
         tracemalloc.start()
         try:
@@ -181,16 +194,16 @@ class TestWelchCsd:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * cube.matrices.nbytes
+        assert peak <= 4 * cube.spectra.nbytes
 
 
 class TestFddPeaks:
     def synthetic_cube(self, heights):
-        # Diagonal matrices whose top eigenvalue traces the given curve.
+        # Spectra whose product h I has the given curve as its top eigenvalue.
         f = len(heights)
         freqs = np.linspace(1.0, 2.0, f)
-        mats = np.array([h * np.eye(2) for h in heights], dtype=complex)
-        return CsdCube(freqs, mats)
+        spectra = np.array([math.sqrt(h) * np.eye(2) for h in heights], dtype=complex)
+        return CsdCube(freqs, spectra)
 
     def test_two_tone_recovery(self):
         u, t_s, omega, psi = two_tone_array()
@@ -236,29 +249,60 @@ class TestFddPeaks:
         with pytest.raises(InvalidArgument, match="n_modes must be an integer"):
             fdd_peaks(cube, n_modes)
 
-    @pytest.mark.parametrize("n_modes", [1, 2, 3])
-    def test_matches_full_eigh_reference(self, n_modes):
-        cube = welch_csd(synthetic_sensors(), 0.01)
-        freqs, shapes = fdd_peaks(cube, n_modes)
-        ref_freqs, ref_shapes = fdd_peaks_full_eigh(cube, n_modes)
+    @pytest.mark.parametrize("case", ["sensors", "reconstruction", "two_tone"])
+    def test_matches_cube_reference(self, case):
+        cube = welch_csd(*fdd_reference_inputs()[case])
+        ref_top, ref_freqs, ref_shapes = fdd_peaks_cube_reference(cube, 3)
+        freqs, shapes = fdd_peaks(cube, ref_freqs.size)  # the two-tone array has 2 peaks
+        gram = cube.spectra @ np.conj(cube.spectra).transpose(0, 2, 1)
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        assert np.abs(top - ref_top).max() <= 1e-12 * ref_top.max()
         npt.assert_array_equal(freqs, ref_freqs)
-        assert shapes.shape == ref_shapes.shape == (18, n_modes)
+        assert shapes.shape == ref_shapes.shape == (cube.spectra.shape[2], ref_freqs.size)
         npt.assert_allclose(shapes, ref_shapes, rtol=0.0, atol=1e-12)
 
+    def test_peak_memory_without_the_cube(self):
+        # N 224 and M 4104: the (F, N, N) cube would take 412 MB, the spectra 13 MB.
+        u = np.random.Generator(np.random.Philox(10)).normal(size=(224, 4104))
+        tracemalloc.start()
+        try:
+            spectra_bytes = welch_csd(u, 0.01).spectra.nbytes
+            fdd_peaks(welch_csd(u, 0.01), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * spectra_bytes
 
-def fdd_peaks_full_eigh(cube, n_modes):
-    """fdd_peaks with every bin's eigenvectors computed, as it was written first."""
-    evals, evecs = np.linalg.eigh(cube.matrices)
-    top = evals[:, -1]
+
+@functools.cache
+def fdd_reference_inputs():
+    """(samples, t_s) for fdd_peaks: sensor data, its sparse reconstruction, two tones."""
+    u = synthetic_sensors()  # N 18 > S 10
+    phi = draw_jl_matrix(u.shape[1], 50, "gaussian", seed=0)
+    return {
+        "sensors": (u, 0.01),
+        "reconstruction": (sparse_reconstruct(u @ phi.entries, phi).signal, 0.01),
+        "two_tone": two_tone_array()[:2],  # N 2 < S 15
+    }
+
+
+def fdd_peaks_cube_reference(cube, n_modes):
+    """fdd_peaks on the (F, N, N) matrices, as it was written before the Gram.
+
+    Returns (top eigenvalue curve, peak frequencies, shapes).
+    """
+    mats = csd_matrices(cube)
+    top = np.linalg.eigvalsh(mats)[:, -1]
     interior = np.arange(1, top.size - 1)
     mask = (top[interior] > top[interior - 1]) & (top[interior] > top[interior + 1])
     mask &= top[interior] > 1e-10 * top.max(initial=0.0)
     peak_idx = interior[mask]
     order = peak_idx[np.argsort(-top[peak_idx], kind="stable")][:n_modes]
-    return cube.frequencies[order], canonical_sign(np.ascontiguousarray(evecs[order, :, -1].T))
+    evecs = np.linalg.eigh(mats[order])[1]
+    return top, cube.frequencies[order], canonical_sign(np.ascontiguousarray(evecs[:, :, -1].T))
 
 
-def full_spectrum_reference(rows, entries, n_stages, iters_per_stage=10, ratio=0.7):
+def full_spectrum_reference(rows, entries, n_stages):
     """The sparse baseline on the full complex spectrum with a Cholesky solve.
 
     Returns (coefficients, signal, l1_history) for a (K, M') batch.
@@ -278,7 +322,7 @@ def full_spectrum_reference(rows, entries, n_stages, iters_per_stage=10, ratio=0
     history = []
     for _ in range(n_stages):
         stage = []
-        for _ in range(iters_per_stage):
+        for _ in range(10):
             with np.errstate(divide="ignore", invalid="ignore"):
                 shrink = np.where(mags > theta, 1.0 - theta / mags, 0.0)
             alpha = alpha * shrink
@@ -286,11 +330,11 @@ def full_spectrum_reference(rows, entries, n_stages, iters_per_stage=10, ratio=0
             mags = np.abs(alpha)
             stage.append(float(mags.sum()))
         history.append(tuple(stage))
-        theta *= ratio
+        theta *= 0.7
     return alpha, np.fft.ifft(alpha, axis=1, norm="ortho"), tuple(history)
 
 
-def allocating_reference(rows, entries, n_stages=30, iters_per_stage=10, ratio=0.7):
+def allocating_reference(rows, entries, n_stages=30):
     """The sparse baseline's loop as first written, with fresh arrays every iteration.
 
     Same operators, schedule and l1 formula as sparse_reconstruct, but each
@@ -321,7 +365,7 @@ def allocating_reference(rows, entries, n_stages=30, iters_per_stage=10, ratio=0
     history = []
     for _ in range(n_stages):
         stage = []
-        for _ in range(iters_per_stage):
+        for _ in range(10):
             with np.errstate(divide="ignore", invalid="ignore"):
                 shrink = np.where(mags > theta, 1.0 - theta / mags, 0.0)
             alpha *= shrink
@@ -329,7 +373,7 @@ def allocating_reference(rows, entries, n_stages=30, iters_per_stage=10, ratio=0
             mags = np.abs(alpha)
             stage.append(float(mags.sum() + mags[:, doubled].sum()))
         history.append(tuple(stage))
-        theta *= ratio
+        theta *= 0.7
     if real:
         signal = np.fft.irfft(alpha, n=m, axis=1, norm="ortho")
         alpha = np.concatenate([alpha, alpha[:, paired - 1:0:-1].conj()], axis=1)
@@ -486,7 +530,7 @@ class TestSparseReconstruct:
     # n_stages "3" and 2.5 used to leak a TypeError from range().
     @pytest.mark.parametrize(
         "options",
-        [{"threshold_ratio": 1.0}, {"n_stages": "3"}, {"n_stages": 2.5}, {"iters_per_stage": 0}],
+        [{"n_stages": "3"}, {"n_stages": 2.5}, {"n_stages": 0}],
     )
     def test_shape_validation(self, options):
         phi = self.phi()

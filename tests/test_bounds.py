@@ -93,7 +93,9 @@ class TestKlDiv:
                 if abs(ai - bj) > 1e-12:
                     assert d > 0.0
 
-    @pytest.mark.parametrize("a, b", [(-0.1, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, 1.0)])
+    @pytest.mark.parametrize(
+        "a, b", [(-0.1, 0.5), (1.1, 0.5), (math.nan, 0.5), (0.5, 0.0), (0.5, 1.0)]
+    )
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
             kl_div(a, b)
@@ -282,6 +284,14 @@ class TestSepAndErrorBound:
             mode_error_bound(GAMMA_DIAG, 0.0, 0)
         with pytest.raises(DomainError):
             mode_error_bound(GAMMA_DIAG, 1.0, 0)
+
+    @pytest.mark.parametrize("n", [-1, 0.5, len(GAMMA_DIAG)])
+    def test_mode_index_domain(self, n):
+        with pytest.raises(InvalidArgument):
+            mode_error_bound(GAMMA_DIAG, 0.1, n)
+
+    def test_integral_float_index(self):
+        assert mode_error_bound(GAMMA_DIAG, 0.1, 1.0) == mode_error_bound(GAMMA_DIAG, 0.1, 1)
 
 
 class TestGramDeviation:

@@ -38,7 +38,7 @@ from modalcs import (
     uniform_schedule,
     welch_csd,
 )
-from modalcs.bounds import harmonic_number_bounds, psinc
+from modalcs.bounds import harmonic_number_bounds, kl_div, psinc
 from modalcs.cli import run as cli_run
 from modalcs.mdof import canonical_sign
 from modalcs.sampling import spawn_seeds
@@ -163,12 +163,13 @@ _BASIS = ModalBasis(np.eye(2), [2.0, 1.0], [1.0, 0.5])
     lambda: random_schedule("a", 3, 1),
     lambda: random_schedule(1.0, 3, "a"),
     lambda: jl_tail_rate("a"),
-    lambda: sparse_reconstruct(np.ones(8), _PHI, threshold_ratio="0.5"),
     lambda: gershgorin_uniform_bound([1, 2], "a", 3),
     lambda: gershgorin_uniform_bound([1, 2], 0.1, "a"),
     lambda: uniform_requirements(4, "a", 2, 0.5),
     lambda: random_requirements(4, 1, 0.5, "a"),
     lambda: mode_error_bound([1, 2], "a", 0),
+    lambda: mode_error_bound([1.0, 0.5], 0.3, n="a"),
+    lambda: kl_div("a", 0.5),
     lambda: gram_deviation([["a"]]),
     lambda: gram_deviation([[math.nan, 1.0]]),
     lambda: SampleSchedule(["a"], "random", 1.0),
@@ -196,8 +197,8 @@ _BASIS = ModalBasis(np.eye(2), [2.0, 1.0], [1.0, 0.5])
     lambda: harmonic_number_bounds("a"),
 ], ids=[
     "welch_t_s_str", "welch_t_s_none", "uniform_t_s", "random_t_max", "random_seed", "jl_epsilon",
-    "sparse_threshold", "gershgorin_t_s", "gershgorin_m", "uniform_delta_min", "random_tau",
-    "error_bound_epsilon",
+    "gershgorin_t_s", "gershgorin_m", "uniform_delta_min", "random_tau",
+    "error_bound_epsilon", "error_bound_n", "kl_div_a",
     "gram_str", "gram_nan", "schedule_str", "schedule_nan", "basis_str", "basis_nan", "mdof_str",
     "aligned_str", "psinc_str", "psinc_nan", "canonical_sign_str", "steering_str",
     "amplitudes_str", "estimate_str", "estimate_nan", "estimate_0d", "csd_str", "csd_nan",

@@ -307,19 +307,14 @@ class TestBuildDataMatrix:
 
     @pytest.mark.parametrize("scheme", ["uniform", "random"])
     def test_entries_are_the_eager_build(self, scheme):
-        # Over several column blocks, lazy random entries are the direct
-        # build bit for bit; uniform ones rotate [E]'s first block, within
-        # the direct formula's tolerance in test_multi_block_matches_direct_formula.
+        # Over several column blocks, lazy entries are the direct build bit for bit.
         basis = _wide_basis(TestRotatedBuild.N, seed=13)
         m = 3 * TestRotatedBuild.COLS + 5
         schedule = uniform_schedule(0.01, m) if scheme == "uniform" else random_schedule(50.0, m, 9)
         eager = _response(basis, schedule.times)
         data = build_data_matrix(basis, schedule)
         assert data.shape == (basis.n_dof, m) and "entries" not in vars(data)
-        if scheme == "uniform":
-            assert np.abs(data.entries - eager).max() <= 1e-12 * np.abs(eager).max()
-        else:
-            assert np.array_equal(data.entries, eager)
+        assert np.array_equal(data.entries, eager)
         assert data.entries is data.entries
 
     @pytest.mark.parametrize("given, kept", [
@@ -501,8 +496,15 @@ def _wide_basis(n, seed):
     return ModalBasis(shapes, freqs, rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+def _rotated_entries(data, cols):
+    """[V] from the steering blocks of `cols` columns that compress multiplies by Phi."""
+    m = data.shape[1]
+    e = np.concatenate([data._steering(s, min(cols, m - s)) for s in range(0, m, cols)], axis=1)
+    return (data.basis.mode_shapes * data.basis.amplitudes) @ e
+
+
 class TestRotatedBuild:
-    """Uniform schedules build [V] by rotating its first column block."""
+    """compress's uniform steering blocks rotate the first column block."""
 
     N = 64  # one block is then _BLOCK_BYTES // (16 N) = 1024 columns
     COLS = _BLOCK_BYTES // (16 * N)
@@ -511,15 +513,15 @@ class TestRotatedBuild:
         schedule = uniform_schedule(0.01, 5000)
         assert schedule.n_samples <= _BLOCK_BYTES // (16 * set1_basis.n_dof)
         data = build_data_matrix(set1_basis, schedule)
-        assert np.array_equal(data.entries, _response(set1_basis, schedule.times))
+        assert np.array_equal(_rotated_entries(data, 5000), _response(set1_basis, schedule.times))
 
     @pytest.mark.parametrize("extra", [0, 1, COLS + 3])
     def test_multi_block_matches_direct_formula(self, extra):
         basis = _wide_basis(self.N, seed=11)
         schedule = uniform_schedule(0.01, self.COLS + extra)
-        data = build_data_matrix(basis, schedule)
+        rotated = _rotated_entries(build_data_matrix(basis, schedule), self.COLS)
         direct = _response(basis, schedule.times)
-        assert np.abs(data.entries - direct).max() <= 1e-12 * np.abs(direct).max()
+        assert np.abs(rotated - direct).max() <= 1e-12 * np.abs(direct).max()
 
     def test_as_close_to_extended_precision_as_direct_formula(self):
         # Against e^{i w (m-1) t_s} evaluated in long double, both builds round
@@ -538,7 +540,7 @@ class TestRotatedBuild:
         def rms(v):
             return float(np.sqrt(np.mean(np.abs(v[:, cols] - ref) ** 2)))
 
-        rotated = rms(build_data_matrix(basis, schedule).entries)
+        rotated = rms(_rotated_entries(build_data_matrix(basis, schedule), self.COLS))
         direct = rms(_response(basis, schedule.times))
         assert 0.0 < rotated <= 1.25 * direct
 
