@@ -23,6 +23,7 @@ from .errors import (
     _checked_array,
     _checked_count,
     _checked_real,
+    _checked_type,
 )
 from .mdof import canonical_sign
 
@@ -30,8 +31,9 @@ from .mdof import canonical_sign
 # above this share of the curve's maximum: a constant or silent record still
 # has window-leakage ripples, some 1e-33 of the DC value, that are no modes.
 _PEAK_FLOOR = 1e-10
-# sparse_reconstruct's continuation schedule: inner iterations per threshold
-# stage, and the factor the threshold decays by from one stage to the next.
+# sparse_reconstruct's continuation schedule: threshold stages, inner iterations
+# per stage, and the factor the threshold decays by from one stage to the next.
+_N_STAGES = 30
 _ITERS_PER_STAGE = 10
 _THRESHOLD_RATIO = 0.7
 
@@ -107,7 +109,7 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     than requested pass.
     """
     n_modes = _checked_count(n_modes, "n_modes")
-    spectra = cube.spectra
+    spectra = _checked_type(cube, CsdCube, "cube").spectra
     gram = spectra @ np.conj(spectra).transpose(0, 2, 1)
     top = np.linalg.eigvalsh(gram)[:, -1]
     interior = np.arange(1, top.size - 1)
@@ -142,7 +144,7 @@ class SparseRecovery:
     l1_history: tuple[tuple[float, ...], ...]
 
 
-def sparse_reconstruct(measurements, phi, n_stages: int = 30) -> SparseRecovery:
+def sparse_reconstruct(measurements, phi) -> SparseRecovery:
     """Recover frequency-sparse length-M signals u from y = Phi^T u.
 
     ``measurements`` is one (M',) vector or a (K, M') batch of finite
@@ -152,7 +154,7 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30) -> SparseRecovery:
     soft thresholding with reprojection onto the affine constraint set
     {alpha : A alpha = y}, A = Phi^T W.  A row's threshold starts at
     0.9 max|A^+ y| and decays geometrically by 0.7 per stage of ten
-    iterations, a standard fixed-point continuation schedule.  Every
+    iterations over 30 stages, a standard fixed-point continuation schedule.  Every
     iterate after a projection is feasible up to roundoff.  Real-dtype
     measurements keep every spectrum conjugate-symmetric and are solved on
     the rfft half spectrum with real products; their ``signal`` is real and
@@ -169,7 +171,6 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30) -> SparseRecovery:
         raise DimensionMismatch(
             f"measurement length {y.shape[-1]} does not match phi columns {m_prime}"
         )
-    n_stages = _checked_count(n_stages, "n_stages")
 
     rows = y.reshape(-1, m_prime)
     out_shape = y.shape[:-1] + (m,)
@@ -212,7 +213,7 @@ def sparse_reconstruct(measurements, phi, n_stages: int = 30) -> SparseRecovery:
     resid = np.empty(rows.shape, rows.dtype)
     history = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(n_stages):
+        for _ in range(_N_STAGES):
             stage = []
             for _ in range(_ITERS_PER_STAGE):
                 # max(1 - theta/|alpha|, 0): fmax turns a zero row's 0/0 = nan into 0.

@@ -28,6 +28,7 @@ ROOT2 = math.sqrt(2.0)
 # ln(floor(N/2)) + 1.01 upper-bounds the harmonic number H_{floor(N/2)}
 # (see harmonic_number_bounds); the 1.01 absorbs gamma + the bracket slack.
 _HARMONIC_PAD = 1.01
+_MAX_HARMONIC_N = 10**7  # harmonic_number_bounds sums n terms: 80 MB of them at most
 
 
 def psinc(x, m: int):
@@ -73,9 +74,9 @@ def harmonic_number_bounds(n: int) -> tuple[float, float, float]:
     and the lower bound is attained only at n = 1.  The bracket is proven,
     not computed: h_n - ln(n) - gamma in doubles is too noisy to resolve the
     upper margin beyond n ~ 1e4, so the tests check it against a
-    cancellation-free evaluation of the difference.
+    cancellation-free evaluation of the difference.  n > _MAX_HARMONIC_N raises DomainError.
     """
-    n = _checked_count(n, "n")
+    n = _checked_count(n, "n", hi=_MAX_HARMONIC_N)
     h_n = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
     lower = 1.0 / (2.0 * n + 1.0 / (1.0 - EULER_GAMMA) - 2.0)
     upper = 1.0 / (2.0 * n + 1.0 / 3.0)

@@ -80,13 +80,13 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def _checked_count(m, name: str = "m", lo: int = 1) -> int:
+def _checked_count(m, name: str = "m", lo: int = 1, hi: int = 2**53) -> int:
     try:
-        valid = lo <= m <= 2**53 and m == int(m)  # float64 holds every index up to 2**53
+        valid = lo <= m <= hi and m == int(m)  # float64 holds every index up to 2**53
     except (TypeError, ValueError):  # not a number
         valid = False
     if not valid:
-        raise DomainError(f"{name} must be an integer in [{lo}, 2**53], got {m!r}")
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {m!r}")
     return int(m)
 
 
@@ -102,6 +102,12 @@ def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
     if not valid:
         bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
         raise DomainError(f"{name} must {bound}, got {x!r}")
+    return value
+
+
+def _checked_type(value, cls, name: str):
+    if not isinstance(value, cls):  # a wrong object would fail later on a missing attribute
+        raise InvalidArgument(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
     return value
 
 

@@ -15,9 +15,11 @@ import numpy as np
 import numpy.fft  # eager: np.fft's lazy loader recurses if a signal handler re-enters it
 
 from .errors import (DimensionMismatch, InvalidArgument, NonUniformSchedule, ShapeError,
-                     _checked_array)
+                     _checked_array, _checked_count, _checked_type)
 from .mdof import ModalBasis, _pivot_phases, _unit_phase
 from .sampling import DataMatrix, SampleSchedule
+
+_MAX_FFT_BINS = 1 << 24  # frequency_spectra's padded length K at most: 256 MB per mode
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def estimate_modes(data: DataMatrix) -> ModeEstimate:
     rank is always N; a data matrix of lower numerical rank yields trailing
     zero singular values whose mode estimates the ``reliable`` mask flags.
     """
-    entries = data.entries
+    entries = _checked_type(data, DataMatrix, "data").entries
     n, m = entries.shape
     if not 0 < n <= m:
         raise ShapeError(f"need at least one mode and as many samples as modes, got N={n}, M={m}")
@@ -135,9 +137,9 @@ def align_and_error(estimate: ModeEstimate, truth: ModalBasis) -> np.ndarray:
     numbering used by the experiment tables (largest amplitude first).
     Phase alignment is optimal per mode, so values land in [0, sqrt(2)].
     """
-    if truth.amplitudes is None:
+    if _checked_type(truth, ModalBasis, "truth").amplitudes is None:
         raise InvalidArgument("truth basis needs amplitudes to rank modes")
-    if estimate.n_modes != truth.n_dof:
+    if _checked_type(estimate, ModeEstimate, "estimate").n_modes != truth.n_dof:
         raise ShapeError("estimate and truth disagree on the number of modes")
     return _mode_errors(estimate.mode_shapes_hat, truth)
 
@@ -146,11 +148,11 @@ def frequency_spectra(estimate: ModeEstimate, zero_pad_factor: int = 8):
     """Zero-padded FFT magnitude of each right-factor row.
 
     Returns (omega, magnitudes) with omega the length-K grid 2 pi k / (K t_s)
-    for K = zero_pad_factor * M, t_s the estimate's schedule spacing, and
-    magnitudes of shape (N, K).  Only valid for estimates from raw,
-    uniformly sampled data.
+    for K = zero_pad_factor * M (at most max(M, _MAX_FFT_BINS), else DomainError),
+    t_s the estimate's schedule spacing, and magnitudes of shape (N, K).
+    Only valid for estimates from raw, uniformly sampled data.
     """
-    if estimate.kind != "raw":
+    if _checked_type(estimate, ModeEstimate, "estimate").kind != "raw":
         raise NonUniformSchedule(
             "frequency estimation needs the raw data matrix; compressed right "
             "factors live in the projected domain"
@@ -158,10 +160,8 @@ def frequency_spectra(estimate: ModeEstimate, zero_pad_factor: int = 8):
     sched = estimate.schedule
     if sched is None or sched.scheme != "uniform":
         raise NonUniformSchedule("frequency estimation requires a uniform schedule")
-    if not isinstance(zero_pad_factor, (int, np.integer)) or zero_pad_factor < 1:
-        raise InvalidArgument(f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
     m = estimate.right_factors_hat.shape[1]
-    k = zero_pad_factor * m
+    k = _checked_count(zero_pad_factor, "zero_pad_factor", hi=max(1, _MAX_FFT_BINS // m)) * m
     omega = 2.0 * np.pi * np.arange(k) / (k * sched.t_s)
     mags = np.abs(np.fft.fft(estimate.right_factors_hat, n=k, axis=1))
     return omega, mags

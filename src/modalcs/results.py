@@ -17,12 +17,13 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgument, IoError, ParseError, RaggedRows, _checked_array
+from .errors import InvalidArgument, IoError, ParseError, RaggedRows, _checked_array, _checked_type
 
 
 def _repr_column(cells):
@@ -86,7 +87,7 @@ class ResultTable:
 
     def __post_init__(self):
         for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
+            if len(_checked_type(row, Sequence, f"row {i}")) != len(self.columns):
                 raise InvalidArgument(
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )

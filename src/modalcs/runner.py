@@ -309,7 +309,6 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     bench_freqs, bench_shapes = fdd_peaks(welch_csd(samples, t_s), n_bench)
 
     phi = draw_jl_matrix(m, m_prime, "gaussian", config.seed)
-    phi.entries  # drawn once: compress slices it and sparse_reconstruct reads it whole
     schedule = uniform_schedule(t_s, m)
     raw = DataMatrix(samples, "raw", schedule=schedule)
     compressed = compress(raw, phi)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DimensionMismatch, InvalidArgument, ShapeError, _checked_array,
-                     _checked_count, _checked_real, _checked_seed)
+                     _checked_count, _checked_real, _checked_seed, _checked_type)
 from .mdof import ModalBasis
 
 _UNIFORM_KINDS = ("uniform", "random")
@@ -233,9 +233,9 @@ def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix
     one ~1 MB column block of e^{i w t} at a time, as _response does.
     compress never builds [V].
     """
-    if basis.amplitudes is None:
+    if _checked_type(basis, ModalBasis, "basis").amplitudes is None:
         raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")
-    return _ModalData(basis, schedule)
+    return _ModalData(basis, _checked_type(schedule, SampleSchedule, "schedule"))
 
 
 @dataclass(frozen=True)
@@ -282,15 +282,10 @@ class JlMatrix:
     def row_blocks(self):
         """Yield (start, block) for consecutive row blocks of about 1 MB.
 
-        Once ``entries`` has been read, blocks are slices of it and nothing is
-        drawn again.  Otherwise ``block`` is one buffer reused from block to
-        block: copy it to keep it.
+        Each call draws the rows from the seed; ``block`` is one buffer
+        reused from block to block: copy it to keep it.
         """
         rows = max(1, _BLOCK_BYTES // (8 * self.m_prime))
-        drawn = self.__dict__.get("entries")  # where cached_property keeps it
-        if drawn is not None:
-            yield from ((start, drawn[start : start + rows]) for start in range(0, self.m, rows))
-            return
         rng = rng_from_seed(self.seed)
         buf = np.empty((min(rows, self.m), self.m_prime))
         for start in range(0, self.m, rows):
@@ -309,32 +304,25 @@ def draw_jl_matrix(m: int, m_prime: int, kind: str = "gaussian", seed: int = 0) 
 def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
     """[Y] = [V] [Phi]; each row of [V] is compressed by the same [Phi].
 
-    [Phi] is applied one row block at a time (JlMatrix.row_blocks).  Data
-    from build_data_matrix is never built: each block's steering columns
-    [E] = e^{i w t} go through one real GEMM as [Re E; Im E], and the loop
-    ends with [Y] = [Psi] diag(A) ([E] [Phi]).  Other data is compressed by
-    its columns, real and imaginary parts as two N-row products, so that
-    complex data with a zero imaginary part gives real data's [Y] exactly.
+    Measured data is one product with the cached dense [Phi], real and
+    imaginary parts as two real products, so complex data with a zero
+    imaginary part gives real data's [Y] exactly.  Data from
+    build_data_matrix is never built: [Phi] streams one row block at a time
+    (JlMatrix.row_blocks), each block's steering columns [E] = e^{i w t} go
+    through one real GEMM as [Re E; Im E], and [Y] = [Psi] diag(A) ([E] [Phi]).
     """
-    if data.kind != "raw":
+    if _checked_type(data, DataMatrix, "data").kind != "raw":
         raise InvalidArgument("only raw data matrices can be compressed")
     n, m = data.shape
-    if m != phi.m:
+    if m != _checked_type(phi, JlMatrix, "phi").m:
         raise DimensionMismatch(f"data has {m} columns but Phi has {phi.m} rows")
-    modal = isinstance(data, _ModalData)
-    stacked = modal or np.iscomplexobj(data.entries)
-    acc = np.zeros((2 * n if stacked else n, phi.m_prime))
+    if not isinstance(data, _ModalData):
+        v, dense = data.entries, phi.entries
+        y = v @ dense if v.dtype == float else v.real @ dense + 1j * (v.imag @ dense)
+        return DataMatrix(y, "compressed", schedule=data.schedule)
+    acc = np.zeros((2 * n, phi.m_prime))
     for start, block in phi.row_blocks():
-        rows = block.shape[0]
-        if modal:
-            e = data._steering(start, rows)
-            acc += np.concatenate((e.real, e.imag)) @ block
-        else:
-            part = data.entries[:, start : start + rows]
-            acc[:n] += part.real @ block
-            if stacked:
-                acc[n:] += part.imag @ block
-    y = acc[:n] + 1j * acc[n:] if stacked else acc
-    if modal:
-        y = (data.basis.mode_shapes * data.basis.amplitudes) @ y
+        e = data._steering(start, block.shape[0])
+        acc += np.concatenate((e.real, e.imag)) @ block
+    y = (data.basis.mode_shapes * data.basis.amplitudes) @ (acc[:n] + 1j * acc[n:])
     return DataMatrix(y, "compressed", schedule=data.schedule)

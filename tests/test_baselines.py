@@ -302,7 +302,7 @@ def fdd_peaks_cube_reference(cube, n_modes):
     return top, cube.frequencies[order], canonical_sign(np.ascontiguousarray(evecs[:, :, -1].T))
 
 
-def full_spectrum_reference(rows, entries, n_stages):
+def full_spectrum_reference(rows, entries):
     """The sparse baseline on the full complex spectrum with a Cholesky solve.
 
     Returns (coefficients, signal, l1_history) for a (K, M') batch.
@@ -320,7 +320,7 @@ def full_spectrum_reference(rows, entries, n_stages):
     mags = np.abs(alpha)
     theta = 0.9 * mags.max(axis=1, keepdims=True)
     history = []
-    for _ in range(n_stages):
+    for _ in range(30):
         stage = []
         for _ in range(10):
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -334,7 +334,7 @@ def full_spectrum_reference(rows, entries, n_stages):
     return alpha, np.fft.ifft(alpha, axis=1, norm="ortho"), tuple(history)
 
 
-def allocating_reference(rows, entries, n_stages=30):
+def allocating_reference(rows, entries):
     """The sparse baseline's loop as first written, with fresh arrays every iteration.
 
     Same operators, schedule and l1 formula as sparse_reconstruct, but each
@@ -363,7 +363,7 @@ def allocating_reference(rows, entries, n_stages=30):
     mags = np.abs(alpha)
     theta = 0.9 * mags.max(axis=1, keepdims=True)
     history = []
-    for _ in range(n_stages):
+    for _ in range(30):
         stage = []
         for _ in range(10):
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -462,7 +462,7 @@ class TestSparseReconstruct:
         rng = np.random.Generator(np.random.Philox(21))
         y = rng.normal(size=self.M_PRIME) + 1j * rng.normal(size=self.M_PRIME)
         phi = self.phi()
-        result = sparse_reconstruct(y, phi, n_stages=5)
+        result = sparse_reconstruct(y, phi)
         assert relative_residuals(result.signal, y, phi).max() <= 1e-10
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -475,8 +475,8 @@ class TestSparseReconstruct:
 
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_fft_count_does_not_grow_with_iterations(self, monkeypatch, imag):
-        # Phi's DFT is taken once; the iterations are products with fixed
-        # operators, so more stages add no FFT.
+        # Phi's DFT is taken once; the 300 iterations are products with fixed
+        # operators and add no FFT: one transform of Phi, one synthesis.
         calls = []
         for name in ("fft", "ifft", "rfft", "irfft"):
             def counted(*args, _fn=getattr(np.fft, name), **kwargs):
@@ -487,15 +487,11 @@ class TestSparseReconstruct:
         y = rng.normal(size=self.M_PRIME)
         if imag:  # complex dtype: the full-spectrum path
             y = y + 1j * imag * rng.normal(size=self.M_PRIME)
-        counts = []
-        for n_stages in (2, 8):
-            calls.clear()
-            sparse_reconstruct(y, self.phi(), n_stages=n_stages)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 2
+        sparse_reconstruct(y, self.phi())
+        assert len(calls) == 2
 
     def assert_l1_never_rises(self, rows):
-        result = sparse_reconstruct(rows, self.phi(), n_stages=8)
+        result = sparse_reconstruct(rows, self.phi())
         for stage in result.l1_history:
             arr = np.asarray(stage)
             assert np.diff(arr).max() <= 1e-8 * max(1.0, arr[0])
@@ -520,26 +516,19 @@ class TestSparseReconstruct:
     def test_accepts_plain_arrays(self):
         phi = self.phi()
         y = np.ones(self.M_PRIME, dtype=complex)
-        a = sparse_reconstruct(y, phi, n_stages=2)
-        b = sparse_reconstruct(y, phi.entries, n_stages=2)
+        a = sparse_reconstruct(y, phi)
+        b = sparse_reconstruct(y, phi.entries)
         npt.assert_allclose(a.coefficients, b.coefficients)
         # An object array may hold complex numbers, so it takes the complex path.
-        c = sparse_reconstruct(y.astype(object), phi, n_stages=2)
+        c = sparse_reconstruct(y.astype(object), phi)
         npt.assert_array_equal(c.coefficients, a.coefficients)
 
-    # n_stages "3" and 2.5 used to leak a TypeError from range().
-    @pytest.mark.parametrize(
-        "options",
-        [{"n_stages": "3"}, {"n_stages": 2.5}, {"n_stages": 0}],
-    )
-    def test_shape_validation(self, options):
+    def test_shape_validation(self):
         phi = self.phi()
         with pytest.raises(DimensionMismatch):
             sparse_reconstruct(np.ones(self.M_PRIME + 1), phi)
         with pytest.raises(ShapeError):
             sparse_reconstruct(np.ones((2, 2, self.M_PRIME)), phi)
-        with pytest.raises(InvalidArgument):
-            sparse_reconstruct(np.ones(self.M_PRIME), phi, **options)
 
     def test_batch_rows_match_single_calls(self):
         rng = np.random.Generator(np.random.Philox(23))
@@ -551,14 +540,14 @@ class TestSparseReconstruct:
             np.zeros(self.M_PRIME),
             rng.normal(size=self.M_PRIME) + 1j * rng.normal(size=self.M_PRIME),
         ])
-        batch = sparse_reconstruct(batch_y, phi, n_stages=8)
+        batch = sparse_reconstruct(batch_y, phi)
         assert batch.coefficients.shape == batch.signal.shape == (3, self.M)
         nonzero = [0, 2]
         assert relative_residuals(batch.signal[nonzero], batch_y[nonzero], phi).max() <= 1e-10
         npt.assert_array_equal(batch.signal[1] @ phi.entries, np.zeros(self.M_PRIME))
         assert np.isfinite(batch.coefficients).all()
         npt.assert_array_equal(batch.coefficients[1], np.zeros(self.M))
-        singles = [sparse_reconstruct(row, phi, n_stages=8) for row in batch_y]
+        singles = [sparse_reconstruct(row, phi) for row in batch_y]
         for k, single in enumerate(singles):
             for got, want in [(batch.coefficients[k], single.coefficients),
                               (batch.signal[k], single.signal)]:
@@ -588,7 +577,7 @@ class TestSparseReconstruct:
                     transforms.append(_fn.__name__)
                     return _fn(*args, **kwargs)
                 patch.setattr(np.fft, name, counted)
-            sparse_reconstruct(y, phi, n_stages=1)
+            sparse_reconstruct(y, phi)
         assert transforms == ["fft" if as_complex else "rfft"]
         got = self.assert_matches_full_spectrum(y, phi)
         assert got.signal.dtype == (np.complex128 if as_complex else np.float64)
@@ -612,8 +601,8 @@ class TestSparseReconstruct:
 
     @staticmethod
     def assert_matches_full_spectrum(y, phi):
-        got = sparse_reconstruct(y, phi, n_stages=6)
-        want = full_spectrum_reference(y, phi.entries, n_stages=6)
+        got = sparse_reconstruct(y, phi)
+        want = full_spectrum_reference(y, phi.entries)
         for a, b in [(got.coefficients, want[0]), (got.signal, want[1])]:
             assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
         npt.assert_allclose(got.l1_history, want[2], rtol=1e-10)

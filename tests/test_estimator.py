@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from modalcs import (
     DataMatrix,
     DimensionMismatch,
+    DomainError,
     ExperimentConfig,
     InvalidArgument,
     ModalBasis,
@@ -284,12 +285,18 @@ class TestFrequencyReadout:
         with pytest.raises(InvalidArgument):
             frequency_spectra(estimate_modes(data), zero_pad_factor=0)
 
-    @pytest.mark.parametrize("factor", [2.5, 2.0, "8"])
+    @pytest.mark.parametrize("factor", [2.5, "8", 10**12])
     def test_non_integer_padding(self, set1_basis, factor):
-        # 2.5 used to leak TypeError from np.arange.
+        # 2.5 used to leak TypeError from np.arange, 10**12 a MemoryError.
         data = build_data_matrix(set1_basis, uniform_schedule(0.1, 21))
-        with pytest.raises(InvalidArgument, match="zero_pad_factor must be an integer"):
+        with pytest.raises(DomainError, match="zero_pad_factor must be an integer"):
             frequency_spectra(estimate_modes(data), zero_pad_factor=factor)
+
+    def test_integral_float_padding(self, set1_basis):
+        # Like every other count, 2.0 counts as 2.
+        estimate = estimate_modes(build_data_matrix(set1_basis, uniform_schedule(0.1, 21)))
+        for got, want in zip(frequency_spectra(estimate, 2.0), frequency_spectra(estimate, 2)):
+            npt.assert_array_equal(got, want)
 
 
 def reference_aligned_distance(est, truth):

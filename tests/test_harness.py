@@ -1004,8 +1004,8 @@ class TestEmitPlotData:
 
 class TestRunExperiment:
     def test_realdata_draws_phi_once(self, tmp_path, monkeypatch):
-        # compress slices the Phi that sparse_reconstruct reads whole, so its
-        # 3000 rows are filled in one pass, not streamed and then drawn again.
+        # compress multiplies the sensor rows by the dense Phi, which
+        # sparse_reconstruct then reads from the cache: one 3000-row fill.
         data_path = str(tmp_path / "sensors.csv")
         save_sensor_csv(synthetic_sensors(), data_path)
         filled = []

@@ -17,15 +17,23 @@ import modalcs
 from modalcs import (
     CsdCube,
     DataMatrix,
+    DomainError,
     JlMatrix,
     MdofSystem,
     ModalBasis,
     ModalcsError,
     ModeEstimate,
+    ResultTable,
     SampleSchedule,
+    align_and_error,
     aligned_distance,
+    build_data_matrix,
     build_steering,
+    compress,
     draw_jl_matrix,
+    estimate_modes,
+    fdd_peaks,
+    frequency_spectra,
     gershgorin_uniform_bound,
     gram_deviation,
     jl_tail_rate,
@@ -151,6 +159,7 @@ def test_rejected_config_names_its_field(tmp_path, capsys):
 _SENSORS = np.ones((2, 64))
 _PHI = draw_jl_matrix(16, 8, seed=0)
 _BASIS = ModalBasis(np.eye(2), [2.0, 1.0], [1.0, 0.5])
+_DATA = build_data_matrix(_BASIS, uniform_schedule(0.1, 16))
 
 
 # Each scalar call leaked a TypeError or ValueError from a chained comparison or
@@ -195,6 +204,16 @@ _BASIS = ModalBasis(np.eye(2), [2.0, 1.0], [1.0, 0.5])
     lambda: JlMatrix(4.7, 2, "gaussian", 0),
     lambda: spawn_seeds(1, "a"),
     lambda: harmonic_number_bounds("a"),
+    lambda: estimate_modes(_SENSORS),
+    lambda: compress(_SENSORS, _PHI),
+    lambda: compress(_DATA, _PHI.entries),
+    lambda: align_and_error(_SENSORS, _BASIS),
+    lambda: align_and_error(estimate_modes(_DATA), _SENSORS),
+    lambda: frequency_spectra(_SENSORS),
+    lambda: fdd_peaks(_SENSORS, 1),
+    lambda: ResultTable("exp1", ("a",), (5,), {}),
+    lambda: build_data_matrix(_SENSORS, _DATA.schedule),
+    lambda: build_data_matrix(_BASIS, _SENSORS),
 ], ids=[
     "welch_t_s_str", "welch_t_s_none", "uniform_t_s", "random_t_max", "random_seed", "jl_epsilon",
     "gershgorin_t_s", "gershgorin_m", "uniform_delta_min", "random_tau",
@@ -203,11 +222,23 @@ _BASIS = ModalBasis(np.eye(2), [2.0, 1.0], [1.0, 0.5])
     "aligned_str", "psinc_str", "psinc_nan", "canonical_sign_str", "steering_str",
     "amplitudes_str", "estimate_str", "estimate_nan", "estimate_0d", "csd_str", "csd_nan",
     "sparse_nan_phi", "data_matrix_text", "welch_complex", "jl_str", "jl_fraction", "spawn_str",
-    "harmonic_str",
+    "harmonic_str", "estimate_array", "compress_array", "compress_phi_array", "align_array",
+    "align_truth_array", "spectra_array", "fdd_array", "result_row_int", "build_basis_array",
+    "build_schedule_array",
 ])
 def test_non_numbers_raise_modalcs_errors(call):
     with warnings.catch_warnings(), pytest.raises(ModalcsError):
         warnings.simplefilter("error")
+        call()
+
+
+# Each count sized an allocation and leaked numpy's MemoryError.
+@pytest.mark.parametrize("call, name", [
+    (lambda: harmonic_number_bounds(10**12), "n"),
+    (lambda: frequency_spectra(estimate_modes(_DATA), 10**12), "zero_pad_factor"),
+], ids=["harmonic_n", "zero_pad_factor"])
+def test_counts_past_their_ceiling_are_refused(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer in \\[1, "):
         call()
 
 

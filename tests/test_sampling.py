@@ -352,14 +352,6 @@ class TestJlMatrices:
         with pytest.raises(InvalidArgument):
             draw_jl_matrix(*args)
 
-    def test_row_blocks_slice_drawn_entries(self, monkeypatch):
-        phi = draw_jl_matrix(3000, 256, "gaussian", seed=8)
-        entries = phi.entries
-        monkeypatch.setattr(JlMatrix, "_fill", None)  # any further draw fails
-        blocks = [block for _, block in phi.row_blocks()]
-        assert len(blocks) == 6 and all(np.shares_memory(b, entries) for b in blocks)
-        npt.assert_array_equal(np.concatenate(blocks), entries)
-
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
     def test_row_blocks_equal_entries(self, kind):
         # Odd M' = 37 gives 3542-row blocks, so M = 10007 ends in a short one.
@@ -476,6 +468,14 @@ class TestCompress:
         rows[1, 3] = np.inf
         with pytest.raises(InvalidArgument, match="finite"):
             compress(DataMatrix(rows, "raw"), draw_jl_matrix(8, 4, seed=0))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+    def test_measured_data_is_one_product_with_phi(self, kind):
+        # Measured data is not streamed: one product with the dense Phi, bit for bit.
+        rows = rng_from_seed(40).normal(size=(18, 3000))
+        phi = draw_jl_matrix(3000, 50, kind, seed=8)
+        y = compress(DataMatrix(rows, "raw"), phi).entries
+        assert np.array_equal(y, rows @ phi.entries)
 
     def test_real_rows_stay_real(self):
         # M = 3000 at M' = 256 spans six 512-row blocks of Phi.
