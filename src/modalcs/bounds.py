@@ -204,13 +204,15 @@ def mode_error_bound(magnitudes, epsilon: float, n: int) -> float:
     return min(ROOT2, factor * seps[n])
 
 
-def gram_deviation(steering) -> float:
-    """Spectral norm of [S][S]* - [I] for N x M [S], the perturbation the bounds control."""
+def gram_deviation(steering):
+    """Spectral norm of [S][S]* - [I] for N x M [S], the perturbation the bounds control;
+    an array of one per matrix for an (..., N, M) stack."""
     s = _checked_array(steering, "steering")
-    if s.ndim != 2:
-        raise ShapeError(f"steering matrix must be 2-d, got shape {s.shape}")
-    gram = s @ s.conj().T
-    return float(np.linalg.norm(gram - np.eye(s.shape[0]), 2))
+    if s.ndim < 2:
+        raise ShapeError(f"steering matrix must be 2-d or a stack of them, got shape {s.shape}")
+    gram = s @ np.swapaxes(s.conj(), -1, -2)
+    deviation = np.linalg.norm(gram - np.eye(s.shape[-2]), 2, axis=(-2, -1))
+    return float(deviation) if s.ndim == 2 else deviation
 
 
 def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:

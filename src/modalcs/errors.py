@@ -80,13 +80,20 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def _checked_count(m, name: str = "m", lo: int = 1, hi: int = 2**53) -> int:
+def _shown(x) -> str:
     try:
-        valid = lo <= m <= hi and m == int(m)  # float64 holds every index up to 2**53
+        return repr(x)
+    except ValueError:  # an int past repr's 4,300 digits: its digit count, one too many at most
+        return f"an int of ~{int(x.bit_length() * np.log10(2.0)) + 1} digits"
+
+
+def _checked_count(m, name: str = "m", lo: int = 1, hi: int = 2**53) -> int:
+    try:  # float64 holds every index up to 2**53; a bool is no count
+        valid = lo <= m <= hi and m == int(m) and not isinstance(m, (bool, np.bool_))
     except (TypeError, ValueError):  # not a number
         valid = False
     if not valid:
-        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {m!r}")
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(m)}")
     return int(m)
 
 
@@ -96,9 +103,8 @@ def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
         valid, value = lo < x < hi, float(x)
     except (TypeError, ValueError):  # not a number
         valid = False
-    except OverflowError:  # an int past float64, whose repr fails past 4,300 digits
-        digits = int(int(x).bit_length() * np.log10(2.0)) + 1  # one too many at most
-        raise DomainError(f"{name} must be a float64, got an int of ~{digits} digits") from None
+    except OverflowError:  # an int past float64
+        raise DomainError(f"{name} must be a float64, got {_shown(x)}") from None
     if not valid:
         bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
         raise DomainError(f"{name} must {bound}, got {x!r}")

@@ -112,8 +112,9 @@ def aligned_distance(estimate_vec, truth_vec) -> float:
     """
     est = _checked_array(estimate_vec, "estimate_vec", complex)
     truth = _checked_array(truth_vec, "truth_vec", complex)
-    if est.shape != truth.shape:
-        raise DimensionMismatch(f"estimate has shape {est.shape}, truth {truth.shape}")
+    if est.ndim != 1 or est.shape != truth.shape:
+        error = ShapeError if est.ndim != 1 else DimensionMismatch
+        raise error(f"need two vectors of one length, got shapes {est.shape} and {truth.shape}")
     return float(np.linalg.norm(truth - _phase_aligned(est, truth)))
 
 

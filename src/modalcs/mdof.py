@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NonPositiveEigenvalue, NotSymmetric, ShapeError, _checked_array
+from .errors import (InvalidArgument, NonPositiveEigenvalue, NotSymmetric, ShapeError,
+                     _checked_array, _checked_type)
 
 # Tolerances are part of the public contract: constructors reject anything
 # worse, so downstream code can rely on the invariants without re-checking.
@@ -169,6 +170,7 @@ def solve_modes(system: MdofSystem) -> ModalBasis:
         If two modal frequencies coincide to within 1e-9 relative; repeated
         frequencies make individual mode shapes non-identifiable.
     """
+    system = _checked_type(system, MdofSystem, "system")
     evals, vecs = np.linalg.eigh(system.stiffness / system.mass[0, 0])
     if evals[0] <= 0.0:
         raise NonPositiveEigenvalue(

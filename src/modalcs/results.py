@@ -86,6 +86,7 @@ class ResultTable:
     panels: tuple[Panel, ...] = ()
 
     def __post_init__(self):
+        _checked_type(self.columns, Sequence, "columns")
         for i, row in enumerate(self.rows):
             if len(_checked_type(row, Sequence, f"row {i}")) != len(self.columns):
                 raise InvalidArgument(
@@ -101,7 +102,7 @@ class ResultTable:
 
 
 def write_result_csv(table: ResultTable, path: str) -> None:
-    _write_text(path, table.to_csv())
+    _write_text(path, _checked_type(table, ResultTable, "table").to_csv())
 
 
 def _parse_row(row: list[str], line_no: int) -> np.ndarray:
@@ -160,8 +161,8 @@ def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
 def save_sensor_csv(matrix, path: str, header: list[str] | None = None) -> None:
     """Write a real matrix as CSV; load_sensor_csv round-trips it bit-exactly."""
     arr = _checked_array(matrix, "matrix", float)  # load_sensor_csv refuses nan and inf
-    if arr.ndim != 2:
-        raise InvalidArgument(f"expected a 2-d matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or 0 in arr.shape:  # load_sensor_csv refuses a file without cells
+        raise InvalidArgument(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
     _write_text(path, _csv_text(header, arr.tolist()))
 
 
@@ -172,6 +173,7 @@ def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
     Output bytes are a pure function of the table.  A table without panels
     produces a manifest with zero curves and no CSVs.
     """
+    _checked_type(table, ResultTable, "table")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -12,7 +12,7 @@ import numpy as np
 from .baselines import fdd_peaks, sparse_reconstruct, welch_csd
 from .bounds import gershgorin_uniform_bound, gram_deviation
 from .config import MAX_SAMPLES, ExperimentConfig, _cap, _samples_for, build_basis
-from .errors import ConfigError
+from .errors import ConfigError, _checked_type
 from .estimator import (
     _mode_errors,
     _phase_aligned,
@@ -27,9 +27,7 @@ from .sampling import (
     _BLOCK_BYTES,
     DataMatrix,
     _random_times,
-    _response,
     build_data_matrix,
-    build_steering,
     compress,
     draw_jl_matrix,
     random_schedule,
@@ -39,15 +37,33 @@ from .sampling import (
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     try:
-        runner = _RUNNERS[config.experiment]
+        runner = _RUNNERS[_checked_type(config, ExperimentConfig, "config").experiment]
     except KeyError:
         raise ConfigError(f"unknown experiment {config.experiment!r}") from None
     return runner(config)
 
 
-def _point_errors(basis, schedule) -> np.ndarray:
-    data = build_data_matrix(basis, schedule)
-    return align_and_error(estimate_modes(data), basis)
+def _stacked_errors(basis, counts, times_of, gram=False):
+    """Per-mode aligned errors of schedules, ~1 MB of them per SVD, and if gram each S's deviation.
+
+    times_of(rows) gives a slice of them as one (rows, M) array.  Times of schedule p past
+    counts[p] are padding, zeroed in E = e^{i w t}: V = Psi diag(A) E and S = E / sqrt(m)
+    keep V V* and S S*, so U, sigma and the deviation.  E is not held through the SVD.
+    """
+    coef = basis.mode_shapes * basis.amplitudes
+    chunk = max(1, _BLOCK_BYTES // (16 * basis.n_dof * max(counts)))
+    errors, deviations = [], []
+    for start in range(0, len(counts), chunk):
+        m = np.array(counts[start : start + chunk])[:, None, None]
+        times = times_of(slice(start, start + chunk))
+        e = np.exp(1j * (basis.frequencies[:, None] * times[:, None, :]))
+        e *= np.arange(times.shape[-1]) < m
+        v = coef @ e
+        if gram:
+            deviations.append(gram_deviation(np.divide(e, np.sqrt(m), out=e)))
+        del e
+        errors.append(_mode_errors(_svd_modes(v)[0], basis))
+    return np.concatenate(errors), deviations and np.concatenate(deviations)
 
 
 def _run_sweep(config: ExperimentConfig) -> ResultTable:
@@ -70,36 +86,35 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
     n_points = int(round((stop - start) / step)) + 1
     seeds = spawn_seeds(config.seed, n_points)
 
-    rows = []
-    curves = [[] for _ in range(n)]
+    points = []  # (t_max, m, scheme, seed, gershgorin): uniform, then random, per t_max
     for i in range(n_points):
         t_max = round(start + i * step, 10)
         m = _samples_for(t_max, t_s)
         if m < n or t_max <= 0.0:
             continue
         gersh = gershgorin_uniform_bound(basis.frequencies, t_s, m)
-        schedules = (
-            ("uniform", None, uniform_schedule(t_s, m), gersh),
-            ("random", int(seeds[i]), random_schedule(t_max, m, int(seeds[i])), None),
-        )
-        point = []
-        for scheme, seed, schedule, bound in schedules:
-            errors = _point_errors(basis, schedule)
-            point.append(errors)
-            steering = build_steering(basis.frequencies, schedule)
-            row = (*errors.tolist(), float(errors.max()), gram_deviation(steering), bound)
-            rows.append((t_max, m, scheme, seed) + row)
-        for curve, err_uniform, err_random in zip(curves, *point):
-            curve.append((t_max, float(err_uniform), float(err_random)))
-    if not rows:
+        points += [(t_max, m, "uniform", None, gersh), (t_max, m, "random", int(seeds[i]), None)]
+    if not points:
         raise ConfigError(
             f"sampling.t_max_stop: no t_max up to {stop} gives the {n} samples "
             f"at t_s = {t_s} that the estimator needs"
         )
+
+    def times_of(rows):
+        times = np.zeros((len(points[rows]), max(point[1] for point in points[rows])))
+        for out, (t_max, m, _, seed, _) in zip(times, points[rows]):
+            out[:m] = np.arange(m) * t_s if seed is None else random_schedule(t_max, m, seed).times
+        return times
+
+    errors, deviations = _stacked_errors(basis, [point[1] for point in points], times_of, gram=True)
+    rows = [(*point[:4], *err.tolist(), float(err.max()), float(dev), point[4])
+            for point, err, dev in zip(points, errors, deviations)]
     columns = ("t_max", "m", "scheme", "seed") + tuple(
         f"err_mode{k}" for k in range(1, n + 1)
     ) + ("max_err", "gram_deviation", "gershgorin")
     series = ("err_uniform", "err_random")
+    t_maxes = [point[0] for point in points[::2]]
+    curves = [list(zip(t_maxes, *pair.tolist())) for pair in errors.reshape(-1, 2, n).T]
     panels = tuple(
         Panel(f"mode{k}.csv", ("t_max",) + series, curve, "t_max", series, f"mode {k}")
         for k, curve in enumerate(curves, start=1)
@@ -109,14 +124,10 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
 
 
 def _mean_max_error(basis, t_max: float, m: int, seeds) -> float:
-    """Mean over seeds of the max aligned error, one stacked SVD per block of trials."""
-    chunk = max(1, _BLOCK_BYTES // (16 * basis.n_dof * m))
-    maxima = []
-    for start in range(0, len(seeds), chunk):
-        times = _random_times(t_max, m, seeds[start : start + chunk])
-        shapes = _svd_modes(_response(basis, times))[0]
-        maxima.extend(_mode_errors(shapes, basis).max(axis=-1))
-    return float(np.mean(maxima))
+    """Mean over seeds of the max aligned error of a random schedule (_stacked_errors)."""
+    errors = _stacked_errors(basis, [m] * len(seeds),
+                             lambda rows: _random_times(t_max, m, seeds[rows]))[0]
+    return float(np.mean(errors.max(axis=-1)))
 
 
 def _run_exp3(config: ExperimentConfig) -> ResultTable:
@@ -138,7 +149,8 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
     for i, m in enumerate(m_values):
         t_max_u = round((m - 1) * t_s, 10)
         t_max_e = round(t_max_u + extension, 10)
-        err_uniform = _point_errors(basis, uniform_schedule(t_s, m)).max()
+        data = build_data_matrix(basis, uniform_schedule(t_s, m))
+        err_uniform = align_and_error(estimate_modes(data), basis).max()
         trial_seeds = spawn_seeds(int(point_seeds[i]), 2 * n_trials)
         rows.append(
             (
@@ -189,7 +201,8 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
     m_prime = config.sampling["m_prime"]
 
     m_sub = _samples_for(t_max, t_s_sub)
-    errors_sub = _point_errors(basis, uniform_schedule(t_s_sub, m_sub))
+    data_sub = build_data_matrix(basis, uniform_schedule(t_s_sub, m_sub))
+    errors_sub = align_and_error(estimate_modes(data_sub), basis)
 
     m_super = _samples_for(t_max, t_s_super)
     data_super = build_data_matrix(basis, uniform_schedule(t_s_super, m_super))

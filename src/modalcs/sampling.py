@@ -22,8 +22,8 @@ from .mdof import ModalBasis
 
 _UNIFORM_KINDS = ("uniform", "random")
 _JL_KINDS = ("gaussian", "bernoulli")
-# Working-set size of one streamed block: Phi rows in compress, V columns in
-# build_data_matrix, exp3's stacked trials.  About one L2 cache; 512 Phi rows at M' = 256.
+# Working-set size of one streamed block: Phi rows in compress, V columns in build_data_matrix,
+# the runners' stacked schedules.  About one L2 cache; 512 Phi rows at M' = 256.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -151,7 +151,8 @@ def build_steering(frequencies, schedule: SampleSchedule) -> np.ndarray:
     freqs = _checked_array(frequencies, "frequencies", float)
     if freqs.ndim != 1 or not np.all(freqs > 0.0):
         raise InvalidArgument("frequencies must be a 1-d array of finite positive values")
-    return np.exp(1j * np.outer(freqs, schedule.times)) / np.sqrt(schedule.n_samples)
+    times = _checked_type(schedule, SampleSchedule, "schedule").times
+    return np.exp(1j * np.outer(freqs, times)) / np.sqrt(times.size)
 
 
 @dataclass(frozen=True)
@@ -176,27 +177,13 @@ class DataMatrix:
         if self.kind not in ("raw", "compressed"):
             raise InvalidArgument(f"unknown data-matrix kind {self.kind!r}")
         if self.kind == "raw" and self.schedule is not None:
-            if entries.shape[1] != self.schedule.n_samples:
+            if entries.shape[1] != _checked_type(self.schedule, SampleSchedule, "schedule").n_samples:
                 raise DimensionMismatch("column count disagrees with the schedule")
         object.__setattr__(self, "entries", entries)
 
     @property
     def shape(self):
         return self.entries.shape
-
-
-def _response(basis: ModalBasis, times: np.ndarray) -> np.ndarray:
-    """v(t) = sum_n psi_n A_n e^{i w_n t} for (..., M) times, as (..., N, M).
-
-    Filled one column block at a time; the phase array is never held whole.
-    """
-    coef, m = basis.mode_shapes * basis.amplitudes, times.shape[-1]
-    v = np.empty(times.shape[:-1] + (coef.shape[0], m), dtype=complex)
-    cols = max(1, _BLOCK_BYTES // (16 * coef.shape[1] * (times.size // m)))
-    for start in range(0, m, cols):
-        block = times[..., None, start : start + cols]
-        v[..., start : start + cols] = coef @ np.exp(1j * (basis.frequencies[:, None] * block))
-    return v
 
 
 class _ModalData(DataMatrix):
@@ -212,7 +199,12 @@ class _ModalData(DataMatrix):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return _checked_array(_response(self.basis, self.schedule.times), "entries")
+        coef, times = self.basis.mode_shapes * self.basis.amplitudes, self.schedule.times
+        v, cols = np.empty(self.shape, dtype=complex), max(1, _BLOCK_BYTES // (16 * self.shape[0]))
+        for start in range(0, times.size, cols):
+            phases = self.basis.frequencies[:, None] * times[start : start + cols]
+            v[:, start : start + cols] = coef @ np.exp(1j * phases)
+        return _checked_array(v, "entries")
 
     def _steering(self, start: int, rows: int) -> np.ndarray:
         """Columns start..start+rows of [E]; uniform ones rotate a cached first block."""
@@ -230,8 +222,7 @@ def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix
 
     Equals [Psi] (sqrt(M) diag(A)) [S] for the steering matrix of the same
     frequencies and schedule.  Reading ``entries`` evaluates [V] directly,
-    one ~1 MB column block of e^{i w t} at a time, as _response does.
-    compress never builds [V].
+    one ~1 MB column block of e^{i w t} at a time.  compress never builds [V].
     """
     if _checked_type(basis, ModalBasis, "basis").amplitudes is None:
         raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")

@@ -335,10 +335,21 @@ class TestGramDeviation:
         via_eigs = np.abs(np.linalg.eigvalsh(gram) - 1.0).max()
         assert via_eigs == pytest.approx(gram_deviation(steering), abs=1e-12)
 
-    @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)])
+    @pytest.mark.parametrize("shape", [(4,), ()])
     def test_rejects_non_matrix(self, shape):
         with pytest.raises(ShapeError):
             gram_deviation(np.ones(shape, dtype=complex))
+
+    def test_stack_is_each_slice_bit_for_bit(self):
+        # Random and uniform steering matrices of one shape, in a (2, 3, N, M) stack.
+        stack = np.array([
+            [build_steering(SET2, random_schedule(3.0, 9, seed=s)) for s in range(3)],
+            [build_steering(SET2, uniform_schedule(t_s, 9)) for t_s in (0.1, 0.3, 0.7)],
+        ])
+        deviations = gram_deviation(stack)
+        assert deviations.shape == (2, 3)
+        assert deviations.tolist() == [[gram_deviation(s) for s in row] for row in stack]
+        assert gram_deviation(stack[:0]).shape == (0, 3)
 
 
 class TestModeErrorBoundEndToEnd:

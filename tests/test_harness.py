@@ -29,13 +29,20 @@ from modalcs import (
     ParseError,
     RaggedRows,
     ResultTable,
+    align_and_error,
     build_basis,
+    build_data_matrix,
+    build_steering,
     emit_plot_data,
+    estimate_modes,
+    gram_deviation,
     load_sensor_csv,
     preset,
     preset_config,
+    random_schedule,
     run_experiment,
     save_sensor_csv,
+    uniform_schedule,
     welch_csd,
     write_result_csv,
 )
@@ -44,7 +51,7 @@ from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
 from modalcs.config import CONFIG_SCHEMA, build_system
 from modalcs.results import Panel, _csv_text
-from modalcs.sampling import rng_from_seed
+from modalcs.sampling import rng_from_seed, spawn_seeds
 from test_acceptance import synthetic_sensors
 
 PRESETS_REFERENCE = os.path.join(
@@ -1059,6 +1066,59 @@ class TestRunExperiment:
         randoms = [(a[e_idx], b[e_idx]) for a, b in zip(base.rows, other.rows) if a[s_idx] == "random"]
         assert any(x != y for x, y in randoms)
 
+    @staticmethod
+    def _sweep_config(name, sampling=None):
+        raw = preset(name)
+        raw["sampling"].update(sampling or {})
+        return ExperimentConfig.from_dict(raw)
+
+    # exp2 from t_max 0.1: the grid points at 0.1 and 0.2 have fewer samples than
+    # modes and are skipped, and the stack pads schedules of 4 to 15 samples.
+    SWEEPS = [("exp1", None), ("exp2", None), ("exp2", {"t_max_start": 0.1, "t_max_stop": 1.4})]
+
+    @pytest.mark.parametrize("name, sampling", SWEEPS, ids=["exp1", "exp2", "exp2_start_0.1"])
+    def test_sweep_rows_are_the_per_point_pipeline(self, name, sampling):
+        # The stacked, zero-padded SVDs agree with one data matrix and one
+        # steering matrix per schedule to roundoff.
+        config = self._sweep_config(name, sampling)
+        basis, t_s = build_basis(config), config.sampling["t_s"]
+        start, step = config.sampling.get("t_max_start", 0.0), config.sampling["t_max_step"]
+        seeds = spawn_seeds(config.seed, round((config.sampling["t_max_stop"] - start) / step) + 1)
+        table = run_experiment(config)
+        assert table.column("scheme") == ["uniform", "random"] * (len(table.rows) // 2)
+        for t_max, m, scheme, seed, *numbers, bound in table.rows:
+            assert m == math.floor(t_max / t_s + 1e-9) + 1 >= basis.n_dof
+            if scheme == "uniform":
+                assert seed is None and bound is not None
+                schedule = uniform_schedule(t_s, m)
+            else:
+                assert seed == int(seeds[round((t_max - start) / step)]) and bound is None
+                schedule = random_schedule(t_max, m, seed)
+            errors = align_and_error(estimate_modes(build_data_matrix(basis, schedule)), basis)
+            deviation = gram_deviation(build_steering(basis.frequencies, schedule))
+            npt.assert_allclose(numbers, [*errors, errors.max(), deviation], rtol=1e-12, atol=0)
+        if sampling:
+            assert min(table.column("t_max")) == pytest.approx(0.3)
+
+    def test_sweep_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # Five schedules per chunk split the 36-schedule stack into 8 SVD calls,
+        # some between a t_max's uniform and random schedule.
+        config = self._sweep_config("exp1")
+        whole = run_experiment(config)
+        calls = []
+        svd_modes = runner_module._svd_modes
+        monkeypatch.setattr(runner_module, "_svd_modes", lambda v: calls.append(v.shape) or svd_modes(v))
+        monkeypatch.setattr(runner_module, "_BLOCK_BYTES", 5 * 16 * 4 * 21)
+        split = run_experiment(config)
+        assert [shape[0] for shape in calls] == [5] * 7 + [1]
+        assert len(whole.rows) == len(split.rows) == 36
+        for a, b in zip(whole.rows, split.rows):
+            assert a[:4] == b[:4] and a[-1] == b[-1]
+            npt.assert_allclose(a[4:-1], b[4:-1], rtol=1e-12, atol=0)
+        for p, q in zip(whole.panels, split.panels, strict=True):
+            assert p._replace(rows=None) == q._replace(rows=None)
+            npt.assert_allclose(p.rows, q.rows, rtol=1e-12, atol=0)
+
     def test_exp5_estimates_within_tolerance(self):
         table = run_experiment(preset_config("exp5"))
         assert len(table.rows) == 4
@@ -1426,7 +1486,7 @@ class TestCli:
         finally:
             tracer.uninstall()
         names = {span[3] for span in tracer.spans}
-        for layer in ("sampling.compress", "estimator.estimate_modes", "sampling.build_steering",
+        for layer in ("sampling.compress", "estimator.estimate_modes", "bounds.gram_deviation",
                       "baselines.sparse_reconstruct"):
             assert layer in names
 

@@ -18,6 +18,7 @@ from modalcs import (
     CsdCube,
     DataMatrix,
     DomainError,
+    InvalidArgument,
     JlMatrix,
     MdofSystem,
     ModalBasis,
@@ -25,12 +26,14 @@ from modalcs import (
     ModeEstimate,
     ResultTable,
     SampleSchedule,
+    ShapeError,
     align_and_error,
     aligned_distance,
     build_data_matrix,
     build_steering,
     compress,
     draw_jl_matrix,
+    emit_plot_data,
     estimate_modes,
     fdd_peaks,
     frequency_spectra,
@@ -40,11 +43,14 @@ from modalcs import (
     mode_error_bound,
     random_requirements,
     random_schedule,
+    run_experiment,
     save_sensor_csv,
+    solve_modes,
     sparse_reconstruct,
     uniform_requirements,
     uniform_schedule,
     welch_csd,
+    write_result_csv,
 )
 from modalcs.bounds import harmonic_number_bounds, kl_div, psinc
 from modalcs.cli import run as cli_run
@@ -266,6 +272,48 @@ def test_an_int_past_4300_digits_is_named_by_its_digit_count():
     # The message used to format the value, which Python refuses past 4,300 digits.
     with pytest.raises(ModalcsError, match="t_s must be a float64, got an int of ~5001 digits"):
         welch_csd(_SENSORS, 10**5000)
+
+
+# Each call leaked a ValueError (a count past 4,300 digits), an AttributeError (an
+# array for a package object), an IndexError or a TypeError, or returned a result
+# for a bool count.
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: psinc(1.0, True), DomainError, "^m must be an integer"),
+    (lambda: psinc(1.0, np.True_), DomainError, "^m must be an integer"),
+    (lambda: frequency_spectra(estimate_modes(_DATA), True), DomainError, "^zero_pad_factor "),
+    (lambda: harmonic_number_bounds(10**5000), DomainError, "got an int of ~5001 digits$"),
+    (lambda: spawn_seeds(1, 10**5000), DomainError, "got an int of ~5001 digits$"),
+    (lambda: write_result_csv(_SENSORS, os.devnull), InvalidArgument, "^table must be a"),
+    (lambda: run_experiment(_SENSORS), InvalidArgument, "^config must be an? "),
+    (lambda: solve_modes(_SENSORS), InvalidArgument, "^system must be a"),
+    (lambda: build_steering([1.0], _SENSORS), InvalidArgument, "^schedule must be a"),
+    (lambda: DataMatrix(_SENSORS, "raw", schedule=_SENSORS), InvalidArgument, "^schedule must"),
+    (lambda: aligned_distance(1.0, 1.0), ShapeError, "^need two vectors of one length"),
+    (lambda: ResultTable("x", None, ((1,),), {}), InvalidArgument, "^columns must be a"),
+], ids=["psinc_bool", "psinc_np_bool", "spectra_bool", "harmonic_digits", "spawn_digits",
+        "write_array", "run_array", "solve_array", "steering_array", "data_schedule_array",
+        "aligned_scalars", "table_columns_none"])
+def test_wrong_counts_objects_and_shapes_are_refused(call, error, match):
+    with warnings.catch_warnings(), pytest.raises(error, match=match):
+        warnings.simplefilter("error")
+        call()
+
+
+def test_emit_plot_data_refuses_an_array_before_making_its_directory(tmp_path):
+    with warnings.catch_warnings(), pytest.raises(InvalidArgument, match="^table must be a"):
+        warnings.simplefilter("error")
+        emit_plot_data(_SENSORS, str(tmp_path / "plots"))
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_save_sensor_csv_refuses_an_empty_matrix(tmp_path, shape):
+    # It wrote a file that load_sensor_csv then refuses, breaking the round trip.
+    path = tmp_path / "empty.csv"
+    with warnings.catch_warnings(), pytest.raises(InvalidArgument, match="non-empty 2-d matrix"):
+        warnings.simplefilter("error")
+        save_sensor_csv(np.ones(shape), str(path))
+    assert not path.exists()
 
 
 def _cells(path):

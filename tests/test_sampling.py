@@ -24,12 +24,12 @@ from modalcs import (
     random_schedule,
     uniform_schedule,
 )
-from modalcs.runner import _mean_max_error
+from modalcs.config import ExperimentConfig, preset
+from modalcs.runner import _mean_max_error, run_experiment
 from modalcs.sampling import (
     _BLOCK_BYTES,
     _philox_keys,
     _random_times,
-    _response,
     rng_from_seed,
     spawn_seeds,
 )
@@ -311,7 +311,7 @@ class TestBuildDataMatrix:
         basis = _wide_basis(TestRotatedBuild.N, seed=13)
         m = 3 * TestRotatedBuild.COLS + 5
         schedule = uniform_schedule(0.01, m) if scheme == "uniform" else random_schedule(50.0, m, 9)
-        eager = _response(basis, schedule.times)
+        eager = _direct(basis, schedule.times)
         data = build_data_matrix(basis, schedule)
         assert data.shape == (basis.n_dof, m) and "entries" not in vars(data)
         assert np.array_equal(data.entries, eager)
@@ -496,6 +496,11 @@ def _wide_basis(n, seed):
     return ModalBasis(shapes, freqs, rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+def _direct(basis, times):
+    """[V] by the direct formula in one block: the reference for the blocked builds."""
+    return (basis.mode_shapes * basis.amplitudes) @ np.exp(1j * np.outer(basis.frequencies, times))
+
+
 def _rotated_entries(data, cols):
     """[V] from the steering blocks of `cols` columns that compress multiplies by Phi."""
     m = data.shape[1]
@@ -513,14 +518,14 @@ class TestRotatedBuild:
         schedule = uniform_schedule(0.01, 5000)
         assert schedule.n_samples <= _BLOCK_BYTES // (16 * set1_basis.n_dof)
         data = build_data_matrix(set1_basis, schedule)
-        assert np.array_equal(_rotated_entries(data, 5000), _response(set1_basis, schedule.times))
+        assert np.array_equal(_rotated_entries(data, 5000), _direct(set1_basis, schedule.times))
 
     @pytest.mark.parametrize("extra", [0, 1, COLS + 3])
     def test_multi_block_matches_direct_formula(self, extra):
         basis = _wide_basis(self.N, seed=11)
         schedule = uniform_schedule(0.01, self.COLS + extra)
         rotated = _rotated_entries(build_data_matrix(basis, schedule), self.COLS)
-        direct = _response(basis, schedule.times)
+        direct = _direct(basis, schedule.times)
         assert np.abs(rotated - direct).max() <= 1e-12 * np.abs(direct).max()
 
     def test_as_close_to_extended_precision_as_direct_formula(self):
@@ -541,7 +546,7 @@ class TestRotatedBuild:
             return float(np.sqrt(np.mean(np.abs(v[:, cols] - ref) ** 2)))
 
         rotated = rms(_rotated_entries(build_data_matrix(basis, schedule), self.COLS))
-        direct = rms(_response(basis, schedule.times))
+        direct = rms(_direct(basis, schedule.times))
         assert 0.0 < rotated <= 1.25 * direct
 
     def test_single_sample(self, set1_basis):
@@ -613,3 +618,13 @@ class TestStreamingMemory:
             for s in seeds
         ]
         assert mean == float(np.mean(maxima))
+
+    def test_sweep_stack_holds_no_more_than_one_schedule_build(self):
+        # At M 40,001 and 50,001 one schedule's V is 3.2 MB, so each chunk holds
+        # one schedule. E is released before the SVD, so the peak stays below the
+        # 4.5 V that building each schedule's V and steering matrix on its own took.
+        raw = preset("exp1")
+        raw["sampling"].update({"t_s": 1e-4, "t_max_start": 4.0, "t_max_step": 1.0, "t_max_stop": 5.0})
+        table, peak = _traced_peak(run_experiment, ExperimentConfig.from_dict(raw))
+        assert table.column("m") == [40_001, 40_001, 50_001, 50_001]
+        assert peak < 4 * 16 * 4 * 50_001
