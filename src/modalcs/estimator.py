@@ -49,6 +49,8 @@ class ModeEstimate:
             raise ShapeError("inconsistent factor shapes")
         if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
             raise InvalidArgument("singular values must be non-negative and descending")
+        if self.schedule is not None:
+            _checked_type(self.schedule, SampleSchedule, "schedule")
         object.__setattr__(self, "mode_shapes_hat", u)
         object.__setattr__(self, "singular_values", s)
         object.__setattr__(self, "right_factors_hat", vh)

@@ -36,17 +36,18 @@ def _repr_column(cells):
     return None
 
 
-def _csv_text(header, rows) -> str:
-    """CRLF CSV text: the header row (when not None), then the rows."""
+def _csv_text(header, columns, shown=None) -> str:
+    """CRLF CSV text: the header row (when not None), then the rows of equal-length columns,
+    formatted by _repr_column or, when given, taken from shown[id(column)]."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if header is not None:
         writer.writerow(header)
-    columns = [_repr_column(col) for col in zip(*rows)]
-    if columns and None not in columns and all(len(row) == len(columns) for row in rows):
-        buf.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+    texts = [shown[id(col)] for col in columns] if shown else list(map(_repr_column, columns))
+    if None not in texts:
+        buf.write("\r\n".join([*map(",".join, zip(*texts, strict=True)), ""]))
     else:
-        writer.writerows(rows)
+        writer.writerows(zip(*columns, strict=True))
     return buf.getvalue()
 
 
@@ -59,11 +60,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 class Panel(NamedTuple):
-    """One plot CSV (file name, header, rows) and its manifest curve entry."""
+    """One plot CSV (file name, header, one column of cells per header name) and its curve entry."""
 
     file: str
     columns: tuple[str, ...]
-    rows: list[tuple]
+    data: tuple[Sequence, ...]
     x: str
     series: tuple[str, ...]
     label: str
@@ -98,7 +99,7 @@ class ResultTable:
         return [row[idx] for row in self.rows]
 
     def to_csv(self) -> str:
-        return _csv_text(self.columns, self.rows)
+        return _csv_text(self.columns, list(zip(*self.rows)))
 
 
 def write_result_csv(table: ResultTable, path: str) -> None:
@@ -163,7 +164,7 @@ def save_sensor_csv(matrix, path: str, header: list[str] | None = None) -> None:
     arr = _checked_array(matrix, "matrix", float)  # load_sensor_csv refuses nan and inf
     if arr.ndim != 2 or 0 in arr.shape:  # load_sensor_csv refuses a file without cells
         raise InvalidArgument(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
-    _write_text(path, _csv_text(header, arr.tolist()))
+    _write_text(path, _csv_text(header, arr.T.tolist()))
 
 
 def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
@@ -178,10 +179,12 @@ def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    written = []
+    # Each column object once, by id ([0.0] == [-0.0] prints otherwise); the panels keep them alive.
+    distinct = {id(col): col for panel in table.panels for col in panel.data}
+    shown, written = {key: _repr_column(col) for key, col in distinct.items()}, []
     for panel in table.panels:
         written.append(os.path.join(out_dir, panel.file))
-        _write_text(written[-1], _csv_text(panel.columns, panel.rows))
+        _write_text(written[-1], _csv_text(panel.columns, panel.data, shown))
     manifest = {
         "experiment": table.experiment,
         "config": table.config,

@@ -25,12 +25,12 @@ from .estimator import (
 from .results import Panel, ResultTable, load_sensor_csv
 from .sampling import (
     _BLOCK_BYTES,
+    _MAX_PHI_ENTRIES,
     DataMatrix,
     _random_times,
     build_data_matrix,
     compress,
     draw_jl_matrix,
-    random_schedule,
     spawn_seeds,
     uniform_schedule,
 )
@@ -100,10 +100,13 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
             f"at t_s = {t_s} that the estimator needs"
         )
 
-    def times_of(rows):
-        times = np.zeros((len(points[rows]), max(point[1] for point in points[rows])))
-        for out, (t_max, m, _, seed, _) in zip(times, points[rows]):
-            out[:m] = np.arange(m) * t_s if seed is None else random_schedule(t_max, m, seed).times
+    def times_of(rows):  # uniform rows as uniform_schedule's times, random ones in one draw
+        m = np.array([point[1] for point in points[rows]])
+        times = np.arange(m.max()) * t_s * (np.arange(m.max()) < m[:, None])
+        drawn = [i for i, point in enumerate(points[rows]) if point[3] is not None]
+        if drawn:
+            t_max, counts, _, seeds = zip(*(points[rows][i][:4] for i in drawn))
+            times[drawn, : max(counts)] = _random_times(t_max, counts, seeds)
         return times
 
     errors, deviations = _stacked_errors(basis, [point[1] for point in points], times_of, gram=True)
@@ -113,11 +116,11 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
         f"err_mode{k}" for k in range(1, n + 1)
     ) + ("max_err", "gram_deviation", "gershgorin")
     series = ("err_uniform", "err_random")
-    t_maxes = [point[0] for point in points[::2]]
-    curves = [list(zip(t_maxes, *pair.tolist())) for pair in errors.reshape(-1, 2, n).T]
+    t_maxes = [point[0] for point in points[::2]]  # one column object for every panel
     panels = tuple(
-        Panel(f"mode{k}.csv", ("t_max",) + series, curve, "t_max", series, f"mode {k}")
-        for k, curve in enumerate(curves, start=1)
+        Panel(f"mode{k}.csv", ("t_max",) + series, (t_maxes, *pair.tolist()), "t_max", series,
+              f"mode {k}")
+        for k, pair in enumerate(errors.reshape(-1, 2, n).T, start=1)
     )
     axes = {"x": "t_max [s]", "y": "aligned mode-shape error"}
     return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, panels)
@@ -173,14 +176,9 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
         "n_trials",
     )
     series = columns[3:6]  # the three error columns
-    panel = Panel(
-        "max_error_vs_m.csv",
-        ("m",) + series,
-        [row[:1] + row[3:6] for row in rows],
-        "m",
-        series,
-        "max error vs M",
-    )
+    cells = list(zip(*rows))
+    panel = Panel("max_error_vs_m.csv", ("m",) + series, (cells[0], *cells[3:6]), "m", series,
+                  "max error vs M")
     axes = {"x": "number of samples M", "y": "max aligned error"}
     return ResultTable("exp3", columns, tuple(rows), config.as_dict(), axes, (panel,))
 
@@ -239,10 +237,7 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
     panel = Panel(
         "errors_by_mode.csv",
         ("mode",) + series,
-        [
-            (k, float(sub), float(mean))
-            for k, (sub, mean) in enumerate(zip(errors_sub, errors_mean), start=1)
-        ],
+        (list(range(1, n + 1)), errors_sub.tolist(), errors_mean.tolist()),
         "mode",
         series,
         "per-mode errors",
@@ -277,11 +272,12 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
     rows = [(k, true, est, abs(est - true), tolerance) for k, (true, est) in enumerate(pairs, 1)]
     columns = ("mode", "omega_true", "omega_est", "abs_error", "tolerance")
     is_peak = (np.arange(omega.size) == peak_bins[:, None]).astype(int)
+    omega_cells = omega.tolist()  # one column object: emit_plot_data formats it once
     panels = tuple(
         Panel(
             f"spectrum_mode{k + 1}.csv",
             ("omega", "magnitude", "is_peak"),
-            list(zip(omega.tolist(), mags[k].tolist(), is_peak[k].tolist())),
+            (omega_cells, mags[k].tolist(), is_peak[k].tolist()),
             "omega",
             ("magnitude",),
             f"mode {k + 1} spectrum",
@@ -290,11 +286,6 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
     )
     axes = {"x": "omega [rad/s]", "y": "row FFT magnitude"}
     return ResultTable("exp5", columns, tuple(rows), config.as_dict(), axes, panels)
-
-
-# Realdata's dense M x M' Phi (the sparse baseline's operators are its size)
-# may have the scale benchmark's 10^5 x 256 entries.
-_MAX_PHI_ENTRIES = 100_000 * 256
 
 
 def _run_realdata(config: ExperimentConfig) -> ResultTable:
@@ -340,16 +331,13 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
         err_svd = aligned_distance(svd_shapes[:, k], bench)
         err_csfdd = aligned_distance(csfdd_shapes[:, k], bench)
         rows.append((k + 1, float(bench_freqs[k]), float(err_svd), float(err_csfdd)))
-        overlay = zip(
-            np.real(bench),
-            np.real(_phase_aligned(svd_shapes[:, k], bench)),
-            np.real(_phase_aligned(csfdd_shapes[:, k], bench)),
-        )
+        overlay = [bench, _phase_aligned(svd_shapes[:, k], bench),
+                   _phase_aligned(csfdd_shapes[:, k], bench)]
         panels.append(
             Panel(
                 f"shapes_mode{k + 1}.csv",
                 ("sensor",) + series,
-                [(j, float(b), float(s), float(c)) for j, (b, s, c) in enumerate(overlay, start=1)],
+                (list(range(1, n + 1)), *np.real(overlay).tolist()),
                 "sensor",
                 series,
                 f"mode {k + 1} shapes",

@@ -10,7 +10,6 @@ random M x M' matrix with the distributional Johnson-Lindenstrauss property.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +24,11 @@ _JL_KINDS = ("gaussian", "bernoulli")
 # Working-set size of one streamed block: Phi rows in compress, V columns in build_data_matrix,
 # the runners' stacked schedules.  About one L2 cache; 512 Phi rows at M' = 256.
 _BLOCK_BYTES = 1 << 20
+_MAX_PHI_ENTRIES = 100_000 * 256  # samples in a schedule, entries in a dense Phi: 205 MB at most
+# SeedSequence's running hash multipliers c * k**i mod 2**32: 16 mixing calls, then 4 output ones.
+_MIX_CONSTS, _OUT_CONSTS = (
+    np.array([c * pow(k, i, 2**32) % 2**32 for i in range(n)], np.uint32)
+    for c, k, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 5)))
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -76,7 +80,7 @@ class SampleSchedule:
 def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
     """M samples at t_m = (m-1) t_s for m = 1..M."""
     t_s = _checked_real(t_s, "t_s")
-    m = _checked_count(m)
+    m = _checked_count(m, hi=_MAX_PHI_ENTRIES)
     t_max = _checked_real((m - 1) * t_s, "(m - 1) * t_s", lo=-np.inf)  # floats overflow to inf
     return SampleSchedule(np.arange(m) * t_s, "uniform", t_max=t_max, t_s=t_s)
 
@@ -90,33 +94,31 @@ def _philox_keys(seeds: np.ndarray) -> np.ndarray:
     """Row i = SeedSequence(seeds[i]).generate_state(2, np.uint64) for uint64 seeds: numpy's
     stream-stable hash in uint32 arithmetic.  A seed below 2**32 hashes as [seed, 0] would.
     """
-    const = 0x43B0D7E5  # the hash's running multiplier
+    def hashmix(words, consts):  # row i hashed with consts[i], then multiplied by consts[i + 1]
+        words = (words ^ consts[:-1, None]) * consts[1:, None]
+        return words ^ (words >> np.uint32(16))
 
-    def hashmix(value, mult=0x931E8875):
-        nonlocal const
-        value = (value ^ np.uint32(const)) * np.uint32(const := const * mult & 0xFFFFFFFF)
-        return value ^ (value >> np.uint32(16))
-
-    low, high = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
-    pool = [hashmix(word) for word in (low, high, 0 * low, 0 * low)]
-    for src, dst in itertools.permutations(range(4), 2):
-        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashmix(pool[src])
+    words = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
+    pool = hashmix(np.concatenate([words, 0 * words]), _MIX_CONSTS[:5])
+    # pool[src]'s three hashes, one per other word, are independent: one (3, n) operation.
+    for src, dst in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
+        hashed = hashmix(pool[src], _MIX_CONSTS[3 * src + 4 : 3 * src + 8])
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
         pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    const = 0x8B51F9DD
-    state = np.stack([hashmix(word, 0x58F38DED) for word in pool], axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return hashmix(pool, _OUT_CONSTS).T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
-    """(len(seeds), M) times; row i is M i.i.d. uniform draws over [0, t_max]
-    from rng_from_seed(seeds[i]), sorted.  A row with a repeated time (possible
-    in floats) is redrawn from its own stream, so it stays a function of its
-    seed; 64 colliding draws mean t_max is too small to hold M distinct floats.
-    Philox is counter-based, so all rows share the first row's generator: a
-    row's key (from _philox_keys) and a zeroed counter restart its stream.
+def _random_times(t_max, m, seeds) -> np.ndarray:
+    """(len(seeds), max M) times; row i is m[i] i.i.d. uniform draws over [0, t_max[i]]
+    from rng_from_seed(seeds[i]), sorted, then zeros (one t_max or m serves every row).
+    A row with a repeated time (possible in floats) is redrawn from its own stream, so
+    it stays a function of its seed; 64 colliding draws mean t_max is too small to hold
+    M distinct floats.  Philox is counter-based, so all rows share the first row's
+    generator: a row's key (from _philox_keys) and a zeroed counter restart its stream.
     """
-    t_max = _checked_real(t_max, "t_max")
-    m = _checked_count(m)
+    t_max = np.broadcast_to([_checked_real(t, "t_max") for t in np.atleast_1d(t_max)], len(seeds))
+    m = np.broadcast_to([_checked_count(k, hi=_MAX_PHI_ENTRIES) for k in np.atleast_1d(m)],
+                        len(seeds))
     rest = [int(_checked_seed(seed)) for seed in seeds[1:]]
     if rest and max(rest) >> 64:
         raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")
@@ -131,15 +133,19 @@ def _random_times(t_max: float, m: int, seeds) -> np.ndarray:
         rng.bit_generator.state = state
         return rng.random(count)
 
-    # t_max * U[0, 1) is uniform(0, t_max)'s own arithmetic, done for all rows at once.
-    times = np.sort(t_max * np.array([draw(i, m) for i in range(len(seeds))]))
+    # t_max * U[0, 1) is uniform(0, t_max)'s own arithmetic, done for all rows at once;
+    # a row's nan padding sorts past its draws, never collides, and is zeroed at the end.
+    times = np.full((len(seeds), m.max()), np.nan)
+    for i, row in enumerate(times):
+        row[: m[i]] = draw(i, m[i])
+    times = np.sort(t_max[:, None] * times)
     for draws in range(2, 66):  # a row colliding now has drawn (draws - 1) * M values
         collided = np.flatnonzero((np.diff(times) <= 0.0).any(axis=-1))
         if not collided.size:
-            return times
+            return np.nan_to_num(times, copy=False, nan=0.0)
         for i in collided:
-            times[i] = np.sort(t_max * draw(i, draws * m)[-m:])
-    raise InvalidArgument(f"t_max = {t_max} cannot hold M = {m} distinct sample times")
+            times[i, : m[i]] = np.sort(t_max[i] * draw(i, draws * m[i])[-m[i] :])
+    raise InvalidArgument(f"t_max = {t_max[i]} cannot hold M = {m[i]} distinct sample times")
 
 
 def build_steering(frequencies, schedule: SampleSchedule) -> np.ndarray:
@@ -176,8 +182,9 @@ class DataMatrix:
             raise ShapeError("data matrix must be 2-d")
         if self.kind not in ("raw", "compressed"):
             raise InvalidArgument(f"unknown data-matrix kind {self.kind!r}")
-        if self.kind == "raw" and self.schedule is not None:
-            if entries.shape[1] != _checked_type(self.schedule, SampleSchedule, "schedule").n_samples:
+        if self.schedule is not None:
+            samples = _checked_type(self.schedule, SampleSchedule, "schedule").n_samples
+            if self.kind == "raw" and entries.shape[1] != samples:
                 raise DimensionMismatch("column count disagrees with the schedule")
         object.__setattr__(self, "entries", entries)
 
@@ -284,6 +291,7 @@ class JlMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
+        _checked_count(self.m * self.m_prime, "M x M'", hi=_MAX_PHI_ENTRIES)
         return self._fill(rng_from_seed(self.seed), np.empty(self.shape))
 
 

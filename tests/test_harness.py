@@ -47,10 +47,11 @@ from modalcs import (
     write_result_csv,
 )
 from modalcs import config as config_module
+from modalcs import results as results_module
 from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
 from modalcs.config import CONFIG_SCHEMA, build_system
-from modalcs.results import Panel, _csv_text
+from modalcs.results import Panel, _csv_text, _repr_column
 from modalcs.sampling import rng_from_seed, spawn_seeds
 from test_acceptance import synthetic_sensors
 
@@ -530,7 +531,7 @@ class TestResultTable:
             save_sensor_csv(synthetic_sensors(), raw["data_path"])
         table = run_experiment(ExperimentConfig.from_dict(raw))
         cells = [v for row in table.rows for v in row]
-        cells += [v for panel in table.panels for row in panel.rows for v in row]
+        cells += [v for panel in table.panels for column in panel.data for v in column]
         assert table.rows and table.panels
         assert [v for v in cells if not _is_csv_cell(v)] == []
 
@@ -557,15 +558,48 @@ class TestResultTable:
 
     @st.composite
     def csv_tables(draw, cells=csv_cells):
+        """(header or None, rows, the same cells as one list per column)."""
         kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=5))
         rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=12))
-        return draw(st.none() | st.just([f"c{i}" for i in range(len(kinds))])), rows
+        columns = [[row[j] for row in rows] for j in range(len(kinds))]
+        return draw(st.none() | st.just([f"c{i}" for i in range(len(kinds))])), rows, columns
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(csv_tables())
     def test_csv_text_is_csv_writer_text(self, table):
-        header, rows = table
-        assert _csv_text(header, rows) == self.writer_text(header, rows)
+        # _csv_text takes columns; csv.writer writes the rows they make, the
+        # same when each column's text comes from emit_plot_data's map.
+        header, rows, columns = table
+        assert _csv_text(header, columns) == self.writer_text(header, rows)
+        shown = {id(column): _repr_column(column) for column in columns}
+        assert _csv_text(header, columns, shown) == self.writer_text(header, rows)
+
+    def test_shared_column_writes_the_bytes_of_equal_copies(self, tmp_path):
+        x = [0.1, -0.0, 1e16, 5e-324]
+        shared = tuple(
+            Panel(f"p{k}.csv", ("x", "y"), (x, [k * v for v in x]), "x", ("y",), f"p{k}")
+            for k in range(3)
+        )
+        copies = tuple(p._replace(data=(list(x), p.data[1])) for p in shared)
+        for name, panels in (("shared", shared), ("copies", copies)):
+            emit_plot_data(ResultTable("x", ["a"], [], {}, {}, panels), str(tmp_path / name))
+        for k in range(3):
+            text = (tmp_path / "shared" / f"p{k}.csv").read_bytes()
+            assert text == (tmp_path / "copies" / f"p{k}.csv").read_bytes()
+            assert text.startswith(b"x,y\r\n0.1,")
+
+    def test_equal_columns_are_formatted_by_identity(self, tmp_path):
+        # 0.0 == -0.0 and 1 == 1.0 == True, but each prints its own text: a
+        # format cache keyed on equal values would write one text for all.
+        columns = [[0.0], [-0.0], [1], [1.0], [True]]
+        assert columns[0] == columns[1] and columns[2] == columns[3] == columns[4]
+        panels = tuple(
+            Panel(f"c{k}.csv", ("v",), (column,), "v", (), "c") for k, column in enumerate(columns)
+        )
+        emit_plot_data(ResultTable("x", ["a"], [], {}, {}, panels), str(tmp_path))
+        texts = [(tmp_path / f"c{k}.csv").read_bytes() for k in range(len(columns))]
+        assert texts == [b"v\r\n0.0\r\n", b"v\r\n-0.0\r\n", b"v\r\n1\r\n", b"v\r\n1.0\r\n",
+                         b"v\r\nTrue\r\n"]
 
     def test_sensor_csv_bytes_are_csv_writer_bytes(self, tmp_path):
         data = np.array([[-0.0, 5e-324, 1e16], [1e-5, 1.0 / 3.0, -2.5e300]])
@@ -985,7 +1019,7 @@ class TestEmitPlotData:
     def test_unknown_layout(self, tmp_path):
         # emit_plot_data knows no experiment names: any table's panels are
         # written exactly as given.
-        panel = Panel("custom.csv", ("x", "y"), [(1, 0.5), (2, None)], "x", ("y",), "custom")
+        panel = Panel("custom.csv", ("x", "y"), ([1, 2], [0.5, None]), "x", ("y",), "custom")
         table = ResultTable("exp9", ["x"], [(1.0,)], {"seed": 3}, {"x": "a", "y": "b"}, (panel,))
         paths = emit_plot_data(table, str(tmp_path))
         assert paths == [str(tmp_path / "manifest.json"), str(tmp_path / "custom.csv")]
@@ -1116,8 +1150,33 @@ class TestRunExperiment:
             assert a[:4] == b[:4] and a[-1] == b[-1]
             npt.assert_allclose(a[4:-1], b[4:-1], rtol=1e-12, atol=0)
         for p, q in zip(whole.panels, split.panels, strict=True):
-            assert p._replace(rows=None) == q._replace(rows=None)
-            npt.assert_allclose(p.rows, q.rows, rtol=1e-12, atol=0)
+            assert p._replace(data=None) == q._replace(data=None)
+            npt.assert_allclose(p.data, q.data, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block_bytes", [None, 5 * 16 * 4 * 21])
+    def test_sweep_draws_each_chunks_random_schedules_at_once(self, monkeypatch, block_bytes):
+        # One _random_times call per stacked SVD, not one random_schedule per point.
+        draws, chunks = [], []
+        random_times, svd_modes = runner_module._random_times, runner_module._svd_modes
+        monkeypatch.setattr(runner_module, "_random_times",
+                            lambda *args: draws.append(len(args[2])) or random_times(*args))
+        monkeypatch.setattr(runner_module, "_svd_modes", lambda v: chunks.append(v) or svd_modes(v))
+        if block_bytes:
+            monkeypatch.setattr(runner_module, "_BLOCK_BYTES", block_bytes)
+        table = run_experiment(self._sweep_config("exp1"))
+        assert len(draws) == len(chunks) == (8 if block_bytes else 1)
+        assert sum(draws) == table.column("scheme").count("random") == 18
+
+    def test_exp5_plot_columns_are_formatted_once_each(self, monkeypatch, tmp_path):
+        # The four spectrum panels share one omega column: 1 + 4 magnitude + 4 is_peak.
+        table = run_experiment(preset_config("exp5"))
+        formatted, repr_column = [], results_module._repr_column
+        monkeypatch.setattr(results_module, "_repr_column",
+                            lambda cells: formatted.append(id(cells)) or repr_column(cells))
+        emit_plot_data(table, str(tmp_path))
+        assert len(table.panels) == 4
+        assert sorted(formatted) == sorted({id(c) for p in table.panels for c in p.data})
+        assert len(formatted) == 9
 
     def test_exp5_estimates_within_tolerance(self):
         table = run_experiment(preset_config("exp5"))

@@ -55,7 +55,8 @@ from modalcs import (
 from modalcs.bounds import harmonic_number_bounds, kl_div, psinc
 from modalcs.cli import run as cli_run
 from modalcs.mdof import canonical_sign
-from modalcs.sampling import spawn_seeds
+from modalcs.config import MAX_SAMPLES
+from modalcs.sampling import _MAX_PHI_ENTRIES, spawn_seeds
 from test_acceptance import synthetic_sensors
 
 
@@ -248,6 +249,18 @@ def test_counts_past_their_ceiling_are_refused(call, name):
         call()
 
 
+def test_count_ceilings_admit_the_largest_runs():
+    # One ceiling covers a schedule's samples and a dense Phi's entries: config's
+    # MAX_SAMPLES and the scale workload's 10^5 x 256 Phi fit under it.
+    assert _MAX_PHI_ENTRIES >= max(MAX_SAMPLES, 10**5 * 256)
+    assert uniform_schedule(1e-3, MAX_SAMPLES).n_samples == MAX_SAMPLES
+    assert random_schedule(1.0, MAX_SAMPLES, 0).n_samples == MAX_SAMPLES
+    for call in (lambda: uniform_schedule(1.0, _MAX_PHI_ENTRIES + 1),
+                 lambda: draw_jl_matrix(_MAX_PHI_ENTRIES + 1, 1).entries):
+        with pytest.raises(DomainError, match=f"in \\[1, {_MAX_PHI_ENTRIES}\\], got "):
+            call()
+
+
 def test_nan_t_max_schedule_is_refused():
     # A nan t_max made the range check compare false and pass.
     with pytest.raises(ModalcsError, match="t_max must be finite"):
@@ -274,9 +287,15 @@ def test_an_int_past_4300_digits_is_named_by_its_digit_count():
         welch_csd(_SENSORS, 10**5000)
 
 
+def _estimate_with_schedule(schedule):
+    estimate = estimate_modes(_DATA)
+    return ModeEstimate(estimate.mode_shapes_hat, estimate.singular_values,
+                        estimate.right_factors_hat, schedule=schedule)
+
+
 # Each call leaked a ValueError (a count past 4,300 digits), an AttributeError (an
-# array for a package object), an IndexError or a TypeError, or returned a result
-# for a bool count.
+# array for a package object), an IndexError, a TypeError or a MemoryError (a count
+# sizing an allocation), or returned a result for a bool count.
 @pytest.mark.parametrize("call, error, match", [
     (lambda: psinc(1.0, True), DomainError, "^m must be an integer"),
     (lambda: psinc(1.0, np.True_), DomainError, "^m must be an integer"),
@@ -290,9 +309,18 @@ def test_an_int_past_4300_digits_is_named_by_its_digit_count():
     (lambda: DataMatrix(_SENSORS, "raw", schedule=_SENSORS), InvalidArgument, "^schedule must"),
     (lambda: aligned_distance(1.0, 1.0), ShapeError, "^need two vectors of one length"),
     (lambda: ResultTable("x", None, ((1,),), {}), InvalidArgument, "^columns must be a"),
+    (lambda: frequency_spectra(_estimate_with_schedule(_SENSORS)), InvalidArgument,
+     "^schedule must be a"),
+    (lambda: DataMatrix(_SENSORS, "compressed", schedule=_SENSORS), InvalidArgument,
+     "^schedule must be a"),
+    (lambda: uniform_schedule(0.1, 10**12), DomainError, "^m must be an integer in \\[1, "),
+    (lambda: random_schedule(1.0, 10**12, 0), DomainError, "^m must be an integer in \\[1, "),
+    (lambda: draw_jl_matrix(10**12, 10**6).entries, DomainError,
+     "^M x M' must be an integer in \\[1, "),
 ], ids=["psinc_bool", "psinc_np_bool", "spectra_bool", "harmonic_digits", "spawn_digits",
         "write_array", "run_array", "solve_array", "steering_array", "data_schedule_array",
-        "aligned_scalars", "table_columns_none"])
+        "aligned_scalars", "table_columns_none", "estimate_schedule_array",
+        "compressed_schedule_array", "uniform_m", "random_m", "jl_entries"])
 def test_wrong_counts_objects_and_shapes_are_refused(call, error, match):
     with warnings.catch_warnings(), pytest.raises(error, match=match):
         warnings.simplefilter("error")

@@ -165,6 +165,30 @@ class TestRandomSchedule:
         expected = np.stack([sequential(s) for s in seeds])
         assert _random_times(5e-324, 2, seeds).tobytes() == expected.tobytes()
 
+    def test_rows_with_their_own_t_max_and_m_are_each_seeds_schedule(self):
+        # Each row keeps the bits of its own one-seed draw, collision redraws
+        # included (on [0, 5e-324] two times collide about half the time), and
+        # is zero past its M.
+        def sequential(t_max, m, seed):
+            rng = rng_from_seed(seed)
+            while True:
+                times = np.sort(rng.uniform(0.0, t_max, size=m))
+                if np.all(np.diff(times) > 0.0):
+                    return times
+
+        seeds = list(range(40))
+        t_max = [5e-324 if s % 3 == 0 else 0.5 + s / 7 for s in seeds]
+        m = [2 if s % 3 == 0 else 1 + s % 11 for s in seeds]
+        times = _random_times(t_max, m, seeds)
+        assert times.shape == (40, 11)
+        for row, t, k, s in zip(times, t_max, m, seeds):
+            assert row[:k].tobytes() == sequential(t, k, s).tobytes()
+            assert row[:k].tobytes() == random_schedule(t, k, s).times.tobytes()
+            assert row[k:].tobytes() == bytes(8 * (11 - k))
+        # One t_max or one m serves every row.
+        assert _random_times(2.0, m, seeds).tobytes() == _random_times([2.0] * 40, m, seeds).tobytes()
+        assert _random_times(t_max, 2, seeds).tobytes() == _random_times(t_max, [2] * 40, seeds).tobytes()
+
     def test_philox_keys_are_seed_sequence_states(self):
         edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
         seeds = np.concatenate([
