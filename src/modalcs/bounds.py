@@ -31,13 +31,14 @@ _HARMONIC_PAD = 1.01
 _MAX_HARMONIC_N = 10**7  # harmonic_number_bounds sums n terms: 80 MB of them at most
 
 
-def psinc(x, m: int):
+def psinc(x, m):
     """Periodic sinc (Dirichlet kernel) sin(m x / 2) / (m sin(x / 2)).
 
     At the removable singularities x = 2 pi k the value is (-1)^(k (m - 1)).
-    Accepts scalars or arrays; m is the number of samples in the kernel.
+    Accepts scalars or arrays; m is the number of samples in the kernel, or
+    an array of them that broadcasts against x.
     """
-    m, x = _checked_count(m), _checked_array(x, "x", float)
+    m, x = _checked_counts(m), _checked_array(x, "x", float)
     # Reduce to r = x - 2 pi k, which is exact up to rounding of 2 pi k and
     # keeps sin(r/2) well away from catastrophic cancellation at multiples.
     k = np.round(x / (2.0 * math.pi))
@@ -47,6 +48,13 @@ def psinc(x, m: int):
         core = np.where(r == 0.0, 1.0, np.sin(m * r / 2.0) / (m * np.sin(r / 2.0)))
     out = sign * core
     return float(out) if out.ndim == 0 else out
+
+
+def _checked_counts(m):
+    """m as an int if it is a scalar, else as an int array of the counts it holds."""
+    counts = np.asarray(m, dtype=object)  # a ragged sequence holds lists, which fail below
+    checked = np.array(list(map(_checked_count, counts.flat)), int).reshape(counts.shape)
+    return checked if counts.ndim else int(checked)
 
 
 def kl_div(a: float, b: float) -> float:
@@ -215,7 +223,7 @@ def gram_deviation(steering):
     return float(deviation) if s.ndim == 2 else deviation
 
 
-def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
+def gershgorin_uniform_bound(frequencies, t_s: float, m):
     """Gershgorin radius of the uniform-schedule Gram perturbation:
 
         max_l sum_{n != l} | psinc(|w_l - w_n| T_s, M) |
@@ -223,11 +231,12 @@ def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
     This dominates gram_deviation for any T_s because the off-diagonal Gram
     entries have exactly these magnitudes.  A warning is issued when
     T_s > pi / delta_max, outside the region the sampling theorem addresses.
+    For a 1-d sequence of counts M the result is an array of one bound per count.
     """
     freqs = _checked_array(frequencies, "frequencies", float)
     if freqs.ndim != 1 or freqs.size < 2:
         raise InvalidArgument("need at least two finite frequencies")
-    t_s, m = _checked_real(t_s, "t_s"), _checked_count(m)
+    t_s, m = _checked_real(t_s, "t_s"), _checked_counts(m)
     diffs = np.abs(freqs[:, None] - freqs[None, :])
     delta_max = diffs.max()
     # Relative slack keeps the exact theorem rate T_s = pi/delta_max from
@@ -238,7 +247,7 @@ def gershgorin_uniform_bound(frequencies, t_s: float, m: int) -> float:
             "radius but the sampling theorem does not apply",
             stacklevel=2,
         )
-    kernel = np.abs(psinc(diffs * t_s, m))
-    np.fill_diagonal(kernel, 0.0)
-    return float(kernel.sum(axis=1).max())
-
+    kernel = np.abs(psinc(diffs * t_s, m if np.ndim(m) == 0 else m[..., None, None]))
+    kernel[..., range(freqs.size), range(freqs.size)] = 0.0
+    radii = kernel.sum(axis=-1).max(axis=-1)
+    return float(radii) if radii.ndim == 0 else radii

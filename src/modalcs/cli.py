@@ -13,6 +13,7 @@ must be a complete configuration.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .results import emit_plot_data, write_result_csv
 from .runner import run_experiment
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modal-cs",

@@ -179,12 +179,15 @@ def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    # Each column object once, by id ([0.0] == [-0.0] prints otherwise); the panels keep them alive.
-    distinct = {id(col): col for panel in table.panels for col in panel.data}
-    shown, written = {key: _repr_column(col) for key, col in distinct.items()}, []
-    for panel in table.panels:
+    # Each column object once, by id ([0.0] == [-0.0] prints otherwise); the panels keep them
+    # alive.  A column's text is made for the first panel that holds it, dropped after the last.
+    last = {id(col): i for i, panel in enumerate(table.panels) for col in panel.data}
+    shown, written = {}, []
+    for i, panel in enumerate(table.panels):
+        shown.update((id(col), _repr_column(col)) for col in panel.data if id(col) not in shown)
         written.append(os.path.join(out_dir, panel.file))
         _write_text(written[-1], _csv_text(panel.columns, panel.data, shown))
+        shown = {key: text for key, text in shown.items() if last[key] > i}
     manifest = {
         "experiment": table.experiment,
         "config": table.config,

@@ -43,24 +43,29 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     return runner(config)
 
 
-def _stacked_errors(basis, counts, times_of, gram=False):
-    """Per-mode aligned errors of schedules, ~1 MB of them per SVD, and if gram each S's deviation.
-
-    times_of(rows) gives a slice of them as one (rows, M) array.  Times of schedule p past
-    counts[p] are padding, zeroed in E = e^{i w t}: V = Psi diag(A) E and S = E / sqrt(m)
-    keep V V* and S S*, so U, sigma and the deviation.  E is not held through the SVD.
+def _stacked_errors(basis, points, t_s, gram=False):
+    """Per-mode aligned errors of (t_max, m, scheme, seed) schedules, ~1 MB per SVD, and if gram
+    each S's deviation.  Seedless points are uniform_schedule(t_s, m)'s times, the rest one
+    _random_times draw per chunk.  Times past a schedule's m are padding, zeroed in E = e^{i w t}:
+    V = Psi diag(A) E and S = E / sqrt(m) keep V V* and S S*, so U, sigma and the deviation.
+    E is not held through the SVD.
     """
     coef = basis.mode_shapes * basis.amplitudes
-    chunk = max(1, _BLOCK_BYTES // (16 * basis.n_dof * max(counts)))
+    chunk = max(1, _BLOCK_BYTES // (16 * basis.n_dof * max(point[1] for point in points)))
     errors, deviations = [], []
-    for start in range(0, len(counts), chunk):
-        m = np.array(counts[start : start + chunk])[:, None, None]
-        times = times_of(slice(start, start + chunk))
+    for start in range(0, len(points), chunk):
+        rows = points[start : start + chunk]
+        m = np.array([point[1] for point in rows])[:, None]
+        times = np.arange(m.max()) * t_s * (np.arange(m.max()) < m)
+        drawn = [i for i, point in enumerate(rows) if point[3] is not None]
+        if drawn:
+            t_max, counts, _, seeds = zip(*(rows[i] for i in drawn))
+            times[drawn, : max(counts)] = _random_times(t_max, counts, seeds)
         e = np.exp(1j * (basis.frequencies[:, None] * times[:, None, :]))
-        e *= np.arange(times.shape[-1]) < m
+        e *= np.arange(times.shape[-1]) < m[:, None]
         v = coef @ e
         if gram:
-            deviations.append(gram_deviation(np.divide(e, np.sqrt(m), out=e)))
+            deviations.append(gram_deviation(np.divide(e, np.sqrt(m[:, None]), out=e)))
         del e
         errors.append(_mode_errors(_svd_modes(v)[0], basis))
     return np.concatenate(errors), deviations and np.concatenate(deviations)
@@ -86,32 +91,24 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
     n_points = int(round((stop - start) / step)) + 1
     seeds = spawn_seeds(config.seed, n_points)
 
-    points = []  # (t_max, m, scheme, seed, gershgorin): uniform, then random, per t_max
+    points = []  # (t_max, m, scheme, seed): uniform, then random, per t_max
     for i in range(n_points):
         t_max = round(start + i * step, 10)
         m = _samples_for(t_max, t_s)
         if m < n or t_max <= 0.0:
             continue
-        gersh = gershgorin_uniform_bound(basis.frequencies, t_s, m)
-        points += [(t_max, m, "uniform", None, gersh), (t_max, m, "random", int(seeds[i]), None)]
+        points += [(t_max, m, "uniform", None), (t_max, m, "random", int(seeds[i]))]
     if not points:
         raise ConfigError(
             f"sampling.t_max_stop: no t_max up to {stop} gives the {n} samples "
             f"at t_s = {t_s} that the estimator needs"
         )
 
-    def times_of(rows):  # uniform rows as uniform_schedule's times, random ones in one draw
-        m = np.array([point[1] for point in points[rows]])
-        times = np.arange(m.max()) * t_s * (np.arange(m.max()) < m[:, None])
-        drawn = [i for i, point in enumerate(points[rows]) if point[3] is not None]
-        if drawn:
-            t_max, counts, _, seeds = zip(*(points[rows][i][:4] for i in drawn))
-            times[drawn, : max(counts)] = _random_times(t_max, counts, seeds)
-        return times
-
-    errors, deviations = _stacked_errors(basis, [point[1] for point in points], times_of, gram=True)
-    rows = [(*point[:4], *err.tolist(), float(err.max()), float(dev), point[4])
-            for point, err, dev in zip(points, errors, deviations)]
+    errors, deviations = _stacked_errors(basis, points, t_s, gram=True)
+    gersh = gershgorin_uniform_bound(basis.frequencies, t_s, [p[1] for p in points[::2]])
+    bounds = [bound for uniform in gersh.tolist() for bound in (uniform, None)]  # random: None
+    rows = [(*point, *err.tolist(), float(err.max()), float(dev), bound)
+            for point, err, dev, bound in zip(points, errors, deviations, bounds)]
     columns = ("t_max", "m", "scheme", "seed") + tuple(
         f"err_mode{k}" for k in range(1, n + 1)
     ) + ("max_err", "gram_deviation", "gershgorin")
@@ -124,13 +121,6 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
     )
     axes = {"x": "t_max [s]", "y": "aligned mode-shape error"}
     return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, panels)
-
-
-def _mean_max_error(basis, t_max: float, m: int, seeds) -> float:
-    """Mean over seeds of the max aligned error of a random schedule (_stacked_errors)."""
-    errors = _stacked_errors(basis, [m] * len(seeds),
-                             lambda rows: _random_times(t_max, m, seeds[rows]))[0]
-    return float(np.mean(errors.max(axis=-1)))
 
 
 def _run_exp3(config: ExperimentConfig) -> ResultTable:
@@ -152,20 +142,15 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
     for i, m in enumerate(m_values):
         t_max_u = round((m - 1) * t_s, 10)
         t_max_e = round(t_max_u + extension, 10)
-        data = build_data_matrix(basis, uniform_schedule(t_s, m))
-        err_uniform = align_and_error(estimate_modes(data), basis).max()
-        trial_seeds = spawn_seeds(int(point_seeds[i]), 2 * n_trials)
-        rows.append(
-            (
-                m,
-                t_max_u,
-                t_max_e,
-                float(err_uniform),
-                _mean_max_error(basis, t_max_u, m, trial_seeds[:n_trials]),
-                _mean_max_error(basis, t_max_e, m, trial_seeds[n_trials:]),
-                n_trials,
-            )
-        )
+        trial_seeds = spawn_seeds(int(point_seeds[i]), 2 * n_trials).tolist()
+        points = [(t_max_u, m, "uniform", None)] + [
+            (t_max, m, "random", seed)
+            for t_max, seed in zip([t_max_u] * n_trials + [t_max_e] * n_trials, trial_seeds)
+        ]
+        maxima = _stacked_errors(basis, points, t_s)[0].max(axis=-1)
+        matched, extended = maxima[1:].reshape(2, n_trials)
+        rows.append((m, t_max_u, t_max_e, float(maxima[0]), float(np.mean(matched)),
+                     float(np.mean(extended)), n_trials))
     columns = (
         "m",
         "t_max_uniform",
@@ -204,20 +189,21 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
 
     m_super = _samples_for(t_max, t_s_super)
     data_super = build_data_matrix(basis, uniform_schedule(t_s_super, m_super))
-    phi_seeds = spawn_seeds(config.seed, config.n_phi_seeds)
-    per_seed = []
-    for seed in phi_seeds:
-        phi = draw_jl_matrix(m_super, m_prime, "gaussian", int(seed))
-        errors = align_and_error(estimate_modes(compress(data_super, phi)), basis)
-        per_seed.append((int(seed), errors))
+    phi_seeds = spawn_seeds(config.seed, config.n_phi_seeds).tolist()
+    chunk = max(1, _BLOCK_BYTES // (16 * n * m_prime))
+    stacked = np.concatenate([
+        _mode_errors(_svd_modes(np.array([
+            compress(data_super, draw_jl_matrix(m_super, m_prime, "gaussian", seed)).entries
+            for seed in phi_seeds[start : start + chunk]]))[0], basis)
+        for start in range(0, len(phi_seeds), chunk)
+    ])
 
     def _row(variant, seed, t_s, m, m_pr, errors, max_err):
         return (variant, seed, t_s, m, m_pr, *errors.tolist(), float(max_err))
 
     rows = [_row("uniform_sub", None, t_s_sub, m_sub, None, errors_sub, errors_sub.max())]
-    for seed, errors in per_seed:
+    for seed, errors in zip(phi_seeds, stacked):
         rows.append(_row("compressed", seed, t_s_super, m_super, m_prime, errors, errors.max()))
-    stacked = np.array([e for _, e in per_seed])
     errors_mean = stacked.mean(axis=0)
     rows.append(
         _row(

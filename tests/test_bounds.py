@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modalcs import (
@@ -410,6 +410,36 @@ class TestGershgorin:
         delta_max = np.max(SET1) - np.min(SET1)
         with pytest.warns(UserWarning):
             gershgorin_uniform_bound(SET1, 1.2 * math.pi / delta_max, 21)
+
+    @pytest.mark.parametrize("t_s", [0.1, 1.2 * math.pi / (np.max(SET1) - np.min(SET1))])
+    def test_a_sequence_of_counts_warns_once_outside_the_region(self, t_s):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gershgorin_uniform_bound(SET1, t_s, [21, 40, 80])
+        assert [w.category for w in caught] == [UserWarning] * int(t_s > 0.1)
+
+    def test_counts_give_each_scalar_bound(self):
+        # exp1's 18 sweep counts and then some, at and past the theorem's T_s.
+        for t_s in (0.1, 0.5):
+            counts = list(range(4, 22)) + [100, 1001, 12345]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                scalar = [gershgorin_uniform_bound(SET1, t_s, m) for m in counts]
+                vector = gershgorin_uniform_bound(SET1, t_s, np.array(counts))
+                empty = gershgorin_uniform_bound(SET1, t_s, [])
+            assert all(type(b) is float for b in scalar) and vector.shape == (len(counts),)
+            assert vector.tobytes() == np.array(scalar).tobytes() and empty.shape == (0,)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data(), t_s=st.floats(0.005, 1.0), m=st.integers(1, 400))
+    def test_dominates_gram_deviation_on_gapped_frequencies(self, n, data, t_s, m):
+        # The bound the sweep reports, over item 3's uniform-case systems.
+        freqs = np.sort(data.draw(st.lists(st.floats(1.0, 60.0), min_size=n, max_size=n)))
+        assume(np.diff(freqs).min() >= 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # T_s past pi / delta_max
+            bound = gershgorin_uniform_bound(freqs, t_s, m)
+        assert gram_deviation(build_steering(freqs, uniform_schedule(t_s, m))) <= bound + 1e-12
 
 
 class TestExpectedGramRandom:

@@ -25,12 +25,14 @@ from modalcs import (
     estimate_modes,
     frequency_spectra,
     preset,
+    preset_config,
     random_schedule,
     uniform_schedule,
 )
+from modalcs.config import _samples_for
 from modalcs.estimator import _mode_errors, _phase_aligned, _svd_modes
 from modalcs.mdof import _pivot_phases, canonical_sign
-from modalcs.runner import _run_exp3
+from modalcs.runner import _run_exp3, _run_exp4
 from modalcs.sampling import rng_from_seed, spawn_seeds
 
 ROOT2 = np.sqrt(2.0)
@@ -344,6 +346,32 @@ class TestStackedTrials:
                 )
             )
         assert _run_exp3(config).rows == tuple(expected)
+
+    def test_exp3_uniform_column_is_the_one_matrix_chain(self):
+        config = preset_config("exp3")
+        basis, t_s = build_basis(config), config.sampling["t_s"]
+        expected = [
+            float(align_and_error(estimate_modes(build_data_matrix(basis, uniform_schedule(t_s, m))),
+                                  basis).max())
+            for m in sorted(config.sampling["m_values"])
+        ]
+        assert _run_exp3(config).column("err_uniform_max") == expected
+
+    def test_exp4_seed_rows_match_seed_by_seed_reference(self):
+        config = preset_config("exp4")
+        basis, sampling = build_basis(config), config.sampling
+        m_super = _samples_for(sampling["t_max"], sampling["t_s_super"])
+        data = build_data_matrix(basis, uniform_schedule(sampling["t_s_super"], m_super))
+        per_seed = []
+        for seed in spawn_seeds(config.seed, config.n_phi_seeds):
+            phi = draw_jl_matrix(m_super, sampling["m_prime"], "gaussian", int(seed))
+            errors = align_and_error(estimate_modes(compress(data, phi)), basis)
+            per_seed.append(("compressed", int(seed), sampling["t_s_super"], m_super,
+                             sampling["m_prime"], *errors.tolist(), float(errors.max())))
+        rows = _run_exp4(config).rows
+        assert rows[1:-1] == tuple(per_seed)
+        stacked = np.array([row[5:-1] for row in per_seed])
+        assert rows[-1][5:] == (*stacked.mean(axis=0).tolist(), float(stacked.max(axis=1).mean()))
 
     @pytest.fixture
     def data_stack(self, set1_basis):

@@ -1167,6 +1167,62 @@ class TestRunExperiment:
         assert len(draws) == len(chunks) == (8 if block_bytes else 1)
         assert sum(draws) == table.column("scheme").count("random") == 18
 
+    @pytest.mark.parametrize("name", ["exp1", "exp2"])
+    def test_sweep_bound_is_one_call_of_the_scalar_bounds(self, monkeypatch, name):
+        # One vector call gives each uniform row the bits of its own scalar call,
+        # and that bound dominates the row's measured Gram deviation.
+        calls, bound = [], runner_module.gershgorin_uniform_bound
+        monkeypatch.setattr(runner_module, "gershgorin_uniform_bound",
+                            lambda *args: calls.append(args) or bound(*args))
+        config = self._sweep_config(name)
+        table = run_experiment(config)
+        freqs, t_s = build_basis(config).frequencies, config.sampling["t_s"]
+        uniform = [row for row in table.rows if row[2] == "uniform"]
+        assert len(calls) == 1 and len(uniform) == 18
+        for row in uniform:
+            assert row[-1] == bound(freqs, t_s, row[1]) and row[-2] <= row[-1]
+
+    @pytest.mark.parametrize("block_bytes", [None, 40 * 16 * 4 * 21])
+    def test_exp3_draws_and_factors_each_chunk_once(self, monkeypatch, block_bytes):
+        # Per M, one _random_times call and one unpadded SVD per chunk of its
+        # 1 + 2 n_trials schedules, the uniform one first.
+        draws, chunks = [], []
+        random_times, svd_modes = runner_module._random_times, runner_module._svd_modes
+        monkeypatch.setattr(runner_module, "_random_times",
+                            lambda *args: draws.append(len(args[2])) or random_times(*args))
+        monkeypatch.setattr(runner_module, "_svd_modes", lambda v: chunks.append(v.shape) or svd_modes(v))
+        if block_bytes:
+            monkeypatch.setattr(runner_module, "_BLOCK_BYTES", block_bytes)
+        table = run_experiment(preset_config("exp3"))
+        assert table.column("m") == [6, 10, 14, 18, 21]
+        sizes = ({6: [101], 10: [84, 17], 14: [60, 41], 18: [46, 46, 9], 21: [40, 40, 21]}
+                 if block_bytes else dict.fromkeys(table.column("m"), [101]))
+        assert chunks == [(size, 4, m) for m, sizes_m in sizes.items() for size in sizes_m]
+        assert draws == [size - (i == 0) for sizes_m in sizes.values() for i, size in enumerate(sizes_m)]
+
+    def test_exp4_factors_one_stack_per_chunk(self, monkeypatch):
+        # Three 4 x 32 compressed matrices per chunk: the 20 seeds take 7 SVDs,
+        # each seed still one compress, and only the sub-Nyquist row an estimate_modes.
+        whole = run_experiment(preset_config("exp4"))
+        calls = {"svd": [], "compress": 0, "estimate": 0}
+        svd_modes, compress, estimate = (runner_module._svd_modes, runner_module.compress,
+                                         runner_module.estimate_modes)
+
+        def count(key, func):
+            def counted(*args):
+                calls[key] += 1
+                return func(*args)
+            return counted
+
+        monkeypatch.setattr(runner_module, "_svd_modes",
+                            lambda v: calls["svd"].append(v.shape) or svd_modes(v))
+        monkeypatch.setattr(runner_module, "compress", count("compress", compress))
+        monkeypatch.setattr(runner_module, "estimate_modes", count("estimate", estimate))
+        monkeypatch.setattr(runner_module, "_BLOCK_BYTES", 3 * 16 * 4 * 32)
+        split = run_experiment(preset_config("exp4"))
+        assert calls == {"svd": [(3, 4, 32)] * 6 + [(2, 4, 32)], "compress": 20, "estimate": 1}
+        assert split.rows == whole.rows
+
     def test_exp5_plot_columns_are_formatted_once_each(self, monkeypatch, tmp_path):
         # The four spectrum panels share one omega column: 1 + 4 magnitude + 4 is_peak.
         table = run_experiment(preset_config("exp5"))
@@ -1177,6 +1233,24 @@ class TestRunExperiment:
         assert len(table.panels) == 4
         assert sorted(formatted) == sorted({id(c) for p in table.panels for c in p.data})
         assert len(formatted) == 9
+
+    def test_exp5_emit_drops_each_column_text_after_its_last_panel(self, tmp_path):
+        # The shared omega column's text lives through all four panels; each
+        # magnitude and is_peak text goes with its panel, so the peak stays below
+        # the text of all nine columns held at once.
+        table = run_experiment(preset_config("exp5"))
+        emit_plot_data(table, str(tmp_path))  # the directory exists before tracing
+        tracemalloc.start()
+        try:
+            emit_plot_data(table, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            texts = [_repr_column(col) for col in {id(c): c for p in table.panels for c in p.data}.values()]
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(texts) == 9 and peak < held
 
     def test_exp5_estimates_within_tolerance(self):
         table = run_experiment(preset_config("exp5"))
@@ -1220,6 +1294,18 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert (out / "mode4.csv").exists()
         assert "exp1" in capsys.readouterr().out
+
+    def test_parser_keeps_no_state_between_runs(self, tmp_path):
+        # build_parser is built once per process; the second run's config must
+        # not inherit the first run's --seed or --header.
+        configs = []
+        for extra in (["--seed", "123", "--header"], []):
+            out = tmp_path / f"out{len(configs)}"
+            argv = ["run", "--experiment", "exp1", "--config", self.overlay(tmp_path), "--out", str(out)]
+            assert cli_run(argv + extra) == 0
+            configs.append(json.loads((out / "manifest.json").read_text())["config"])
+        assert (configs[0]["seed"], configs[0]["header"]) == (123, True)
+        assert (configs[1]["seed"], configs[1]["header"]) == (preset("exp1")["seed"], False)
 
     def test_requires_some_source(self, tmp_path, capsys):
         assert cli_run(["run", "--out", str(tmp_path)]) == 2

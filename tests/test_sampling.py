@@ -24,8 +24,8 @@ from modalcs import (
     random_schedule,
     uniform_schedule,
 )
-from modalcs.config import ExperimentConfig, preset
-from modalcs.runner import _mean_max_error, run_experiment
+from modalcs.config import ExperimentConfig, build_basis, preset
+from modalcs.runner import run_experiment
 from modalcs.sampling import (
     _BLOCK_BYTES,
     _philox_keys,
@@ -627,21 +627,34 @@ class TestStreamingMemory:
         assert compressed.shape == (4, 64) and "entries" not in vars(data)
         assert peak < 16 * 4 * self.M / 4
 
-    def test_exp3_trials_stack_in_bounded_chunks(self, set1_basis):
+    def test_exp3_trials_stack_in_bounded_chunks(self):
         # One trial's V is 4 x 50000 complex, 3.2 MB; an unchunked stack of
         # the 16 trials would hold 16 of them before the SVD started.
-        m, t_max = 50_000, 5000.0
-        seeds = spawn_seeds(9, 16)
-        mean, peak = _traced_peak(_mean_max_error, set1_basis, t_max, m, seeds)
+        m, raw = 50_000, preset("exp3")
+        raw["n_trials"], raw["sampling"]["m_values"] = 8, [m]
+        config = ExperimentConfig.from_dict(raw)
+        table, peak = _traced_peak(run_experiment, config)
         assert peak < 6 * 16 * 4 * m
-        maxima = [
-            align_and_error(
-                estimate_modes(build_data_matrix(set1_basis, random_schedule(t_max, m, int(s)))),
-                set1_basis,
-            ).max()
-            for s in seeds
-        ]
-        assert mean == float(np.mean(maxima))
+        basis, seeds = build_basis(config), spawn_seeds(int(spawn_seeds(config.seed, 1)[0]), 16)
+        (_, t_max_u, t_max_e, _, matched, extended, _), = table.rows
+        for mean, t_max, trial_seeds in ((matched, t_max_u, seeds[:8]), (extended, t_max_e, seeds[8:])):
+            maxima = [
+                align_and_error(
+                    estimate_modes(build_data_matrix(basis, random_schedule(t_max, m, int(s)))), basis
+                ).max()
+                for s in trial_seeds
+            ]
+            assert mean == float(np.mean(maxima))
+
+    def test_exp4_seed_stack_holds_about_one_chunk(self):
+        # 1,100 compressed 4 x 128 matrices are 9.0 MB as one Y stack; a chunk
+        # of 128 of them is 1 MB.
+        raw = preset("exp4")
+        raw["n_phi_seeds"] = 1100
+        raw["sampling"].update({"m_prime": 128, "t_s_super": 0.015})
+        table, peak = _traced_peak(run_experiment, ExperimentConfig.from_dict(raw))
+        assert len(table.rows) == 1102 and 1100 * 16 * 4 * 128 > 8 * self.MB
+        assert peak < 8 * self.MB
 
     def test_sweep_stack_holds_no_more_than_one_schedule_build(self):
         # At M 40,001 and 50,001 one schedule's V is 3.2 MB, so each chunk holds
