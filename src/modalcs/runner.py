@@ -7,6 +7,9 @@ produce byte-identical tables.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .baselines import fdd_peaks, sparse_reconstruct, welch_csd
@@ -41,6 +44,31 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     except KeyError:
         raise ConfigError(f"unknown experiment {config.experiment!r}") from None
     return runner(config)
+
+
+def _shared_map(f, items):
+    """[f(x) for x in items] over one interleaved share per usable CPU; the calling thread
+    computes share 0, then joins the others and raises the first exception a share raised."""
+    k = max(1, min(len(items), len(os.sched_getaffinity(0))))
+    out, errors, threads = [None] * len(items), [], []
+
+    def share(i):
+        try:
+            out[i::k] = [f(x) for x in items[i::k]]
+        except BaseException as exc:  # the caller re-raises it
+            errors.append(exc)
+
+    try:
+        for i in range(1, k):
+            threads.append(threading.Thread(target=share, args=(i,)))
+            threads[-1].start()
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _stacked_errors(basis, points, t_s, gram=False):
@@ -191,10 +219,14 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
     data_super = build_data_matrix(basis, uniform_schedule(t_s_super, m_super))
     phi_seeds = spawn_seeds(config.seed, config.n_phi_seeds).tolist()
     chunk = max(1, _BLOCK_BYTES // (16 * n * m_prime))
+    data_super._steering(0, draw_jl_matrix(m_super, m_prime)._block_rows)  # shares only read it
+
+    def compressed(seed):
+        return compress(data_super, draw_jl_matrix(m_super, m_prime, "gaussian", seed)).entries
+
     stacked = np.concatenate([
-        _mode_errors(_svd_modes(np.array([
-            compress(data_super, draw_jl_matrix(m_super, m_prime, "gaussian", seed)).entries
-            for seed in phi_seeds[start : start + chunk]]))[0], basis)
+        _mode_errors(_svd_modes(np.array(_shared_map(compressed, phi_seeds[start : start + chunk])))[0],
+                     basis)
         for start in range(0, len(phi_seeds), chunk)
     ])
 

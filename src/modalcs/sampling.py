@@ -277,15 +277,19 @@ class JlMatrix:
             out /= np.sqrt(self.m_prime)
         return out
 
+    @property
+    def _block_rows(self) -> int:
+        return min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
+
     def row_blocks(self):
-        """Yield (start, block) for consecutive row blocks of about 1 MB.
+        """Yield (start, block) for consecutive row blocks of about 1 MB (_block_rows rows).
 
         Each call draws the rows from the seed; ``block`` is one buffer
         reused from block to block: copy it to keep it.
         """
-        rows = max(1, _BLOCK_BYTES // (8 * self.m_prime))
+        rows = self._block_rows
         rng = rng_from_seed(self.seed)
-        buf = np.empty((min(rows, self.m), self.m_prime))
+        buf = np.empty((rows, self.m_prime))
         for start in range(0, self.m, rows):
             yield start, self._fill(rng, buf[: min(rows, self.m - start)])
 

@@ -10,6 +10,8 @@ import math
 import os
 import re
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from jsonschema.validators import validator_for
 from modalcs import (
     EXPERIMENTS,
     ConfigError,
+    DomainError,
     ExperimentConfig,
     InvalidArgument,
     IoError,
@@ -52,7 +55,7 @@ from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
 from modalcs.config import CONFIG_SCHEMA, build_system
 from modalcs.results import Panel, _csv_text, _repr_column
-from modalcs.sampling import rng_from_seed, spawn_seeds
+from modalcs.sampling import _ModalData, rng_from_seed, spawn_seeds
 from test_acceptance import synthetic_sensors
 
 PRESETS_REFERENCE = os.path.join(
@@ -1273,6 +1276,85 @@ class TestRunExperiment:
         )
         with pytest.raises(IoError):
             run_experiment(cfg)
+
+
+class TestSharedMap:
+    """exp4's fan-out: runner._shared_map, one interleaved share per usable CPU."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the number of CPUs the affinity read reports."""
+        return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])  # none, fewer than, exactly, more than k
+    def test_keeps_item_order(self, cpus, n_items):
+        cpus(3)
+        names = []
+        squares = runner_module._shared_map(
+            lambda x: names.append(threading.current_thread().name) or x * x, list(range(n_items)))
+        assert squares == [x * x for x in range(n_items)]
+        assert len(set(names)) == min(n_items, 3)
+        assert n_items == 0 or threading.main_thread().name in names  # the caller takes share 0
+
+    def test_shares_lose_no_result_under_fast_thread_switching(self, cpus):
+        cpus(8)  # more shares than cores, each switched out after about a microsecond
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = runner_module._shared_map(lambda x: sum(range(x % 50)) + x, list(range(2000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [sum(range(x % 50)) + x for x in range(2000)]
+
+    @pytest.mark.parametrize("failing", [0, 1])  # item 0 is the caller's share, item 1 a worker's
+    def test_exception_reaches_the_caller_and_every_thread_ends(self, cpus, failing):
+        cpus(3)
+        raised_on = []
+
+        def f(x):
+            if x == failing:
+                raised_on.append(threading.current_thread() is threading.main_thread())
+                raise DomainError(f"item {x}")
+            time.sleep(0.01)  # the other shares are still running when it raises
+            return x
+
+        before = threading.active_count()
+        with pytest.raises(DomainError, match=f"^item {failing}$"):
+            runner_module._shared_map(f, list(range(6)))
+        assert raised_on == [failing == 0]
+        assert threading.active_count() == before
+
+    def test_exp4_bytes_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch, cpus):
+        compress, threads = runner_module.compress, []
+        monkeypatch.setattr(runner_module, "compress", lambda data, phi: threads.append(
+            threading.current_thread().name) or compress(data, phi))
+        trees = []
+        for n in (1, 2):
+            cpus(n)
+            threads.clear()
+            out, _ = run_cli(tmp_path / str(n), "exp4")
+            assert len(threads) == 20 and len(set(threads)) == n
+            trees.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert {"exp4_results.csv", "errors_by_mode.csv", "manifest.json"} <= set(trees[0])
+        assert trees[0] == trees[1]
+
+    def test_exp4_evaluates_the_first_steering_block_once(self, monkeypatch, cpus):
+        # Built before the fan-out at the width of a Phi row block: the shares only read it.
+        cpus(2)
+        calls, steering = [], _ModalData._steering
+
+        def traced(self, start, rows):
+            before = self.__dict__.get("_first")
+            block = steering(self, start, rows)
+            calls.append((threading.current_thread() is threading.main_thread(),
+                          self.__dict__["_first"] is not before))
+            return block
+
+        monkeypatch.setattr(_ModalData, "_steering", traced)
+        run_experiment(preset_config("exp4"))
+        assert len(calls) == 21 and calls[0] == (True, True)  # then one per compress
+        assert sum(evaluated for _, evaluated in calls) == 1
+        assert not all(on_caller for on_caller, _ in calls)
 
 
 class TestCli:

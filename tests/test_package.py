@@ -156,6 +156,49 @@ def test_valid_run_leaves_jsonschema_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["0 False", "2 False"]
 
 
+def test_exp4_run_loads_no_pool_module(tmp_path):
+    # exp4's fan-out uses threading, which numpy loads already; a thread or
+    # process pool module would add to every fresh interpreter's import.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, modalcs; from modalcs.cli import run; "
+        "code = run(['run', '--experiment', 'exp4', '--out', 'o']); "
+        "print(code, sorted(k for k in sys.modules if k.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_exp4_bytes_do_not_depend_on_usable_cpus(tmp_path):
+    # exp4 compresses its Phi seeds on one share per usable CPU: a child pinned
+    # to one CPU computes every seed on its calling thread.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modalcs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import os, sys; from modalcs.cli import run; "
+        "cpus = sorted(os.sched_getaffinity(0)); "
+        "os.sched_setaffinity(0, cpus[:1]) if sys.argv[1] == 'pinned' else None; "
+        "print(len(os.sched_getaffinity(0))); "
+        "sys.exit(run(['run', '--experiment', 'exp4', '--out', sys.argv[1]]))"
+    )
+    usable = {}
+    for side in ("pinned", "all"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, side], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        usable[side] = int(proc.stdout.splitlines()[0])
+    assert usable == {"pinned": 1, "all": len(os.sched_getaffinity(0))}
+    names = sorted(os.listdir(tmp_path / "pinned"))
+    assert names == sorted(os.listdir(tmp_path / "all")) and "exp4_results.csv" in names
+    for name in names:
+        assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+
 def test_rejected_config_names_its_field(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps({"sampling": {"t_s": "fast"}}))
     argv = ["run", "--experiment", "exp1", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path)]

@@ -1,4 +1,5 @@
-"""The output comparison in tools/same_output.py, on two small output trees."""
+"""The output comparison in tools/same_output.py, on two small output trees, and
+tools/bench_json.py's parse and summary of perfbench runs."""
 
 import os
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+import bench_json  # noqa: E402
 import same_output  # noqa: E402
 
 _TABLE = "mode,freq,label\r\n1,1.0,a\r\n2,0.25,b\r\n"
@@ -60,3 +62,51 @@ def test_file_in_one_tree_only(trees):
         "exp1/plot.json: bytes differ",
         "exp2.csv: only in change",
     ]
+
+
+# The stdout of `perfbench/run.py --workload presets --seed 1 --seconds 3 --trace 0`.
+_PERFBENCH_STDOUT = """\
+env {"blas": "scipy-openblas 0.3.31.188.0", "nproc": 2, "numpy": "2.4.6", "seed": 1}
+workload presets: 552 ops attempted, 0 failed, fail_ratio 0.0000, 60 speed probes
+  setup_s                                          0.178651 s  (n = 7 fresh processes, raw median 0.1752 s)
+  first_op_s                                       0.00548742 s  (n = 7 fresh processes, raw median 0.005845 s)
+  op_p50_s                                         0.011129 s  (n = 250 timed ops, raw 0.01158 s)
+  op_p90_s                                         0.0163368 s  (n = 250 timed ops, raw 0.01999 s)
+  ops_per_s                                        98.5929 1/s  (n = 250 timed ops, raw 87.07 1/s)
+  peak_rss_mb                                      45.4688 MB
+  shape_err_max                                    1.09879 1
+  baseline_err_max                                 0.733806 1
+  ok_ratio                                         1 1  (n = 552 ops attempted)
+{"correct": true, "attempted": 552, "failed": 0, "metrics": {"setup_s": {"value": 0.17865124817712583, \
+"unit": "s"}, "first_op_s": {"value": 0.0054874244694157375, "unit": "s"}, "op_p50_s": {"value": \
+0.011128967694580388, "unit": "s"}, "op_p90_s": {"value": 0.016336781865905658, "unit": "s"}, "ops_per_s": \
+{"value": 98.59291907851684, "unit": "1/s"}, "peak_rss_mb": {"value": 45.46875, "unit": "MB"}, \
+"shape_err_max": {"value": 1.0987887296306522, "unit": "1"}, "baseline_err_max": {"value": \
+0.7338062607624356, "unit": "1"}, "ok_ratio": {"value": 1.0, "unit": "1"}}}
+"""
+
+
+def test_perfbench_stdout_parses_to_metrics_and_raw_figures():
+    run = bench_json.parse_run(_PERFBENCH_STDOUT)
+    assert run["env"]["nproc"] == 2 and (run["correct"], run["attempted"], run["failed"]) == (True, 552, 0)
+    assert run["metrics"]["ops_per_s"] == 98.59291907851684 and len(run["metrics"]) == 9
+    assert run["raw"] == {"setup_s": 0.1752, "first_op_s": 0.005845, "op_p50_s": 0.01158,
+                          "op_p90_s": 0.01999, "ops_per_s": 87.07}
+
+
+def test_summary_gives_raw_medians_and_wins_beside_the_scaled_ones():
+    def run(scaled, raw):
+        parsed = bench_json.parse_run(_PERFBENCH_STDOUT)
+        parsed["metrics"]["ops_per_s"], parsed["raw"]["ops_per_s"] = scaled, raw
+        return parsed
+
+    runs = {"parent": [run(90.0, 80.0), run(92.0, 79.0), run(91.0, 81.0)],
+            "change": [run(100.0, 90.0), run(89.0, 88.0), {"seed": 3, "error": "exit 1: "}]}
+    specs = [{"name": name, "unit": "1", "better": better, "bound": 0.25}
+             for name, better in (("ops_per_s", "higher"), ("peak_rss_mb", "lower"))]
+    summary = bench_json._summarize(runs, specs)
+    ops = summary["ops_per_s"]
+    assert (ops["parent"]["median"], ops["change"]["median"], ops["change_wins"], ops["pairs"]) == (91.0, 94.5, 1, 2)
+    assert ops["raw"]["parent"] == {"median": 80.0, "q1": 79.5, "q3": 80.5, "n": 3}
+    assert (ops["raw"]["change"]["median"], ops["raw"]["change_wins"], ops["raw"]["pairs"]) == (89.0, 2, 2)
+    assert "raw" not in summary["peak_rss_mb"]  # perfbench prints no raw figure for it

@@ -13,7 +13,9 @@ benchmark's own ``run_seconds``. Each side uses its own ``perfbench/`` and
 
 The output, ``BENCH_<HEAD sha>.json`` in the repository root, holds both
 commit SHAs, every run's end-to-end metrics, each side's per-metric median
-and quartiles, how many pairs the change won per metric, the environment
+and quartiles, how many pairs the change won per metric, the same for the
+raw (unscaled) figures perfbench prints beside its reference-second ones
+(``raw`` in each run and each metric), the environment
 lines perfbench printed, whether bytecode writing was off, and each side's
 tier-1 wall time with its pass/fail counts. A full run of three workloads
 over ten seeds takes about half an hour on two cores; nothing else should
@@ -36,6 +38,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = tuple(range(1, 11))
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+# A metric line: "  ops_per_s    98.59 1/s  (n = 250 timed ops, raw 87.07 1/s)".
+_RAW_FIGURE = re.compile(r"\s+(\S+)\s+\S+ \S+\s+\(n = [^)]*\braw (?:median )?(\S+) [^)]*\)$")
 
 
 def _git(*args) -> str:
@@ -53,24 +57,29 @@ def _export(rev: str, dest: str):
     return os.path.join(dest, "tree")
 
 
-def _perfbench(tree: str, workload: str, seed: int, seconds: int) -> dict:
-    """One ``--trace 0`` run; its env line, counts and metric values."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"seed": seed, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+def parse_run(stdout: str) -> dict:
+    """A ``--trace 0`` run's env line, counts, metric values and the raw (unscaled)
+    figures its metric lines print as ``raw X`` or ``raw median X``."""
+    lines = stdout.strip().splitlines()
     last = json.loads(lines[-1])
-    env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
     return {
-        "seed": seed,
-        "env": env,
+        "env": next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {}),
         "correct": last["correct"],
         "attempted": last["attempted"],
         "failed": last["failed"],
         "metrics": {name: m["value"] for name, m in last["metrics"].items()},
+        "raw": {m[1]: float(m[2]) for m in map(_RAW_FIGURE.match, lines) if m},
     }
+
+
+def _perfbench(tree: str, workload: str, seed: int, seconds: int) -> dict:
+    """One ``--trace 0`` run, parsed by ``parse_run``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        return {"seed": seed, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    return {"seed": seed, **parse_run(proc.stdout)}
 
 
 def _tier1(tree: str) -> dict:
@@ -91,29 +100,33 @@ def _stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def _side_by_side(runs: dict, better: str, value) -> dict:
+    """Both sides' median and quartiles of value(run), and the change's wins over the pairs."""
+    wins = pairs = 0
+    for p, c in zip(runs["parent"], runs["change"]):
+        if "error" in p or "error" in c:
+            continue
+        pairs += 1
+        a, b = value(p), value(c)
+        wins += (b < a) if better == "lower" else (b > a)
+    return {
+        **{side: _stats([value(r) for r in runs[side] if "error" not in r]) for side in runs},
+        "change_wins": wins,
+        "pairs": pairs,
+    }
+
+
 def _summarize(runs: dict, metric_specs: list) -> dict:
-    """Per metric: both sides' median and quartiles, and the change's wins."""
-    ok = {side: [r for r in runs[side] if "error" not in r] for side in runs}
+    """Per metric: both sides' median and quartiles and the change's wins, in reference
+    seconds and, under ``raw``, in the raw figures when every run printed one."""
+    ok = [r for side in runs.values() for r in side if "error" not in r]
     out = {}
     for spec in metric_specs:
         name, better = spec["name"], spec["better"]
-        vals = {side: [r["metrics"][name] for r in ok[side]] for side in ok}
-        wins = pairs = 0
-        for p, c in zip(runs["parent"], runs["change"]):
-            if "error" in p or "error" in c:
-                continue
-            pairs += 1
-            a, b = p["metrics"][name], c["metrics"][name]
-            wins += (b < a) if better == "lower" else (b > a)
-        out[name] = {
-            "unit": spec["unit"],
-            "better": better,
-            "bound": spec["bound"],
-            "parent": _stats(vals["parent"]),
-            "change": _stats(vals["change"]),
-            "change_wins": wins,
-            "pairs": pairs,
-        }
+        out[name] = {"unit": spec["unit"], "better": better, "bound": spec["bound"],
+                     **_side_by_side(runs, better, lambda r: r["metrics"][name])}
+        if ok and all(name in r.get("raw", {}) for r in ok):
+            out[name]["raw"] = _side_by_side(runs, better, lambda r: r["raw"][name])
     return out
 
 
