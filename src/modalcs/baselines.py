@@ -75,8 +75,8 @@ def welch_csd(samples, t_s: float) -> CsdCube:
     conditioned matrices without washing out closely spaced peaks.
     """
     u = _checked_array(samples, "samples", float)
-    if u.ndim != 2:
-        raise ShapeError("samples must be (n_channels, n_samples)")
+    if u.ndim != 2 or not u.shape[1]:
+        raise ShapeError(f"samples must be (n_channels, n_samples > 0), got shape {u.shape}")
     t_s = _checked_real(t_s, "t_s")
     m = u.shape[1]
     nperseg = min(m, 1 << max(3, int(np.ceil(np.log2(max(m // 8, 1))))))

@@ -109,8 +109,7 @@ class SamplingPlan:
 
 
 def _check_common(n: int, epsilon: float) -> float:
-    if _checked_real(n, "n", lo=1.0) % 1:  # n <= 1, nan and non-numbers fail inside
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+    n = _checked_count(n, "n", lo=2)
     _checked_real(epsilon, "epsilon", hi=1.0)
     return math.log(n // 2) + _HARMONIC_PAD
 

@@ -120,10 +120,14 @@ def aligned_distance(estimate_vec, truth_vec) -> float:
     return float(np.linalg.norm(truth - _phase_aligned(est, truth)))
 
 
+def _amplitude_rank(basis: ModalBasis) -> np.ndarray:
+    """Mode indices by descending amplitude magnitude, ties in basis order: estimate k's truth."""
+    return np.argsort(-np.abs(basis.amplitudes), kind="stable")
+
+
 def _mode_errors(shapes_hat: np.ndarray, truth: ModalBasis) -> np.ndarray:
     """align_and_error for a (..., N, N) stack of estimated mode shapes."""
-    order = np.argsort(-np.abs(truth.amplitudes), kind="stable")
-    rows = truth.mode_shapes.T[order].astype(complex)
+    rows = truth.mode_shapes.T[_amplitude_rank(truth)].astype(complex)
     diff = rows - _phase_aligned(np.swapaxes(shapes_hat, -1, -2), rows)
     # Each row's np.linalg.norm, by its BLAS dots; norm(axis=-1) or einsum round otherwise.
     re, im = diff.real, diff.imag

@@ -86,8 +86,8 @@ class ModalBasis:
     def __post_init__(self):
         shapes = _checked_array(self.mode_shapes, "mode_shapes", float)
         freqs = _checked_array(self.frequencies, "frequencies", float)
-        if shapes.ndim != 2 or shapes.shape[0] != shapes.shape[1]:
-            raise InvalidArgument(f"mode_shapes must be square, got {shapes.shape}")
+        if shapes.ndim != 2 or shapes.shape[0] != shapes.shape[1] or not shapes.size:
+            raise InvalidArgument(f"mode_shapes must be square and non-empty, got {shapes.shape}")
         n = shapes.shape[0]
         if freqs.shape != (n,):
             raise InvalidArgument(f"expected {n} frequencies, got shape {freqs.shape}")

@@ -60,12 +60,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 class Panel(NamedTuple):
-    """One plot CSV (file name, header, one column of cells per header name) and its curve entry."""
+    """One plot CSV (file name, header, one cell column per header name) and its curve, x first."""
 
     file: str
     columns: tuple[str, ...]
     data: tuple[Sequence, ...]
-    x: str
     series: tuple[str, ...]
     label: str
 
@@ -93,6 +92,9 @@ class ResultTable:
                 raise InvalidArgument(
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )
+        for p in self.panels:
+            if not _checked_type(p, Panel, "panel").columns or len(p.data) != len(p.columns):
+                raise InvalidArgument(f"panel {p.file}: {len(p.data)} data columns for {p.columns}")
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
@@ -193,7 +195,7 @@ def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
         "config": table.config,
         "axes": table.axes,
         "curves": [
-            {"file": p.file, "x": p.x, "series": list(p.series), "label": p.label}
+            {"file": p.file, "x": p.columns[0], "series": list(p.series), "label": p.label}
             for p in table.panels
         ],
         "files": [p.file for p in table.panels],

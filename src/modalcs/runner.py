@@ -17,10 +17,10 @@ from .bounds import gershgorin_uniform_bound, gram_deviation
 from .config import MAX_SAMPLES, ExperimentConfig, _cap, _samples_for, build_basis
 from .errors import ConfigError, _checked_type
 from .estimator import (
+    _amplitude_rank,
     _mode_errors,
     _phase_aligned,
     _svd_modes,
-    align_and_error,
     aligned_distance,
     estimate_modes,
     frequency_spectra,
@@ -49,7 +49,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 def _shared_map(f, items):
     """[f(x) for x in items] over one interleaved share per usable CPU; the calling thread
     computes share 0, then joins the others and raises the first exception a share raised."""
-    k = max(1, min(len(items), len(os.sched_getaffinity(0))))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = max(1, min(len(items), cpus or 1))
     out, errors, threads = [None] * len(items), [], []
 
     def share(i):
@@ -143,8 +144,7 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
     series = ("err_uniform", "err_random")
     t_maxes = [point[0] for point in points[::2]]  # one column object for every panel
     panels = tuple(
-        Panel(f"mode{k}.csv", ("t_max",) + series, (t_maxes, *pair.tolist()), "t_max", series,
-              f"mode {k}")
+        Panel(f"mode{k}.csv", ("t_max",) + series, (t_maxes, *pair.tolist()), series, f"mode {k}")
         for k, pair in enumerate(errors.reshape(-1, 2, n).T, start=1)
     )
     axes = {"x": "t_max [s]", "y": "aligned mode-shape error"}
@@ -190,7 +190,7 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
     )
     series = columns[3:6]  # the three error columns
     cells = list(zip(*rows))
-    panel = Panel("max_error_vs_m.csv", ("m",) + series, (cells[0], *cells[3:6]), "m", series,
+    panel = Panel("max_error_vs_m.csv", ("m",) + series, (cells[0], *cells[3:6]), series,
                   "max error vs M")
     axes = {"x": "number of samples M", "y": "max aligned error"}
     return ResultTable("exp3", columns, tuple(rows), config.as_dict(), axes, (panel,))
@@ -212,8 +212,7 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
     m_prime = config.sampling["m_prime"]
 
     m_sub = _samples_for(t_max, t_s_sub)
-    data_sub = build_data_matrix(basis, uniform_schedule(t_s_sub, m_sub))
-    errors_sub = align_and_error(estimate_modes(data_sub), basis)
+    errors_sub = _stacked_errors(basis, [(t_max, m_sub, "uniform", None)], t_s_sub)[0][0]
 
     m_super = _samples_for(t_max, t_s_super)
     data_super = build_data_matrix(basis, uniform_schedule(t_s_super, m_super))
@@ -229,25 +228,13 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
                      basis)
         for start in range(0, len(phi_seeds), chunk)
     ])
-
-    def _row(variant, seed, t_s, m, m_pr, errors, max_err):
-        return (variant, seed, t_s, m, m_pr, *errors.tolist(), float(max_err))
-
-    rows = [_row("uniform_sub", None, t_s_sub, m_sub, None, errors_sub, errors_sub.max())]
-    for seed, errors in zip(phi_seeds, stacked):
-        rows.append(_row("compressed", seed, t_s_super, m_super, m_prime, errors, errors.max()))
     errors_mean = stacked.mean(axis=0)
-    rows.append(
-        _row(
-            "compressed_mean",
-            None,
-            t_s_super,
-            m_super,
-            m_prime,
-            errors_mean,
-            stacked.max(axis=1).mean(),
-        )
-    )
+    rows = [("uniform_sub", None, t_s_sub, m_sub, None, *errors_sub.tolist(),
+             float(errors_sub.max()))]
+    rows += [("compressed", seed, t_s_super, m_super, m_prime, *errors.tolist(),
+              float(errors.max())) for seed, errors in zip(phi_seeds, stacked)]
+    rows.append(("compressed_mean", None, t_s_super, m_super, m_prime, *errors_mean.tolist(),
+                 float(stacked.max(axis=1).mean())))
     columns = ("variant", "seed", "t_s", "m", "m_prime") + tuple(
         f"err_mode{k}" for k in range(1, n + 1)
     ) + ("max_err",)
@@ -256,7 +243,6 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
         "errors_by_mode.csv",
         ("mode",) + series,
         (list(range(1, n + 1)), errors_sub.tolist(), errors_mean.tolist()),
-        "mode",
         series,
         "per-mode errors",
     )
@@ -283,10 +269,8 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
     peak_bins = np.argmax(mags, axis=1)
     omega_est = omega[peak_bins]
 
-    t_max_u = (m - 1) * t_s
-    tolerance = 2.0 * np.pi / t_max_u
-    rank = np.argsort(-np.abs(basis.amplitudes), kind="stable")
-    pairs = zip(basis.frequencies[rank].tolist(), omega_est.tolist())
+    tolerance = 2.0 * np.pi / data.schedule.t_max
+    pairs = zip(basis.frequencies[_amplitude_rank(basis)].tolist(), omega_est.tolist())
     rows = [(k, true, est, abs(est - true), tolerance) for k, (true, est) in enumerate(pairs, 1)]
     columns = ("mode", "omega_true", "omega_est", "abs_error", "tolerance")
     is_peak = (np.arange(omega.size) == peak_bins[:, None]).astype(int)
@@ -296,7 +280,6 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
             f"spectrum_mode{k + 1}.csv",
             ("omega", "magnitude", "is_peak"),
             (omega_cells, mags[k].tolist(), is_peak[k].tolist()),
-            "omega",
             ("magnitude",),
             f"mode {k + 1} spectrum",
         )
@@ -356,7 +339,6 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
                 f"shapes_mode{k + 1}.csv",
                 ("sensor",) + series,
                 (list(range(1, n + 1)), *np.real(overlay).tolist()),
-                "sensor",
                 series,
                 f"mode {k + 1} shapes",
             )

@@ -580,7 +580,7 @@ class TestResultTable:
     def test_shared_column_writes_the_bytes_of_equal_copies(self, tmp_path):
         x = [0.1, -0.0, 1e16, 5e-324]
         shared = tuple(
-            Panel(f"p{k}.csv", ("x", "y"), (x, [k * v for v in x]), "x", ("y",), f"p{k}")
+            Panel(f"p{k}.csv", ("x", "y"), (x, [k * v for v in x]), ("y",), f"p{k}")
             for k in range(3)
         )
         copies = tuple(p._replace(data=(list(x), p.data[1])) for p in shared)
@@ -597,7 +597,7 @@ class TestResultTable:
         columns = [[0.0], [-0.0], [1], [1.0], [True]]
         assert columns[0] == columns[1] and columns[2] == columns[3] == columns[4]
         panels = tuple(
-            Panel(f"c{k}.csv", ("v",), (column,), "v", (), "c") for k, column in enumerate(columns)
+            Panel(f"c{k}.csv", ("v",), (column,), (), "c") for k, column in enumerate(columns)
         )
         emit_plot_data(ResultTable("x", ["a"], [], {}, {}, panels), str(tmp_path))
         texts = [(tmp_path / f"c{k}.csv").read_bytes() for k in range(len(columns))]
@@ -1022,7 +1022,7 @@ class TestEmitPlotData:
     def test_unknown_layout(self, tmp_path):
         # emit_plot_data knows no experiment names: any table's panels are
         # written exactly as given.
-        panel = Panel("custom.csv", ("x", "y"), ([1, 2], [0.5, None]), "x", ("y",), "custom")
+        panel = Panel("custom.csv", ("x", "y"), ([1, 2], [0.5, None]), ("y",), "custom")
         table = ResultTable("exp9", ["x"], [(1.0,)], {"seed": 3}, {"x": "a", "y": "b"}, (panel,))
         paths = emit_plot_data(table, str(tmp_path))
         assert paths == [str(tmp_path / "manifest.json"), str(tmp_path / "custom.csv")]
@@ -1034,6 +1034,19 @@ class TestEmitPlotData:
             "curves": [{"file": "custom.csv", "x": "x", "series": ["y"], "label": "custom"}],
             "files": ["custom.csv"],
         }
+
+    @pytest.mark.parametrize("columns, data", [
+        ((), ()),  # no x column for the manifest to name
+        (("a", "b"), ([1, 2],)),  # wrote a,b over one-cell rows
+        (("a",), ([1], [2])),
+    ], ids=["empty", "fewer_data", "more_data"])
+    def test_panel_needs_one_data_column_per_header_name(self, columns, data):
+        with pytest.raises(InvalidArgument, match="^panel p.csv: "):
+            ResultTable("x", ["a"], [], {}, {}, (Panel("p.csv", columns, data, (), "p"),))
+
+    def test_panels_must_be_panels(self):
+        with pytest.raises(InvalidArgument, match="^panel must be a"):
+            ResultTable("x", ["a"], [], {}, {}, (("p.csv", ("a",), ([1],), (), "p"),))
 
     def test_byte_determinism(self, tmp_path):
         config = small_sweep_config()
@@ -1204,8 +1217,8 @@ class TestRunExperiment:
         assert draws == [size - (i == 0) for sizes_m in sizes.values() for i, size in enumerate(sizes_m)]
 
     def test_exp4_factors_one_stack_per_chunk(self, monkeypatch):
-        # Three 4 x 32 compressed matrices per chunk: the 20 seeds take 7 SVDs,
-        # each seed still one compress, and only the sub-Nyquist row an estimate_modes.
+        # The sub-Nyquist row is a one-point 4 x 32 stack; then three 4 x 32 compressed
+        # matrices per chunk: the 20 seeds take 7 SVDs, each seed still one compress.
         whole = run_experiment(preset_config("exp4"))
         calls = {"svd": [], "compress": 0, "estimate": 0}
         svd_modes, compress, estimate = (runner_module._svd_modes, runner_module.compress,
@@ -1223,7 +1236,8 @@ class TestRunExperiment:
         monkeypatch.setattr(runner_module, "estimate_modes", count("estimate", estimate))
         monkeypatch.setattr(runner_module, "_BLOCK_BYTES", 3 * 16 * 4 * 32)
         split = run_experiment(preset_config("exp4"))
-        assert calls == {"svd": [(3, 4, 32)] * 6 + [(2, 4, 32)], "compress": 20, "estimate": 1}
+        assert calls == {"svd": [(1, 4, 32)] + [(3, 4, 32)] * 6 + [(2, 4, 32)], "compress": 20,
+                         "estimate": 0}
         assert split.rows == whole.rows
 
     def test_exp5_plot_columns_are_formatted_once_each(self, monkeypatch, tmp_path):
@@ -1337,6 +1351,21 @@ class TestSharedMap:
             trees.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert {"exp4_results.csv", "errors_by_mode.csv", "manifest.json"} <= set(trees[0])
         assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("cpu_count", [None, 1, 2])
+    def test_exp4_runs_where_the_os_has_no_affinity_call(self, tmp_path, monkeypatch, cpu_count):
+        # os.sched_getaffinity is Linux-only; elsewhere the share count is os.cpu_count(), or 1
+        # when that is unknown.
+        reference, _ = run_cli(tmp_path / "affinity", "exp4")
+        compress, threads = runner_module.compress, []
+        monkeypatch.setattr(runner_module, "compress", lambda data, phi: threads.append(
+            threading.current_thread().name) or compress(data, phi))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        out, _ = run_cli(tmp_path / "cpu_count", "exp4")
+        assert len(threads) == 20 and len(set(threads)) == (cpu_count or 1)
+        assert ({path.name: path.read_bytes() for path in out.iterdir()}
+                == {path.name: path.read_bytes() for path in reference.iterdir()})
 
     def test_exp4_evaluates_the_first_steering_block_once(self, monkeypatch, cpus):
         # Built before the fan-out at the width of a Phi row block: the shares only read it.

@@ -336,9 +336,10 @@ def _estimate_with_schedule(schedule):
                         estimate.right_factors_hat, schedule=schedule)
 
 
-# Each call leaked a ValueError (a count past 4,300 digits), an AttributeError (an
-# array for a package object), an IndexError, a TypeError or a MemoryError (a count
-# sizing an allocation), or returned a result for a bool count.
+# Each call leaked a ValueError (a count past 4,300 digits, an empty basis), an
+# AttributeError (an array for a package object), an IndexError, a TypeError, a
+# ZeroDivisionError (no samples) or a MemoryError (a count sizing an allocation), or
+# returned a result for a bool count.
 @pytest.mark.parametrize("call, error, match", [
     (lambda: psinc(1.0, True), DomainError, "^m must be an integer"),
     (lambda: psinc(1.0, np.True_), DomainError, "^m must be an integer"),
@@ -360,10 +361,14 @@ def _estimate_with_schedule(schedule):
     (lambda: random_schedule(1.0, 10**12, 0), DomainError, "^m must be an integer in \\[1, "),
     (lambda: draw_jl_matrix(10**12, 10**6).entries, DomainError,
      "^M x M' must be an integer in \\[1, "),
+    (lambda: welch_csd(np.ones((2, 0)), 0.1), ShapeError, "^samples must be "),
+    (lambda: ModalBasis(np.ones((0, 0)), np.ones(0)), InvalidArgument,
+     "^mode_shapes must be square and non-empty"),
 ], ids=["psinc_bool", "psinc_np_bool", "spectra_bool", "harmonic_digits", "spawn_digits",
         "write_array", "run_array", "solve_array", "steering_array", "data_schedule_array",
         "aligned_scalars", "table_columns_none", "estimate_schedule_array",
-        "compressed_schedule_array", "uniform_m", "random_m", "jl_entries"])
+        "compressed_schedule_array", "uniform_m", "random_m", "jl_entries", "welch_no_samples",
+        "basis_empty"])
 def test_wrong_counts_objects_and_shapes_are_refused(call, error, match):
     with warnings.catch_warnings(), pytest.raises(error, match=match):
         warnings.simplefilter("error")
