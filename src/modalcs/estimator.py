@@ -16,10 +16,11 @@ import numpy.fft  # eager: np.fft's lazy loader recurses if a signal handler re-
 
 from .errors import (DimensionMismatch, InvalidArgument, NonUniformSchedule, ShapeError,
                      _checked_array, _checked_count, _checked_type)
-from .mdof import ModalBasis, _pivot_phases, _unit_phase
+from .mdof import ModalBasis, _pivot_phases, _unit_phase, canonical_sign
 from .sampling import DataMatrix, SampleSchedule
 
 _MAX_FFT_BINS = 1 << 24  # frequency_spectra's padded length K at most: 256 MB per mode
+_GAP = 1e-7  # _gram_modes takes the SVD below this eigen-gap of V V* over its largest eigenvalue
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,16 @@ def _svd_modes(entries: np.ndarray):
     u, s, vh = np.linalg.svd(entries, full_matrices=False)
     phases = _pivot_phases(u)
     return u * np.conj(phases)[..., None, :], s, vh * phases[..., :, None]
+
+
+def _gram_modes(v: np.ndarray) -> np.ndarray:
+    """_svd_modes(v)[0] of a (..., N, M) stack by eigh(V V*), which squares V's conditioning:
+    a matrix whose smallest eigen-gap is under _GAP times its largest eigenvalue takes the SVD."""
+    lam, u = np.linalg.eigh(v @ np.conj(np.swapaxes(v, -1, -2)))
+    u = canonical_sign(u[..., ::-1])
+    bad = np.diff(lam).min(-1) < _GAP * lam[..., -1]
+    u[bad] = _svd_modes(v[bad])[0]
+    return u
 
 
 def estimate_modes(data: DataMatrix) -> ModeEstimate:

@@ -134,7 +134,8 @@ def _pivot_phases(columns: np.ndarray) -> np.ndarray:
 
 
 def canonical_sign(matrix: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column of a matrix, or of each matrix of an (..., N, K) stack, so its
+    largest-magnitude entry is real positive.
 
     Real columns have their sign flipped where needed and stay float64;
     complex columns are multiplied by the conjugate pivot phase.  Ties
@@ -144,7 +145,7 @@ def canonical_sign(matrix: np.ndarray) -> np.ndarray:
     out = _checked_array(matrix, "matrix")
     if out.ndim < 2 or out.shape[-2] == 0:
         raise ShapeError(f"need columns of at least one entry, got shape {out.shape}")
-    return out * np.conj(_pivot_phases(out))
+    return out * np.conj(_pivot_phases(out))[..., None, :]
 
 
 def solve_modes(system: MdofSystem) -> ModalBasis:

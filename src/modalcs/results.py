@@ -93,8 +93,9 @@ class ResultTable:
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )
         for p in self.panels:
-            if not _checked_type(p, Panel, "panel").columns or len(p.data) != len(p.columns):
-                raise InvalidArgument(f"panel {p.file}: {len(p.data)} data columns for {p.columns}")
+            if not _checked_type(p, Panel, "panel").columns or len(p.data) != len(p.columns) or len(
+                    {len(_checked_type(col, Sequence, f"panel {p.file} column")) for col in p.data}) > 1:
+                raise InvalidArgument(f"panel {p.file}: need one equal-length data column per name")
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)

@@ -18,9 +18,9 @@ from .config import MAX_SAMPLES, ExperimentConfig, _cap, _samples_for, build_bas
 from .errors import ConfigError, _checked_type
 from .estimator import (
     _amplitude_rank,
+    _gram_modes,
     _mode_errors,
     _phase_aligned,
-    _svd_modes,
     aligned_distance,
     estimate_modes,
     frequency_spectra,
@@ -73,11 +73,11 @@ def _shared_map(f, items):
 
 
 def _stacked_errors(basis, points, t_s, gram=False):
-    """Per-mode aligned errors of (t_max, m, scheme, seed) schedules, ~1 MB per SVD, and if gram
-    each S's deviation.  Seedless points are uniform_schedule(t_s, m)'s times, the rest one
-    _random_times draw per chunk.  Times past a schedule's m are padding, zeroed in E = e^{i w t}:
-    V = Psi diag(A) E and S = E / sqrt(m) keep V V* and S S*, so U, sigma and the deviation.
-    E is not held through the SVD.
+    """Per-mode aligned errors of (t_max, m, scheme, seed) schedules, ~1 MB per _gram_modes
+    call, and if gram each S's deviation.  Seedless points are uniform_schedule(t_s, m)'s times,
+    the rest one _random_times draw per chunk.  Times past a schedule's m are padding, zeroed in
+    E = e^{i w t}: V = Psi diag(A) E and S = E / sqrt(m) keep V V* and S S*, so U and the
+    deviation.  E is released before V is factored.
     """
     coef = basis.mode_shapes * basis.amplitudes
     chunk = max(1, _BLOCK_BYTES // (16 * basis.n_dof * max(point[1] for point in points)))
@@ -96,7 +96,7 @@ def _stacked_errors(basis, points, t_s, gram=False):
         if gram:
             deviations.append(gram_deviation(np.divide(e, np.sqrt(m[:, None]), out=e)))
         del e
-        errors.append(_mode_errors(_svd_modes(v)[0], basis))
+        errors.append(_mode_errors(_gram_modes(v), basis))
     return np.concatenate(errors), deviations and np.concatenate(deviations)
 
 
@@ -224,7 +224,7 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
         return compress(data_super, draw_jl_matrix(m_super, m_prime, "gaussian", seed)).entries
 
     stacked = np.concatenate([
-        _mode_errors(_svd_modes(np.array(_shared_map(compressed, phi_seeds[start : start + chunk])))[0],
+        _mode_errors(_gram_modes(np.array(_shared_map(compressed, phi_seeds[start : start + chunk]))),
                      basis)
         for start in range(0, len(phi_seeds), chunk)
     ])

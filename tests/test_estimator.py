@@ -27,10 +27,13 @@ from modalcs import (
     preset,
     preset_config,
     random_schedule,
+    run_experiment,
     uniform_schedule,
 )
 from modalcs.config import _samples_for
-from modalcs.estimator import _mode_errors, _phase_aligned, _svd_modes
+from modalcs import estimator as estimator_module
+from modalcs import runner as runner_module
+from modalcs.estimator import _gram_modes, _mode_errors, _phase_aligned, _svd_modes
 from modalcs.mdof import _pivot_phases, canonical_sign
 from modalcs.runner import _run_exp3, _run_exp4
 from modalcs.sampling import rng_from_seed, spawn_seeds
@@ -309,17 +312,24 @@ def reference_aligned_distance(est, truth):
     return np.linalg.norm(truth - phase * est)
 
 
+def gram_chain_errors(basis, data):
+    """One data matrix's aligned errors by the runners' route: _gram_modes, then _mode_errors."""
+    return _mode_errors(_gram_modes(data.entries), basis)
+
+
 def reference_mean_max(basis, t_max, m, seeds):
-    """exp3's trial mean, one schedule, data matrix, SVD and alignment at a time."""
+    """exp3's trial mean, one schedule, data matrix, Gram factor and alignment at a time."""
     maxima = []
     for seed in seeds:
         data = build_data_matrix(basis, random_schedule(t_max, m, int(seed)))
-        maxima.append(align_and_error(estimate_modes(data), basis).max())
+        maxima.append(gram_chain_errors(basis, data).max())
     return float(np.mean(maxima))
 
 
 class TestStackedTrials:
-    """exp3 factors its trials as stacked SVDs; every byte must match one at a time."""
+    """The runners factor stacks of schedules through _gram_modes; every byte must match the
+    same route taken one matrix at a time.  The public SVD chain (estimate_modes, then
+    align_and_error) agrees to roundoff only: test_gram_route_matches_the_svd_route bounds it."""
 
     def test_exp3_rows_match_trial_by_trial_reference(self):
         raw = preset("exp3")
@@ -339,7 +349,7 @@ class TestStackedTrials:
                     m,
                     t_max_u,
                     t_max_e,
-                    float(align_and_error(estimate_modes(data), basis).max()),
+                    float(gram_chain_errors(basis, data).max()),
                     reference_mean_max(basis, t_max_u, m, seeds[:7]),
                     reference_mean_max(basis, t_max_e, m, seeds[7:]),
                     7,
@@ -351,8 +361,7 @@ class TestStackedTrials:
         config = preset_config("exp3")
         basis, t_s = build_basis(config), config.sampling["t_s"]
         expected = [
-            float(align_and_error(estimate_modes(build_data_matrix(basis, uniform_schedule(t_s, m))),
-                                  basis).max())
+            float(gram_chain_errors(basis, build_data_matrix(basis, uniform_schedule(t_s, m))).max())
             for m in sorted(config.sampling["m_values"])
         ]
         assert _run_exp3(config).column("err_uniform_max") == expected
@@ -365,7 +374,7 @@ class TestStackedTrials:
         per_seed = []
         for seed in spawn_seeds(config.seed, config.n_phi_seeds):
             phi = draw_jl_matrix(m_super, sampling["m_prime"], "gaussian", int(seed))
-            errors = align_and_error(estimate_modes(compress(data, phi)), basis)
+            errors = gram_chain_errors(basis, compress(data, phi))
             per_seed.append(("compressed", int(seed), sampling["t_s_super"], m_super,
                              sampling["m_prime"], *errors.tolist(), float(errors.max())))
         rows = _run_exp4(config).rows
@@ -395,6 +404,61 @@ class TestStackedTrials:
         per_matrix = zip(*[_svd_modes(d) for d in data_stack])
         for stacked, sliced in zip(_svd_modes(data_stack), per_matrix):
             assert stacked.tobytes() == np.stack(sliced).tobytes()
+
+    def test_gram_modes_stack_matches_slices(self, data_stack):
+        sliced = np.stack([_gram_modes(d) for d in data_stack])
+        assert _gram_modes(data_stack).tobytes() == sliced.tobytes()
+
+    def test_repeated_eigenvalue_takes_the_svd(self, monkeypatch):
+        # Equal amplitudes on DFT-bin frequencies: the steering rows are orthogonal, so
+        # V V* = M I, whose eigenvectors are any basis.  That matrix takes _svd_modes and
+        # returns its bits; the separated one beside it keeps the Gram route.
+        rng, m, t_s = rng_from_seed(7), 32, 0.1
+        stack = np.stack([
+            build_data_matrix(on_grid_basis(rng, 4, m, t_s, amp_scale), uniform_schedule(t_s, m)).entries
+            for amp_scale in (np.ones(4), 2.0 ** np.arange(4))
+        ])
+        calls, svd_modes = [], estimator_module._svd_modes
+        monkeypatch.setattr(estimator_module, "_svd_modes",
+                            lambda v: calls.append(v.shape) or svd_modes(v))
+        shapes = _gram_modes(stack)
+        assert calls == [(1, 4, m)]
+        assert shapes[0].tobytes() == svd_modes(stack[0])[0].tobytes()
+        npt.assert_allclose(shapes[1], svd_modes(stack[1])[0], rtol=0, atol=1e-12)
+
+    SPREADS = [[1, .45, .15, .01], [1, .1, .01, .001], [1, 1e-2, 1e-3, 1e-4],
+               [1, 1e-3, 1e-4, 1e-5], [1, 1e-4, 1e-6, 1e-8]]
+
+    @staticmethod
+    def _float_cells(table):
+        return [x for row in table.rows for x in row if isinstance(x, float)]
+
+    @pytest.mark.parametrize("magnitudes", SPREADS, ids=lambda mags: f"min{mags[-1]:g}")
+    @pytest.mark.parametrize("name", ["exp1", "exp2", "exp3", "exp4"])
+    def test_gram_route_matches_the_svd_route(self, monkeypatch, name, magnitudes):
+        # V V* squares V's conditioning.  The gap guard hands each point whose eigenvectors
+        # V V* would blur to the SVD, so every float cell stays within 1e-9 of the SVD route.
+        raw = preset(name)
+        raw["magnitudes"] = magnitudes
+        config = ExperimentConfig.from_dict(raw)
+        gram = run_experiment(config)
+        monkeypatch.setattr(runner_module, "_gram_modes", lambda v: _svd_modes(v)[0])
+        svd = run_experiment(config)
+        assert [[x for x in row if not isinstance(x, float)] for row in gram.rows] == [
+            [x for x in row if not isinstance(x, float)] for row in svd.rows]
+        npt.assert_allclose(self._float_cells(gram), self._float_cells(svd), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["exp1", "exp2", "exp3", "exp4"])
+    def test_unguarded_gram_route_is_wrong_on_the_widest_spread(self, monkeypatch, name):
+        # With no guard, eigh(V V*) at |A| down to 1e-8 moves error cells by 1e-4 (exp4)
+        # to 0.57 (exp2): the guard is what the test above relies on.
+        raw = preset(name)
+        raw["magnitudes"] = self.SPREADS[-1]
+        config = ExperimentConfig.from_dict(raw)
+        guarded = self._float_cells(run_experiment(config))
+        monkeypatch.setattr(estimator_module, "_GAP", 0.0)
+        unguarded = self._float_cells(run_experiment(config))
+        assert np.abs(np.subtract(guarded, unguarded)).max() > 1e-6
 
     def test_mode_errors_stack_matches_reference_loop(self, shape_stack, set1_basis):
         order = np.argsort(-np.abs(set1_basis.amplitudes), kind="stable")

@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -32,12 +33,10 @@ from modalcs import (
     ParseError,
     RaggedRows,
     ResultTable,
-    align_and_error,
     build_basis,
     build_data_matrix,
     build_steering,
     emit_plot_data,
-    estimate_modes,
     gram_deviation,
     load_sensor_csv,
     preset,
@@ -54,6 +53,7 @@ from modalcs import results as results_module
 from modalcs import runner as runner_module
 from modalcs.cli import run as cli_run
 from modalcs.config import CONFIG_SCHEMA, build_system
+from modalcs.estimator import _gram_modes, _mode_errors
 from modalcs.results import Panel, _csv_text, _repr_column
 from modalcs.sampling import _ModalData, rng_from_seed, spawn_seeds
 from test_acceptance import synthetic_sensors
@@ -1044,6 +1044,17 @@ class TestEmitPlotData:
         with pytest.raises(InvalidArgument, match="^panel p.csv: "):
             ResultTable("x", ["a"], [], {}, {}, (Panel("p.csv", columns, data, (), "p"),))
 
+    @pytest.mark.parametrize("data, message", [
+        (([1, 2], [1]), "^panel p.csv: need one equal-length"),  # zip(strict=True)'s ValueError
+        ((5, [1]), "^panel p.csv column must be a Sequence, not int"),  # _repr_column's TypeError
+    ], ids=["ragged", "not_a_sequence"])
+    def test_panel_columns_are_sequences_of_one_length(self, tmp_path, data, message):
+        # Both panels used to pass ResultTable and leak a Python error from emit_plot_data.
+        with warnings.catch_warnings(), pytest.raises(InvalidArgument, match=message):
+            warnings.simplefilter("error")
+            panel = Panel("p.csv", ("a", "b"), data, ("b",), "p")
+            emit_plot_data(ResultTable("x", ["a"], [], {}, {}, (panel,)), str(tmp_path))
+
     def test_panels_must_be_panels(self):
         with pytest.raises(InvalidArgument, match="^panel must be a"):
             ResultTable("x", ["a"], [], {}, {}, (("p.csv", ("a",), ([1],), (), "p"),))
@@ -1128,8 +1139,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name, sampling", SWEEPS, ids=["exp1", "exp2", "exp2_start_0.1"])
     def test_sweep_rows_are_the_per_point_pipeline(self, name, sampling):
-        # The stacked, zero-padded SVDs agree with one data matrix and one
-        # steering matrix per schedule to roundoff.
+        # The stacked, zero-padded Gram factors give each schedule's errors the bits of
+        # its own data matrix's, and the deviation agrees with one steering matrix per
+        # schedule to roundoff.
         config = self._sweep_config(name, sampling)
         basis, t_s = build_basis(config), config.sampling["t_s"]
         start, step = config.sampling.get("t_max_start", 0.0), config.sampling["t_max_step"]
@@ -1144,20 +1156,22 @@ class TestRunExperiment:
             else:
                 assert seed == int(seeds[round((t_max - start) / step)]) and bound is None
                 schedule = random_schedule(t_max, m, seed)
-            errors = align_and_error(estimate_modes(build_data_matrix(basis, schedule)), basis)
+            errors = _mode_errors(_gram_modes(build_data_matrix(basis, schedule).entries), basis)
             deviation = gram_deviation(build_steering(basis.frequencies, schedule))
-            npt.assert_allclose(numbers, [*errors, errors.max(), deviation], rtol=1e-12, atol=0)
+            assert numbers[:-1] == [*errors.tolist(), float(errors.max())]
+            npt.assert_allclose(numbers[-1], deviation, rtol=1e-12, atol=0)
         if sampling:
             assert min(table.column("t_max")) == pytest.approx(0.3)
 
     def test_sweep_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        # Five schedules per chunk split the 36-schedule stack into 8 SVD calls,
+        # Five schedules per chunk split the 36-schedule stack into 8 _gram_modes calls,
         # some between a t_max's uniform and random schedule.
         config = self._sweep_config("exp1")
         whole = run_experiment(config)
         calls = []
-        svd_modes = runner_module._svd_modes
-        monkeypatch.setattr(runner_module, "_svd_modes", lambda v: calls.append(v.shape) or svd_modes(v))
+        gram_modes = runner_module._gram_modes
+        monkeypatch.setattr(runner_module, "_gram_modes",
+                            lambda v: calls.append(v.shape) or gram_modes(v))
         monkeypatch.setattr(runner_module, "_BLOCK_BYTES", 5 * 16 * 4 * 21)
         split = run_experiment(config)
         assert [shape[0] for shape in calls] == [5] * 7 + [1]
@@ -1171,12 +1185,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("block_bytes", [None, 5 * 16 * 4 * 21])
     def test_sweep_draws_each_chunks_random_schedules_at_once(self, monkeypatch, block_bytes):
-        # One _random_times call per stacked SVD, not one random_schedule per point.
+        # One _random_times call per stacked factor, not one random_schedule per point.
         draws, chunks = [], []
-        random_times, svd_modes = runner_module._random_times, runner_module._svd_modes
+        random_times, gram_modes = runner_module._random_times, runner_module._gram_modes
         monkeypatch.setattr(runner_module, "_random_times",
                             lambda *args: draws.append(len(args[2])) or random_times(*args))
-        monkeypatch.setattr(runner_module, "_svd_modes", lambda v: chunks.append(v) or svd_modes(v))
+        monkeypatch.setattr(runner_module, "_gram_modes", lambda v: chunks.append(v) or gram_modes(v))
         if block_bytes:
             monkeypatch.setattr(runner_module, "_BLOCK_BYTES", block_bytes)
         table = run_experiment(self._sweep_config("exp1"))
@@ -1200,13 +1214,14 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("block_bytes", [None, 40 * 16 * 4 * 21])
     def test_exp3_draws_and_factors_each_chunk_once(self, monkeypatch, block_bytes):
-        # Per M, one _random_times call and one unpadded SVD per chunk of its
-        # 1 + 2 n_trials schedules, the uniform one first.
+        # Per M, one _random_times call and one unpadded _gram_modes call per chunk of
+        # its 1 + 2 n_trials schedules, the uniform one first.
         draws, chunks = [], []
-        random_times, svd_modes = runner_module._random_times, runner_module._svd_modes
+        random_times, gram_modes = runner_module._random_times, runner_module._gram_modes
         monkeypatch.setattr(runner_module, "_random_times",
                             lambda *args: draws.append(len(args[2])) or random_times(*args))
-        monkeypatch.setattr(runner_module, "_svd_modes", lambda v: chunks.append(v.shape) or svd_modes(v))
+        monkeypatch.setattr(runner_module, "_gram_modes",
+                            lambda v: chunks.append(v.shape) or gram_modes(v))
         if block_bytes:
             monkeypatch.setattr(runner_module, "_BLOCK_BYTES", block_bytes)
         table = run_experiment(preset_config("exp3"))
@@ -1218,11 +1233,11 @@ class TestRunExperiment:
 
     def test_exp4_factors_one_stack_per_chunk(self, monkeypatch):
         # The sub-Nyquist row is a one-point 4 x 32 stack; then three 4 x 32 compressed
-        # matrices per chunk: the 20 seeds take 7 SVDs, each seed still one compress.
+        # matrices per chunk: the 20 seeds take 7 factors, each seed still one compress.
         whole = run_experiment(preset_config("exp4"))
-        calls = {"svd": [], "compress": 0, "estimate": 0}
-        svd_modes, compress, estimate = (runner_module._svd_modes, runner_module.compress,
-                                         runner_module.estimate_modes)
+        calls = {"gram": [], "compress": 0, "estimate": 0}
+        gram_modes, compress, estimate = (runner_module._gram_modes, runner_module.compress,
+                                          runner_module.estimate_modes)
 
         def count(key, func):
             def counted(*args):
@@ -1230,13 +1245,13 @@ class TestRunExperiment:
                 return func(*args)
             return counted
 
-        monkeypatch.setattr(runner_module, "_svd_modes",
-                            lambda v: calls["svd"].append(v.shape) or svd_modes(v))
+        monkeypatch.setattr(runner_module, "_gram_modes",
+                            lambda v: calls["gram"].append(v.shape) or gram_modes(v))
         monkeypatch.setattr(runner_module, "compress", count("compress", compress))
         monkeypatch.setattr(runner_module, "estimate_modes", count("estimate", estimate))
         monkeypatch.setattr(runner_module, "_BLOCK_BYTES", 3 * 16 * 4 * 32)
         split = run_experiment(preset_config("exp4"))
-        assert calls == {"svd": [(1, 4, 32)] + [(3, 4, 32)] * 6 + [(2, 4, 32)], "compress": 20,
+        assert calls == {"gram": [(1, 4, 32)] + [(3, 4, 32)] * 6 + [(2, 4, 32)], "compress": 20,
                          "estimate": 0}
         assert split.rows == whole.rows
 

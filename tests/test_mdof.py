@@ -166,6 +166,15 @@ class TestCanonicalSign:
         ties = np.array([[-2, 1], [2, -1]])
         assert canonical_sign(ties).tobytes() == sign_flip_loop(ties).tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 4, 3), (2, 1, 5, 2)])
+    def test_stack_matches_slices(self, shape):
+        # Each matrix of a stack is rotated by its own pivots; the phases used to broadcast
+        # against the wrong axis (a wrong answer at (3, 3, 3), numpy's ValueError at (2, 4, 3)).
+        rng = rng_from_seed(6)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        sliced = np.stack([canonical_sign(m) for m in stack.reshape(-1, *shape[-2:])])
+        assert canonical_sign(stack).tobytes() == sliced.tobytes()
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_zero_column_unchanged(self, dtype):
         m = np.array([[0.0, -0.8], [0.0, 0.6]], dtype=dtype)

@@ -14,17 +14,16 @@ from modalcs import (
     JlMatrix,
     ModalBasis,
     SampleSchedule,
-    align_and_error,
     build_data_matrix,
     build_steering,
     compress,
     draw_jl_matrix,
-    estimate_modes,
     jl_tail_rate,
     random_schedule,
     uniform_schedule,
 )
 from modalcs.config import ExperimentConfig, build_basis, preset
+from modalcs.estimator import _gram_modes, _mode_errors
 from modalcs.runner import run_experiment
 from modalcs.sampling import (
     _BLOCK_BYTES,
@@ -639,9 +638,8 @@ class TestStreamingMemory:
         (_, t_max_u, t_max_e, _, matched, extended, _), = table.rows
         for mean, t_max, trial_seeds in ((matched, t_max_u, seeds[:8]), (extended, t_max_e, seeds[8:])):
             maxima = [
-                align_and_error(
-                    estimate_modes(build_data_matrix(basis, random_schedule(t_max, m, int(s)))), basis
-                ).max()
+                _mode_errors(_gram_modes(
+                    build_data_matrix(basis, random_schedule(t_max, m, int(s))).entries), basis).max()
                 for s in trial_seeds
             ]
             assert mean == float(np.mean(maxima))

@@ -39,6 +39,16 @@ def test_numeric_roundoff_is_reported_as_the_largest_relative_difference(trees):
     ]
 
 
+def test_signed_zeros_are_a_relative_difference_of_zero(trees):
+    # 0.0 against -0.0 used to divide by max(|0.0|, |-0.0|) = 0.
+    table = _TABLE.replace("0.25", "0.0")
+    (trees[0] / "exp1" / "results.csv").write_text(table, newline="")
+    (trees[1] / "exp1" / "results.csv").write_text(table.replace("0.0", "-0.0"), newline="")
+    assert same_output.differences(*map(str, trees)) == [
+        "exp1/results.csv: largest relative difference 0 between numeric cells"
+    ]
+
+
 def test_changed_text_cell_is_reported(trees):
     (trees[1] / "exp1" / "results.csv").write_text(_TABLE.replace(",b", ",c"), newline="")
     [line] = same_output.differences(*map(str, trees))

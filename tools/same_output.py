@@ -108,7 +108,7 @@ def csv_difference(pa: str, pb: str) -> str:
         x, y = _number(ca), _number(cb)
         if x is None or y is None:
             other = True
-        else:
+        elif x != y:  # 0.0 and -0.0 differ in text only: a change of route can flip a zero's sign
             largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
     text = f"largest relative difference {largest:.3g} between numeric cells"
     return text + ("; other cells or the row layout differ too" if other else "")
