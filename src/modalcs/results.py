@@ -93,8 +93,9 @@ class ResultTable:
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )
         for p in self.panels:
-            if not _checked_type(p, Panel, "panel").columns or len(p.data) != len(p.columns) or len(
-                    {len(_checked_type(col, Sequence, f"panel {p.file} column")) for col in p.data}) > 1:
+            data = _checked_type(_checked_type(p, Panel, "panel").data, Sequence, f"panel {p.file} data")
+            if not p.columns or len(data) != len(p.columns) or len(
+                    {len(_checked_type(col, Sequence, f"panel {p.file} column")) for col in data}) > 1:
                 raise InvalidArgument(f"panel {p.file}: need one equal-length data column per name")
 
     def column(self, name: str) -> list:

@@ -7,9 +7,6 @@ produce byte-identical tables.
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
 from .baselines import fdd_peaks, sparse_reconstruct, welch_csd
@@ -30,7 +27,9 @@ from .sampling import (
     _BLOCK_BYTES,
     _MAX_PHI_ENTRIES,
     DataMatrix,
+    _beside,
     _random_times,
+    _usable_cpus,
     build_data_matrix,
     compress,
     draw_jl_matrix,
@@ -47,28 +46,16 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
 
 def _shared_map(f, items):
-    """[f(x) for x in items] over one interleaved share per usable CPU; the calling thread
-    computes share 0, then joins the others and raises the first exception a share raised."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = max(1, min(len(items), cpus or 1))
-    out, errors, threads = [None] * len(items), [], []
+    """[f(x) for x in items] over one interleaved share per usable CPU: the calling thread
+    computes share 0 while sampling._beside runs each other share on a thread of its own."""
+    k = max(1, min(len(items), _usable_cpus()))
+    out = [None] * len(items)
 
     def share(i):
-        try:
-            out[i::k] = [f(x) for x in items[i::k]]
-        except BaseException as exc:  # the caller re-raises it
-            errors.append(exc)
+        out[i::k] = [f(x) for x in items[i::k]]
 
-    try:
-        for i in range(1, k):
-            threads.append(threading.Thread(target=share, args=(i,)))
-            threads[-1].start()
+    with _beside(*(lambda i=i: share(i) for i in range(1, k))):
         share(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
     return out
 
 
@@ -157,7 +144,7 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
     For each M the uniform reference uses t_max = (M-1) t_s.  Random
     schedules are drawn n_trials times at the matched t_max and n_trials
     times at t_max + extension; the table reports the mean over trials of
-    the max aligned error.
+    the max aligned error.  Every M's schedules go through one _stacked_errors call.
     """
     basis = build_basis(config)
     t_s = config.sampling["t_s"]
@@ -166,19 +153,20 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
     n_trials = config.n_trials
     point_seeds = spawn_seeds(config.seed, len(m_values))
 
-    rows = []
+    rows, points = [], []
     for i, m in enumerate(m_values):
         t_max_u = round((m - 1) * t_s, 10)
         t_max_e = round(t_max_u + extension, 10)
         trial_seeds = spawn_seeds(int(point_seeds[i]), 2 * n_trials).tolist()
-        points = [(t_max_u, m, "uniform", None)] + [
+        rows.append((m, t_max_u, t_max_e))
+        points += [(t_max_u, m, "uniform", None)] + [
             (t_max, m, "random", seed)
             for t_max, seed in zip([t_max_u] * n_trials + [t_max_e] * n_trials, trial_seeds)
         ]
-        maxima = _stacked_errors(basis, points, t_s)[0].max(axis=-1)
-        matched, extended = maxima[1:].reshape(2, n_trials)
-        rows.append((m, t_max_u, t_max_e, float(maxima[0]), float(np.mean(matched)),
-                     float(np.mean(extended)), n_trials))
+    maxima = _stacked_errors(basis, points, t_s)[0].max(axis=-1).reshape(len(rows), -1)
+    for i, top in enumerate(maxima):  # each M's uniform point, then its 2 n_trials random ones
+        matched, extended = top[1:].reshape(2, n_trials)
+        rows[i] += (float(top[0]), float(np.mean(matched)), float(np.mean(extended)), n_trials)
     columns = (
         "m",
         "t_max_uniform",

@@ -10,6 +10,9 @@ random M x M' matrix with the distributional Johnson-Lindenstrauss property.
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +43,35 @@ def spawn_seeds(seed: int, n: int) -> np.ndarray:
     """Derive n independent 64-bit child seeds from a master seed."""
     n = _checked_count(n, "n")
     return np.random.SeedSequence(_checked_seed(seed)).generate_state(n, dtype=np.uint64)
+
+
+def _usable_cpus() -> int:
+    """CPUs in the process's affinity mask; os.cpu_count(), or 1, where the OS has no such call."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextmanager
+def _beside(*jobs):
+    """Run each job on a daemon thread (an open row_blocks generator never holds up the exit)
+    beside the with body; on leaving, join them all and raise the first error a job raised."""
+    errors, threads = [], []
+
+    def guarded(job):
+        try:
+            job()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    try:
+        for job in jobs:
+            threads.append(threading.Thread(target=guarded, args=(job,), daemon=True))
+            threads[-1].start()
+        yield
+    finally:
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -284,14 +316,37 @@ class JlMatrix:
     def row_blocks(self):
         """Yield (start, block) for consecutive row blocks of about 1 MB (_block_rows rows).
 
-        Each call draws the rows from the seed; ``block`` is one buffer
-        reused from block to block: copy it to keep it.
+        Each call draws the rows from the seed, in stream order.  ``block`` is
+        valid until the next block is asked for: copy it to keep it.  With two
+        or more usable CPUs and two or more blocks, one producer thread fills
+        block k + 1 into the second of two buffers while the caller uses block k.
         """
-        rows = self._block_rows
-        rng = rng_from_seed(self.seed)
-        buf = np.empty((rows, self.m_prime))
-        for start in range(0, self.m, rows):
-            yield start, self._fill(rng, buf[: min(rows, self.m - start)])
+        rows, rng = self._block_rows, rng_from_seed(self.seed)
+        spans = [(start, min(rows, self.m - start)) for start in range(0, self.m, rows)]
+        if len(spans) == 1 or _usable_cpus() == 1:
+            buf = np.empty((rows, self.m_prime))
+            yield from ((start, self._fill(rng, buf[:count])) for start, count in spans)
+            return
+        bufs, barrier = np.empty((2, rows, self.m_prime)), threading.Barrier(2)
+
+        def produce():  # after the k-th wait both sides agree: block k is filled, k - 1 let go
+            try:
+                for k, (_, count) in enumerate(spans):
+                    self._fill(rng, bufs[k % 2, :count])
+                    barrier.wait()
+            except threading.BrokenBarrierError:
+                pass  # the caller stopped early
+            except BaseException:
+                barrier.abort()  # wakes the caller; leaving _beside raises this
+                raise
+
+        with _beside(produce):
+            try:
+                for k, (start, count) in enumerate(spans):
+                    barrier.wait()
+                    yield start, bufs[k % 2, :count]
+            finally:
+                barrier.abort()
 
     @cached_property
     def entries(self) -> np.ndarray:

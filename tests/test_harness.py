@@ -1047,7 +1047,8 @@ class TestEmitPlotData:
     @pytest.mark.parametrize("data, message", [
         (([1, 2], [1]), "^panel p.csv: need one equal-length"),  # zip(strict=True)'s ValueError
         ((5, [1]), "^panel p.csv column must be a Sequence, not int"),  # _repr_column's TypeError
-    ], ids=["ragged", "not_a_sequence"])
+        (5, "^panel p.csv data must be a Sequence, not int"),  # len(p.data)'s TypeError
+    ], ids=["ragged", "not_a_sequence", "data_not_a_sequence"])
     def test_panel_columns_are_sequences_of_one_length(self, tmp_path, data, message):
         # Both panels used to pass ResultTable and leak a Python error from emit_plot_data.
         with warnings.catch_warnings(), pytest.raises(InvalidArgument, match=message):
@@ -1214,8 +1215,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("block_bytes", [None, 40 * 16 * 4 * 21])
     def test_exp3_draws_and_factors_each_chunk_once(self, monkeypatch, block_bytes):
-        # Per M, one _random_times call and one unpadded _gram_modes call per chunk of
-        # its 1 + 2 n_trials schedules, the uniform one first.
+        # All five M share one stack of 5 x (1 + 2 n_trials) = 505 schedules, each M's
+        # uniform one first: one _random_times call and one _gram_modes call per chunk,
+        # padded to the chunk's largest M.
         draws, chunks = [], []
         random_times, gram_modes = runner_module._random_times, runner_module._gram_modes
         monkeypatch.setattr(runner_module, "_random_times",
@@ -1226,10 +1228,11 @@ class TestRunExperiment:
             monkeypatch.setattr(runner_module, "_BLOCK_BYTES", block_bytes)
         table = run_experiment(preset_config("exp3"))
         assert table.column("m") == [6, 10, 14, 18, 21]
-        sizes = ({6: [101], 10: [84, 17], 14: [60, 41], 18: [46, 46, 9], 21: [40, 40, 21]}
-                 if block_bytes else dict.fromkeys(table.column("m"), [101]))
-        assert chunks == [(size, 4, m) for m, sizes_m in sizes.items() for size in sizes_m]
-        assert draws == [size - (i == 0) for sizes_m in sizes.values() for i, size in enumerate(sizes_m)]
+        m = np.repeat(table.column("m"), 101)
+        seeded, size = np.arange(505) % 101 != 0, 40 if block_bytes else 505
+        assert len(chunks) == (13 if block_bytes else 1)
+        assert chunks == [(m[i : i + size].size, 4, m[i : i + size].max()) for i in range(0, 505, size)]
+        assert draws == [seeded[i : i + size].sum() for i in range(0, 505, size)]
 
     def test_exp4_factors_one_stack_per_chunk(self, monkeypatch):
         # The sub-Nyquist row is a one-point 4 x 32 stack; then three 4 x 32 compressed
@@ -1381,6 +1384,19 @@ class TestSharedMap:
         assert len(threads) == 20 and len(set(threads)) == (cpu_count or 1)
         assert ({path.name: path.read_bytes() for path in out.iterdir()}
                 == {path.name: path.read_bytes() for path in reference.iterdir()})
+
+    def test_exp4_preset_starts_no_producer(self, monkeypatch, cpus):
+        # Each preset Phi, 1001 x 32, is one row block, so its compress draws it on
+        # the calling share: the share thread is the run's only thread.
+        cpus(2)
+        fills, started, fill, start = [], [], JlMatrix._fill, threading.Thread.start
+        monkeypatch.setattr(JlMatrix, "_fill", lambda phi, rng, out: fills.append(
+            threading.current_thread().name) or fill(phi, rng, out))
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(
+            thread.name) or start(thread))
+        run_experiment(preset_config("exp4"))
+        assert len(fills) == 20 and len(started) == 1
+        assert set(fills) == {threading.main_thread().name, started[0]}
 
     def test_exp4_evaluates_the_first_steering_block_once(self, monkeypatch, cpus):
         # Built before the fan-out at the width of a Phi row block: the shares only read it.

@@ -1,6 +1,9 @@
 """Sample schedules, steering matrices, data matrices, and compression."""
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +27,7 @@ from modalcs import (
 )
 from modalcs.config import ExperimentConfig, build_basis, preset
 from modalcs.estimator import _gram_modes, _mode_errors
-from modalcs.runner import run_experiment
+from modalcs.runner import _shared_map, run_experiment
 from modalcs.sampling import (
     _BLOCK_BYTES,
     _philox_keys,
@@ -509,6 +512,97 @@ class TestCompress:
         assert real.dtype == np.float64 and cast.dtype == np.complex128
         assert np.array_equal(real, cast.real)
         assert not cast.imag.any()
+
+
+def _serial_compress(data, phi):
+    """compress's modal path as a plain loop: every block drawn on the calling thread."""
+    rng, rows, n = rng_from_seed(phi.seed), phi._block_rows, data.shape[0]
+    acc = np.zeros((2 * n, phi.m_prime))
+    for start in range(0, phi.m, rows):
+        block = phi._fill(rng, np.empty((min(rows, phi.m - start), phi.m_prime)))
+        e = data._steering(start, block.shape[0])
+        acc += np.concatenate((e.real, e.imag)) @ block
+    return (data.basis.mode_shapes * data.basis.amplitudes) @ (acc[:n] + 1j * acc[n:])
+
+
+class _FillError(Exception):
+    pass
+
+
+def _record_fills(monkeypatch, fail_on=None):
+    """Names of the threads that run each JlMatrix._fill; fill number fail_on raises."""
+    names, fill = [], JlMatrix._fill
+
+    def recorded(phi, rng, out):
+        names.append(threading.current_thread().name)
+        if len(names) - 1 == fail_on:
+            raise _FillError(f"block {fail_on}")
+        return fill(phi, rng, out)
+
+    monkeypatch.setattr(JlMatrix, "_fill", recorded)
+    return names
+
+
+class TestRowBlockProducer:
+    """JlMatrix.row_blocks: with two usable CPUs and two or more blocks, one producer
+    thread fills the next block into the second of two buffers."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the number of CPUs the affinity read reports."""
+        return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("m", [3000, 10_007])  # M' = 37: one 3542-row block, or 3 ending short
+    def test_y_is_the_serial_loop_bit_for_bit(self, set1_basis, cpus, monkeypatch, n_cpus, kind, m):
+        cpus(n_cpus)
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-3, m))
+        phi = draw_jl_matrix(m, 37, kind, seed=21)
+        want = _serial_compress(data, phi)
+        fill_threads, before = _record_fills(monkeypatch), threading.active_count()
+        y = compress(data, phi).entries
+        assert threading.active_count() == before
+        assert len(fill_threads) == -(-m // phi._block_rows) and len(set(fill_threads)) == 1
+        producer = n_cpus == 2 and m > phi._block_rows
+        assert (threading.main_thread().name in fill_threads) != producer
+        assert np.array_equal(y, want)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_failed_fill_reaches_the_caller(self, set1_basis, cpus, monkeypatch, n_cpus):
+        # M' = 256: 512-row blocks, so M 5000 spans ten.
+        cpus(n_cpus)
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 5000))
+        fill_threads, before = _record_fills(monkeypatch, fail_on=3), threading.active_count()
+        with pytest.raises(_FillError, match="^block 3$"):
+            compress(data, draw_jl_matrix(5000, 256, "gaussian", seed=22))
+        assert threading.active_count() == before and len(fill_threads) == 4
+
+    def test_an_abandoned_stream_stops_its_producer(self, cpus):
+        cpus(2)
+        phi = draw_jl_matrix(5000, 256, "gaussian", seed=23)
+        before = threading.active_count()
+        blocks = phi.row_blocks()
+        start, block = next(blocks)
+        assert start == 0 and np.array_equal(block, phi.entries[:512])
+        assert threading.active_count() == before + 1
+        del blocks
+        assert threading.active_count() == before
+
+    def test_shared_compress_calls_under_fast_thread_switching(self, set1_basis, cpus):
+        # Four shares, each with its own producer, on fewer cores, switched out
+        # after about a microsecond: every Y is still its serial loop's.
+        cpus(4)
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 10_000))
+        phis = [draw_jl_matrix(10_000, 256, "gaussian", seed) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ys = _shared_map(lambda phi: compress(data, phi).entries, phis)
+        finally:
+            sys.setswitchinterval(interval)
+        for y, phi in zip(ys, phis):
+            assert np.array_equal(y, _serial_compress(data, phi))
 
 
 def _wide_basis(n, seed):

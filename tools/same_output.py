@@ -5,11 +5,12 @@ Usage (from the repository root):
     python3 tools/same_output.py --parent REV
 
 Exports REV with ``git archive`` (as ``tools/bench_json.py`` does) and, in
-that export and in the working tree, runs ``modalcs.cli.run`` for exp1-exp5
-and for realdata on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs,
-plus two variants of ``(1)``: one behind a header row (``"header": true``)
-and one with every cell quoted, which load_sensor_csv reads through its
-csv-module path. Each side runs in a fresh interpreter on its own
+that export and in the working tree, runs ``modalcs.cli.run`` for exp1-exp5,
+for exp4 under an overlay whose Phi streams in five row blocks per seed
+(``compress``'s multi-block path, which no preset takes), and for realdata
+on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs, plus two variants
+of ``(1)``: one behind a header row (``"header": true``) and one with every
+cell quoted, which load_sensor_csv reads through its csv-module path. Each side runs in a fresh interpreter on its own
 ``src/`` with ``OPENBLAS_NUM_THREADS=1``, since realdata's bytes depend on
 the BLAS thread count; both read the same sensor files. It prints the
 thread count, compares the two output trees file by file, as ``diff -r``
@@ -41,6 +42,11 @@ sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]  # perfbench.workloads imports 
 from perfbench.workloads import synthetic_sensors  # noqa: E402
 
 PRESETS = ("exp1", "exp2", "exp3", "exp4", "exp5")
+# Preset run name: (preset, config overlay).  exp4 at M 10,001 and M' 64 streams each
+# seed's Phi in five 2,048-row blocks.
+OVERLAYS = {
+    "exp4_blocks": ("exp4", {"sampling": {"t_s_super": 0.0002, "m_prime": 64}, "n_phi_seeds": 3}),
+}
 # realdata run name: (synthetic_sensors seed, header row, every cell quoted)
 SENSOR_FILES = {
     "realdata1": (1, False, False),
@@ -56,8 +62,12 @@ RUN_ALL = ("import json, sys; from modalcs.cli import run; "
 
 
 def _runs(inputs: str, out: str) -> list[list[str]]:
-    """The cli.run argument lists: every preset, then realdata on each sensor file."""
+    """The cli.run argument lists: every preset, each overlay, then realdata on each
+    sensor file."""
     runs = [["run", "--experiment", e, "--out", os.path.join(out, e)] for e in PRESETS]
+    for name, (experiment, _) in OVERLAYS.items():
+        runs.append(["run", "--experiment", experiment, "--config",
+                     os.path.join(inputs, f"{name}.json"), "--out", os.path.join(out, name)])
     for name in SENSOR_FILES:
         config = os.path.join(inputs, f"{name}.json")
         runs.append(["run", "--experiment", "realdata", "--config", config,
@@ -66,8 +76,12 @@ def _runs(inputs: str, out: str) -> list[list[str]]:
 
 
 def _write_inputs(inputs: str):
-    """Sensor CSVs as perfbench's sensor workload writes them (the variants
-    add a header row or quotes), and a realdata config for each."""
+    """Each overlay's config file; sensor CSVs as perfbench's sensor workload
+    writes them (the variants add a header row or quotes), and a realdata
+    config for each."""
+    for name, (_, overlay) in OVERLAYS.items():
+        with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(overlay, fh)
     for name, (seed, header, quoted) in SENSOR_FILES.items():
         data = synthetic_sensors(seed)
         data_path = os.path.join(inputs, f"{name}.csv")
