@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -15,6 +16,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the number of CPUs the affinity read reports."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture(scope="session")

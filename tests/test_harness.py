@@ -1313,11 +1313,6 @@ class TestRunExperiment:
 class TestSharedMap:
     """exp4's fan-out: runner._shared_map, one interleaved share per usable CPU."""
 
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Sets the number of CPUs the affinity read reports."""
-        return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
     @pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])  # none, fewer than, exactly, more than k
     def test_keeps_item_order(self, cpus, n_items):
         cpus(3)

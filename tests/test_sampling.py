@@ -1,7 +1,6 @@
 """Sample schedules, steering matrices, data matrices, and compression."""
 
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -546,11 +545,6 @@ def _record_fills(monkeypatch, fail_on=None):
 class TestRowBlockProducer:
     """JlMatrix.row_blocks: with two usable CPUs and two or more blocks, one producer
     thread fills the next block into the second of two buffers."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Sets the number of CPUs the affinity read reports."""
-        return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])

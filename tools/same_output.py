@@ -10,9 +10,10 @@ for exp4 under an overlay whose Phi streams in five row blocks per seed
 (``compress``'s multi-block path, which no preset takes), and for realdata
 on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs, plus two variants
 of ``(1)``: one behind a header row (``"header": true``) and one with every
-cell quoted, which load_sensor_csv reads through its csv-module path. Each side runs in a fresh interpreter on its own
-``src/`` with ``OPENBLAS_NUM_THREADS=1``, since realdata's bytes depend on
-the BLAS thread count; both read the same sensor files. It prints the
+cell quoted, which load_sensor_csv reads through its csv-module path. Each
+side runs in a fresh interpreter on its own ``src/`` with
+``OPENBLAS_NUM_THREADS=1``, since realdata's bytes depend on the BLAS
+thread count; both read the same sensor files. It prints the
 thread count, compares the two output trees file by file, as ``diff -r``
 would, and prints "identical" with the file count, or every file that
 differs: for a CSV in both trees, the
