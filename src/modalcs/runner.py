@@ -18,7 +18,6 @@ from .estimator import (
     _gram_modes,
     _mode_errors,
     _phase_aligned,
-    aligned_distance,
     estimate_modes,
     frequency_spectra,
 )
@@ -27,9 +26,8 @@ from .sampling import (
     _BLOCK_BYTES,
     _MAX_PHI_ENTRIES,
     DataMatrix,
-    _beside,
     _random_times,
-    _usable_cpus,
+    _shared_map,
     build_data_matrix,
     compress,
     draw_jl_matrix,
@@ -43,20 +41,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     except KeyError:
         raise ConfigError(f"unknown experiment {config.experiment!r}") from None
     return runner(config)
-
-
-def _shared_map(f, items):
-    """[f(x) for x in items] over one interleaved share per usable CPU: the calling thread
-    computes share 0 while sampling._beside runs each other share on a thread of its own."""
-    k = max(1, min(len(items), _usable_cpus()))
-    out = [None] * len(items)
-
-    def share(i):
-        out[i::k] = [f(x) for x in items[i::k]]
-
-    with _beside(*(lambda i=i: share(i) for i in range(1, k))):
-        share(0)
-    return out
 
 
 def _stacked_errors(basis, points, t_s, gram=False):
@@ -206,7 +190,6 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
     data_super = build_data_matrix(basis, uniform_schedule(t_s_super, m_super))
     phi_seeds = spawn_seeds(config.seed, config.n_phi_seeds).tolist()
     chunk = max(1, _BLOCK_BYTES // (16 * n * m_prime))
-    data_super._steering(0, draw_jl_matrix(m_super, m_prime)._block_rows)  # shares only read it
 
     def compressed(seed):
         return compress(data_super, draw_jl_matrix(m_super, m_prime, "gaussian", seed)).entries
@@ -317,11 +300,10 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
     series = ("benchmark", "svd_y", "cs_fdd")
     for k in range(n_bench):
         bench = bench_shapes[:, k]
-        err_svd = aligned_distance(svd_shapes[:, k], bench)
-        err_csfdd = aligned_distance(csfdd_shapes[:, k], bench)
-        rows.append((k + 1, float(bench_freqs[k]), float(err_svd), float(err_csfdd)))
         overlay = [bench, _phase_aligned(svd_shapes[:, k], bench),
                    _phase_aligned(csfdd_shapes[:, k], bench)]
+        rows.append((k + 1, float(bench_freqs[k]),
+                     *(float(np.linalg.norm(bench - shape)) for shape in overlay[1:])))
         panels.append(
             Panel(
                 f"shapes_mode{k + 1}.csv",

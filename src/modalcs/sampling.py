@@ -46,8 +46,9 @@ def spawn_seeds(seed: int, n: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """CPUs in the process's affinity mask; os.cpu_count(), or 1, where the OS has no such call."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    """Fan-out budget: affinity CPUs (else os.cpu_count() or 1) less other live threads, >= 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cpus - (threading.active_count() - 1))
 
 
 @contextmanager
@@ -72,6 +73,20 @@ def _beside(*jobs):
             thread.join()
         if errors:
             raise errors[0]
+
+
+def _shared_map(f, items):
+    """[f(x) for x in items] over one interleaved share per usable CPU: the calling thread
+    computes share 0 while _beside runs each other share on a thread of its own."""
+    k = max(1, min(len(items), _usable_cpus()))
+    out = [None] * len(items)
+
+    def share(i):
+        out[i::k] = [f(x) for x in items[i::k]]
+
+    with _beside(*(lambda i=i: share(i) for i in range(1, k))):
+        share(0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -246,7 +261,8 @@ class _ModalData(DataMatrix):
         return _checked_array(v, "entries")
 
     def _steering(self, start: int, rows: int) -> np.ndarray:
-        """Columns start..start+rows of [E]; uniform ones rotate a cached first block."""
+        """Columns start..start+rows of [E].  Uniform ones rotate a cached first block; any
+        thread may fill the cache, as every fill stores the same bits in one assignment."""
         freqs, times = self.basis.frequencies[:, None], self.schedule.times
         if self.schedule.scheme != "uniform":
             return np.exp(1j * (freqs * times[start : start + rows]))
@@ -309,19 +325,16 @@ class JlMatrix:
             out /= np.sqrt(self.m_prime)
         return out
 
-    @property
-    def _block_rows(self) -> int:
-        return min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
-
     def row_blocks(self):
-        """Yield (start, block) for consecutive row blocks of about 1 MB (_block_rows rows).
+        """Yield (start, block) for consecutive row blocks of about 1 MB (_BLOCK_BYTES).
 
         Each call draws the rows from the seed, in stream order.  ``block`` is
-        valid until the next block is asked for: copy it to keep it.  With two
-        or more usable CPUs and two or more blocks, one producer thread fills
-        block k + 1 into the second of two buffers while the caller uses block k.
+        valid until the next block is asked for: copy it to keep it.  With two or
+        more blocks and a spare CPU (never inside a _shared_map share), a producer
+        thread fills block k + 1 into the second of two buffers while the caller uses block k.
         """
-        rows, rng = self._block_rows, rng_from_seed(self.seed)
+        rows = min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
+        rng = rng_from_seed(self.seed)
         spans = [(start, min(rows, self.m - start)) for start in range(0, self.m, rows)]
         if len(spans) == 1 or _usable_cpus() == 1:
             buf = np.empty((rows, self.m_prime))

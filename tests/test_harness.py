@@ -51,6 +51,7 @@ from modalcs import (
 from modalcs import config as config_module
 from modalcs import results as results_module
 from modalcs import runner as runner_module
+from modalcs import sampling as sampling_module
 from modalcs.cli import run as cli_run
 from modalcs.config import CONFIG_SCHEMA, build_system
 from modalcs.estimator import _gram_modes, _mode_errors
@@ -1311,13 +1312,13 @@ class TestRunExperiment:
 
 
 class TestSharedMap:
-    """exp4's fan-out: runner._shared_map, one interleaved share per usable CPU."""
+    """exp4's fan-out: sampling._shared_map, one interleaved share per usable CPU."""
 
     @pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])  # none, fewer than, exactly, more than k
     def test_keeps_item_order(self, cpus, n_items):
         cpus(3)
         names = []
-        squares = runner_module._shared_map(
+        squares = sampling_module._shared_map(
             lambda x: names.append(threading.current_thread().name) or x * x, list(range(n_items)))
         assert squares == [x * x for x in range(n_items)]
         assert len(set(names)) == min(n_items, 3)
@@ -1328,7 +1329,7 @@ class TestSharedMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = runner_module._shared_map(lambda x: sum(range(x % 50)) + x, list(range(2000)))
+            results = sampling_module._shared_map(lambda x: sum(range(x % 50)) + x, list(range(2000)))
         finally:
             sys.setswitchinterval(interval)
         assert results == [sum(range(x % 50)) + x for x in range(2000)]
@@ -1347,7 +1348,7 @@ class TestSharedMap:
 
         before = threading.active_count()
         with pytest.raises(DomainError, match=f"^item {failing}$"):
-            runner_module._shared_map(f, list(range(6)))
+            sampling_module._shared_map(f, list(range(6)))
         assert raised_on == [failing == 0]
         assert threading.active_count() == before
 
@@ -1393,23 +1394,61 @@ class TestSharedMap:
         assert len(fills) == 20 and len(started) == 1
         assert set(fills) == {threading.main_thread().name, started[0]}
 
-    def test_exp4_evaluates_the_first_steering_block_once(self, monkeypatch, cpus):
-        # Built before the fan-out at the width of a Phi row block: the shares only read it.
+    def test_exp4_fills_the_first_steering_block_at_most_once_per_share(self, tmp_path,
+                                                                         monkeypatch, cpus):
+        # Whichever share comes first fills the cache; a share that finds it empty fills it
+        # too, with the same bits.
+        cpus(1)
+        reference, _ = run_cli(tmp_path / "reference", "exp4")
         cpus(2)
         calls, steering = [], _ModalData._steering
 
         def traced(self, start, rows):
             before = self.__dict__.get("_first")
             block = steering(self, start, rows)
-            calls.append((threading.current_thread() is threading.main_thread(),
-                          self.__dict__["_first"] is not before))
+            calls.append((threading.current_thread().name, self.__dict__["_first"] is not before))
             return block
 
         monkeypatch.setattr(_ModalData, "_steering", traced)
-        run_experiment(preset_config("exp4"))
-        assert len(calls) == 21 and calls[0] == (True, True)  # then one per compress
-        assert sum(evaluated for _, evaluated in calls) == 1
-        assert not all(on_caller for on_caller, _ in calls)
+        out, _ = run_cli(tmp_path / "shared", "exp4")
+        filled_on = [name for name, filled in calls if filled]
+        assert len(calls) == 20 and len({name for name, _ in calls}) == 2
+        assert 1 <= len(filled_on) == len(set(filled_on))  # at most once per share thread
+        assert ({path.name: path.read_bytes() for path in out.iterdir()}
+                == {path.name: path.read_bytes() for path in reference.iterdir()})
+
+    def test_a_share_starts_no_producer(self, tmp_path, monkeypatch, cpus):
+        # Five Phi row blocks per seed: at 2 CPUs the share thread is the run's only thread,
+        # because inside a share no CPU is left over for a producer.
+        overlay = {"sampling": {"t_s_super": 0.0002, "m_prime": 64}, "n_phi_seeds": 4}
+        for side in ("one", "two"):
+            (tmp_path / side).mkdir()
+        cpus(1)
+        reference, _ = run_cli(tmp_path / "one", "exp4", overlay)
+        cpus(2)
+        fills, started, fill, start = [], [], JlMatrix._fill, threading.Thread.start
+        monkeypatch.setattr(JlMatrix, "_fill", lambda phi, rng, out: fills.append(
+            threading.current_thread().name) or fill(phi, rng, out))
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(
+            thread.name) or start(thread))
+        out, _ = run_cli(tmp_path / "two", "exp4", overlay)
+        assert len(fills) == 4 * 5 and len(started) == 1
+        assert set(fills) == {threading.main_thread().name, started[0]}
+        assert ({path.name: path.read_bytes() for path in out.iterdir()}
+                == {path.name: path.read_bytes() for path in reference.iterdir()})
+
+    def test_a_share_sees_one_usable_cpu(self, cpus):
+        cpus(2)
+        both_live = threading.Barrier(2, timeout=30)
+
+        def usable(_):  # read while both shares are live
+            both_live.wait()
+            count = sampling_module._usable_cpus()
+            both_live.wait()
+            return count
+
+        assert sampling_module._usable_cpus() == 2
+        assert sampling_module._shared_map(usable, [0, 1]) == [1, 1]
 
 
 class TestCli:

@@ -26,11 +26,12 @@ from modalcs import (
 )
 from modalcs.config import ExperimentConfig, build_basis, preset
 from modalcs.estimator import _gram_modes, _mode_errors
-from modalcs.runner import _shared_map, run_experiment
+from modalcs.runner import run_experiment
 from modalcs.sampling import (
     _BLOCK_BYTES,
     _philox_keys,
     _random_times,
+    _shared_map,
     rng_from_seed,
     spawn_seeds,
 )
@@ -513,9 +514,14 @@ class TestCompress:
         assert not cast.imag.any()
 
 
+def _block_rows(phi):
+    """Rows in one ~_BLOCK_BYTES block of Phi, at most M."""
+    return min(phi.m, max(1, _BLOCK_BYTES // (8 * phi.m_prime)))
+
+
 def _serial_compress(data, phi):
     """compress's modal path as a plain loop: every block drawn on the calling thread."""
-    rng, rows, n = rng_from_seed(phi.seed), phi._block_rows, data.shape[0]
+    rng, rows, n = rng_from_seed(phi.seed), _block_rows(phi), data.shape[0]
     acc = np.zeros((2 * n, phi.m_prime))
     for start in range(0, phi.m, rows):
         block = phi._fill(rng, np.empty((min(rows, phi.m - start), phi.m_prime)))
@@ -557,8 +563,8 @@ class TestRowBlockProducer:
         fill_threads, before = _record_fills(monkeypatch), threading.active_count()
         y = compress(data, phi).entries
         assert threading.active_count() == before
-        assert len(fill_threads) == -(-m // phi._block_rows) and len(set(fill_threads)) == 1
-        producer = n_cpus == 2 and m > phi._block_rows
+        assert len(fill_threads) == -(-m // _block_rows(phi)) and len(set(fill_threads)) == 1
+        producer = n_cpus == 2 and m > _block_rows(phi)
         assert (threading.main_thread().name in fill_threads) != producer
         assert np.array_equal(y, want)
 
@@ -583,18 +589,23 @@ class TestRowBlockProducer:
         del blocks
         assert threading.active_count() == before
 
-    def test_shared_compress_calls_under_fast_thread_switching(self, set1_basis, cpus):
-        # Four shares, each with its own producer, on fewer cores, switched out
-        # after about a microsecond: every Y is still its serial loop's.
-        cpus(4)
+    def test_shared_compress_calls_under_fast_thread_switching(self, set1_basis, cpus,
+                                                                monkeypatch):
+        # Four shares with spare CPUs, so each starts its own producer, on fewer cores,
+        # switched out after about a microsecond: every Y is still its serial loop's.
+        cpus(8)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 10_000))
-        phis = [draw_jl_matrix(10_000, 256, "gaussian", seed) for seed in range(8)]
+        phis = [draw_jl_matrix(10_000, 256, "gaussian", seed) for seed in range(4)]
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(
+            thread.name) or start(thread))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             ys = _shared_map(lambda phi: compress(data, phi).entries, phis)
         finally:
             sys.setswitchinterval(interval)
+        assert len(started) == 3 + 4  # three share threads, then four producers
         for y, phi in zip(ys, phis):
             assert np.array_equal(y, _serial_compress(data, phi))
 

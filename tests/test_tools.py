@@ -1,7 +1,8 @@
 """The output comparison in tools/same_output.py, on two small output trees, and
-tools/bench_json.py's parse and summary of perfbench runs."""
+tools/bench_json.py's parse and summary of perfbench runs and its source line count."""
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -120,3 +121,16 @@ def test_summary_gives_raw_medians_and_wins_beside_the_scaled_ones():
     assert ops["raw"]["parent"] == {"median": 80.0, "q1": 79.5, "q3": 80.5, "n": 3}
     assert (ops["raw"]["change"]["median"], ops["raw"]["change_wins"], ops["raw"]["pairs"]) == (89.0, 2, 2)
     assert "raw" not in summary["peak_rss_mb"]  # perfbench prints no raw figure for it
+
+
+def test_src_lines_counts_newlines_of_the_package_modules_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "modalcs"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("outside\n")
+    assert bench_json.src_lines(str(tmp_path)) == 3
+    assert bench_json.src_lines(bench_json.ROOT) == int(subprocess.run(
+        "cat src/modalcs/*.py | wc -l", shell=True, cwd=bench_json.ROOT, capture_output=True,
+        text=True, check=True).stdout)

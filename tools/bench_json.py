@@ -16,8 +16,8 @@ commit SHAs, every run's end-to-end metrics, each side's per-metric median
 and quartiles, how many pairs the change won per metric, the same for the
 raw (unscaled) figures perfbench prints beside its reference-second ones
 (``raw`` in each run and each metric), the environment
-lines perfbench printed, whether bytecode writing was off, and each side's
-tier-1 wall time with its pass/fail counts. A full run of three workloads
+lines perfbench printed, whether bytecode writing was off, each side's
+tier-1 wall time with its pass/fail counts, and each side's ``src_lines``. A full run of three workloads
 over ten seeds takes about half an hour on two cores; nothing else should
 load the machine meanwhile.
 """
@@ -25,6 +25,7 @@ load the machine meanwhile.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -80,6 +81,15 @@ def _perfbench(tree: str, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0 or not proc.stdout.strip():
         return {"seed": seed, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     return {"seed": seed, **parse_run(proc.stdout)}
+
+
+def src_lines(tree: str) -> int:
+    """Lines in the tree's src/modalcs/*.py as ``wc -l`` counts them: newline bytes."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "modalcs", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _tier1(tree: str) -> dict:
@@ -165,6 +175,7 @@ def main(argv=None) -> int:
                     status = run.get("error") or f"{run['failed']} of {run['attempted']} ops failed"
                     print(f"{workload} seed {seed} {side}: {status}", flush=True)
         result["tier1"] = {side: _tier1(tree) for side, tree in trees.items()}
+        result["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
     # With bytecode writing off, every fresh process compiles src/modalcs
     # again, which shows in setup_s; the runs inherit this environment.
     result["env"] = {**envs, "dont_write_bytecode": {
