@@ -329,9 +329,9 @@ class JlMatrix:
         """Yield (start, block) for consecutive row blocks of about 1 MB (_BLOCK_BYTES).
 
         Each call draws the rows from the seed, in stream order.  ``block`` is
-        valid until the next block is asked for: copy it to keep it.  With two or
-        more blocks and a spare CPU (never inside a _shared_map share), a producer
-        thread fills block k + 1 into the second of two buffers while the caller uses block k.
+        valid until the next block is asked for: copy it to keep it.  With two or more
+        blocks and _usable_cpus() > 1, a producer thread fills block k + 1 into the
+        second of two buffers while the caller uses block k.
         """
         rows = min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
         rng = rng_from_seed(self.seed)

@@ -17,9 +17,9 @@ and quartiles, how many pairs the change won per metric, the same for the
 raw (unscaled) figures perfbench prints beside its reference-second ones
 (``raw`` in each run and each metric), the environment
 lines perfbench printed, whether bytecode writing was off, each side's
-tier-1 wall time with its pass/fail counts, and each side's ``src_lines``. A full run of three workloads
-over ten seeds takes about half an hour on two cores; nothing else should
-load the machine meanwhile.
+tier-1 wall time with its pass/fail counts, and each side's ``src_lines``.
+A full run of three workloads over ten seeds takes about half an hour on
+two cores; nothing else should load the machine meanwhile.
 """
 
 from __future__ import annotations
