@@ -27,6 +27,11 @@ _JL_KINDS = ("gaussian", "bernoulli")
 # Working-set size of one streamed block: Phi rows in compress, V columns in build_data_matrix,
 # the runners' stacked schedules.  About one L2 cache; 512 Phi rows at M' = 256.
 _BLOCK_BYTES = 1 << 20
+# Split Phi draws (JlMatrix._in_order): raw Philox words per normal (the ziggurat redraws ~2 %),
+# words a guessed block start sits early (131,072 normals take 67 words more or less, 1 sd),
+# and values each block draws past its rows.
+_NORMAL_WORDS, _SLACK, _MARGIN = 1.022, 384, 1024
+_HELPERS = set()  # live threads _beside started, process-wide, which the CPU budget charges
 _MAX_PHI_ENTRIES = 100_000 * 256  # samples in a schedule, entries in a dense Phi: 205 MB at most
 # SeedSequence's running hash multipliers c * k**i mod 2**32: 16 mixing calls, then 4 output ones.
 _MIX_CONSTS, _OUT_CONSTS = (
@@ -46,16 +51,16 @@ def spawn_seeds(seed: int, n: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """Fan-out budget: affinity CPUs (else os.cpu_count() or 1) less other live threads, >= 1."""
+    """Fan-out budget: affinity CPUs (else os.cpu_count() or 1) less live _beside threads, >= 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, cpus - (threading.active_count() - 1))
+    return max(1, cpus - len(_HELPERS))
 
 
 @contextmanager
 def _beside(*jobs):
-    """Run each job on a daemon thread (an open row_blocks generator never holds up the exit)
-    beside the with body; on leaving, join them all and raise the first error a job raised."""
-    errors, threads = [], []
+    """Run each job on a thread of its own beside the with body; on leaving, join them all
+    and raise the first error a job raised."""
+    errors = []
 
     def guarded(job):
         try:
@@ -63,14 +68,16 @@ def _beside(*jobs):
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
+    threads = [threading.Thread(target=guarded, args=(job,)) for job in jobs]
+    _HELPERS.update(threads)  # before any starts, so that every job sees the same budget
     try:
-        for job in jobs:
-            threads.append(threading.Thread(target=guarded, args=(job,), daemon=True))
-            threads[-1].start()
+        for thread in threads:
+            thread.start()
         yield
     finally:
         for thread in threads:
             thread.join()
+        _HELPERS.difference_update(threads)
         if errors:
             raise errors[0]
 
@@ -314,7 +321,7 @@ class JlMatrix:
         return (self.m, self.m_prime)
 
     def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        # Draws the next out.shape[0] rows of the stream into out, with the
+        # Draws the next out.size values of the stream into out, with the
         # same arithmetic as rng.normal(0, 1/sqrt(M')) and (2 b - 1)/sqrt(M').
         if self.kind == "gaussian":
             rng.standard_normal(out=out)
@@ -326,40 +333,69 @@ class JlMatrix:
         return out
 
     def row_blocks(self):
-        """Yield (start, block) for consecutive row blocks of about 1 MB (_BLOCK_BYTES).
-
-        Each call draws the rows from the seed, in stream order.  ``block`` is
-        valid until the next block is asked for: copy it to keep it.  With two or more
-        blocks and _usable_cpus() > 1, a producer thread fills block k + 1 into the
-        second of two buffers while the caller uses block k.
+        """Yield (start, block) for consecutive row blocks of about 1 MB (_BLOCK_BYTES), drawn
+        from the seed in stream order on the calling thread.  ``block`` is valid until the
+        next block is asked for: copy it to keep it.
         """
         rows = min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
-        rng = rng_from_seed(self.seed)
-        spans = [(start, min(rows, self.m - start)) for start in range(0, self.m, rows)]
-        if len(spans) == 1 or _usable_cpus() == 1:
-            buf = np.empty((rows, self.m_prime))
-            yield from ((start, self._fill(rng, buf[:count])) for start, count in spans)
-            return
-        bufs, barrier = np.empty((2, rows, self.m_prime)), threading.Barrier(2)
+        rng, buf = rng_from_seed(self.seed), np.empty((rows, self.m_prime))
+        for start in range(0, self.m, rows):
+            yield start, self._fill(rng, buf[: min(rows, self.m - start)])
 
-        def produce():  # after the k-th wait both sides agree: block k is filled, k - 1 let go
+    def _in_order(self, use):
+        """use(start, block) for each row_blocks block in block order, one call at a time.
+
+        With two or more blocks and _usable_cpus() > 1, the caller draws the even blocks and a
+        _beside helper the odd ones, each from a Philox started _SLACK raw words before where
+        the words per value so far put it.  The true parse goes on where the previous block's
+        overflow (its values past its rows) reappears, else from that overflow and generator.
+        """
+        rows, mp = min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime))), self.m_prime
+        if rows == self.m or _usable_cpus() == 1:
+            for start, block in self.row_blocks():
+                use(start, block)
+            return
+        key = rng_from_seed(self.seed).bit_generator.state["state"]["key"]
+        turn = threading.Condition()
+        # The last block used (None once a thread failed), its overflow and generator, and the
+        # raw words per value drawn so far (a prior for block 1; block 0 takes words from 0).
+        done, tail, prev = -1, np.empty(0), rng_from_seed(self.seed)
+        rate = 0.5 if self.kind == "bernoulli" else _NORMAL_WORDS
+
+        def draw(first):
+            nonlocal done, tail, prev, rate
             try:
-                for k, (_, count) in enumerate(spans):
-                    self._fill(rng, bufs[k % 2, :count])
-                    barrier.wait()
-            except threading.BrokenBarrierError:
-                pass  # the caller stopped early
+                buf = np.empty(rows * mp + _MARGIN)
+                for k in range(first, -(-self.m // rows), 2):
+                    value, count = k * rows * mp, min(rows, self.m - k * rows) * mp
+                    if k:
+                        at = max(0, int(value * rate) - _SLACK) // 4  # 4 words a counter step
+                        gen = np.random.Generator(np.random.Philox(counter=at, key=key))
+                        self._fill(gen, buf[: count + _MARGIN])
+                    with turn:
+                        turn.wait_for(lambda: done in (k - 1, None))
+                        if done is None:
+                            return  # the other thread failed
+                        # A join: 64 values or more (no chance match of Bernoulli signs) that fit.
+                        hay = buf[: min(count, tail.size) + _MARGIN].tobytes()
+                        at = hay.find(tail.tobytes()) if k and tail.size >= 64 else -1
+                        if at % 8:  # -1 % 8 is 7
+                            buf[: tail.size], gen, at = tail, prev, 0
+                            self._fill(gen, buf[tail.size : count + _MARGIN])
+                        use(k * rows, buf[at // 8 : at // 8 + count].reshape(-1, mp))
+                        done, tail, prev = k, buf[at // 8 + count : count + _MARGIN].copy(), gen
+                        end = gen.bit_generator.state  # its words drawn, a half-used one too
+                        rate = (4 * int(end["state"]["counter"][0]) - 4 + end["buffer_pos"]) / (
+                            value + count + tail.size)
+                        turn.notify_all()
             except BaseException:
-                barrier.abort()  # wakes the caller; leaving _beside raises this
+                with turn:
+                    done = None  # wakes the other thread, which then stops
+                    turn.notify_all()
                 raise
 
-        with _beside(produce):
-            try:
-                for k, (start, count) in enumerate(spans):
-                    barrier.wait()
-                    yield start, bufs[k % 2, :count]
-            finally:
-                barrier.abort()
+        with _beside(lambda: draw(1)):
+            draw(0)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -378,9 +414,9 @@ def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
     Measured data is one product with the cached dense [Phi], real and
     imaginary parts as two real products, so complex data with a zero
     imaginary part gives real data's [Y] exactly.  Data from
-    build_data_matrix is never built: [Phi] streams one row block at a time
-    (JlMatrix.row_blocks), each block's steering columns [E] = e^{i w t} go
-    through one real GEMM as [Re E; Im E], and [Y] = [Psi] diag(A) ([E] [Phi]).
+    build_data_matrix is never built: [Phi] streams one row block at a time, in
+    block order (JlMatrix._in_order), each block's steering columns [E] = e^{i w t}
+    go through one real GEMM as [Re E; Im E], and [Y] = [Psi] diag(A) ([E] [Phi]).
     """
     if _checked_type(data, DataMatrix, "data").kind != "raw":
         raise InvalidArgument("only raw data matrices can be compressed")
@@ -391,9 +427,14 @@ def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
         v, dense = data.entries, phi.entries
         y = v @ dense if v.dtype == float else v.real @ dense + 1j * (v.imag @ dense)
         return DataMatrix(y, "compressed", schedule=data.schedule)
-    acc = np.zeros((2 * n, phi.m_prime))
-    for start, block in phi.row_blocks():
+    acc, product = np.zeros((2, 2 * n, phi.m_prime))  # product: scratch for one block
+    stack = np.empty(2 * n * min(phi.m, max(1, _BLOCK_BYTES // (8 * phi.m_prime))))
+
+    def add(start, block):
         e = data._steering(start, block.shape[0])
-        acc += np.concatenate((e.real, e.imag)) @ block
+        lhs = np.concatenate((e.real, e.imag), out=stack[: 2 * e.size].reshape(2 * n, -1))
+        np.add(acc, np.matmul(lhs, block, out=product), out=acc)
+
+    phi._in_order(add)
     y = (data.basis.mode_shapes * data.basis.amplitudes) @ (acc[:n] + 1j * acc[n:])
     return DataMatrix(y, "compressed", schedule=data.schedule)

@@ -1383,7 +1383,7 @@ class TestSharedMap:
 
     def test_exp4_preset_starts_no_producer(self, monkeypatch, cpus):
         # Each preset Phi, 1001 x 32, is one row block, so its compress draws it on
-        # the calling share: the share thread is the run's only thread.
+        # the calling share and starts no helper: the share thread is the run's only thread.
         cpus(2)
         fills, started, fill, start = [], [], JlMatrix._fill, threading.Thread.start
         monkeypatch.setattr(JlMatrix, "_fill", lambda phi, rng, out: fills.append(
@@ -1419,7 +1419,7 @@ class TestSharedMap:
 
     def test_a_share_starts_no_producer(self, tmp_path, monkeypatch, cpus):
         # Five Phi row blocks per seed: at 2 CPUs the share thread is the run's only thread,
-        # because inside a share no CPU is left over for a producer.
+        # because inside a share no CPU is left over for a second Phi-drawing thread.
         overlay = {"sampling": {"t_s_super": 0.0002, "m_prime": 64}, "n_phi_seeds": 4}
         for side in ("one", "two"):
             (tmp_path / side).mkdir()
@@ -1449,6 +1449,32 @@ class TestSharedMap:
 
         assert sampling_module._usable_cpus() == 2
         assert sampling_module._shared_map(usable, [0, 1]) == [1, 1]
+
+    def test_an_idle_thread_it_did_not_start_costs_no_cpu(self, tmp_path, monkeypatch, cpus,
+                                                          set1_basis):
+        # The budget charges only the threads _beside started: with another thread blocked on
+        # an event, exp4 still runs two shares at two CPUs and a scale-sized compress (M 10^5,
+        # M' 256: 196 Phi blocks) still starts its helper.
+        cpus(2)
+        release = threading.Event()
+        idle = threading.Thread(target=release.wait)
+        idle.start()
+        try:
+            compress, threads = runner_module.compress, []
+            monkeypatch.setattr(runner_module, "compress", lambda data, phi: threads.append(
+                threading.current_thread().name) or compress(data, phi))
+            run_cli(tmp_path, "exp4")
+            assert len(threads) == 20 and len(set(threads)) == 2
+            started, start = [], threading.Thread.start
+            monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(
+                thread.name) or start(thread))
+            data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 100_000))
+            sampling_module.compress(data, sampling_module.draw_jl_matrix(100_000, 256, seed=3))
+            assert len(started) == 1
+        finally:
+            release.set()
+            idle.join(timeout=30)
+        assert not idle.is_alive()
 
 
 class TestCli:

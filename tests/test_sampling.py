@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from modalcs import (
 )
 from modalcs.config import ExperimentConfig, build_basis, preset
 from modalcs.estimator import _gram_modes, _mode_errors
+from modalcs import sampling as sampling_module
 from modalcs.runner import run_experiment
 from modalcs.sampling import (
     _BLOCK_BYTES,
@@ -535,77 +537,148 @@ class _FillError(Exception):
 
 
 def _record_fills(monkeypatch, fail_on=None):
-    """Names of the threads that run each JlMatrix._fill; fill number fail_on raises."""
-    names, fill = [], JlMatrix._fill
+    """Names of the threads that run each JlMatrix._fill.  fail_on = (main, i): the i-th fill
+    (from 0) on the main thread, or on any other thread, raises."""
+    names, fill, main = [], JlMatrix._fill, threading.main_thread().name
 
     def recorded(phi, rng, out):
-        names.append(threading.current_thread().name)
-        if len(names) - 1 == fail_on:
-            raise _FillError(f"block {fail_on}")
+        name = threading.current_thread().name
+        names.append(name)
+        if fail_on and (name == main) == fail_on[0] and sum(
+                (n == main) == fail_on[0] for n in names) == fail_on[1] + 1:
+            raise _FillError("main" if fail_on[0] else "helper")
         return fill(phi, rng, out)
 
     monkeypatch.setattr(JlMatrix, "_fill", recorded)
     return names
 
 
-class TestRowBlockProducer:
-    """JlMatrix.row_blocks: with two usable CPUs and two or more blocks, one producer
-    thread fills the next block into the second of two buffers."""
+def _record_starts(monkeypatch):
+    """Names of the threads started from now on."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(
+        thread.name) or start(thread))
+    return started
+
+
+class TestSplitDraw:
+    """JlMatrix._in_order: with two usable CPUs and two or more blocks, the calling thread
+    draws the even Phi blocks and one helper the odd ones, each from a guessed stream
+    position, joined to the true parse where the previous block's overflow reappears."""
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
-    @pytest.mark.parametrize("m", [3000, 10_007])  # M' = 37: one 3542-row block, or 3 ending short
-    def test_y_is_the_serial_loop_bit_for_bit(self, set1_basis, cpus, monkeypatch, n_cpus, kind, m):
+    # M' = 37: 3542-row blocks; M' = 256: 512-row blocks.  One block, several ending short,
+    # several full ones.
+    @pytest.mark.parametrize("m_prime, m", [(37, 3000), (37, 10_007), (37, 14_168),
+                                            (256, 500), (256, 5000), (256, 5120)])
+    def test_y_is_the_serial_loop_bit_for_bit(self, set1_basis, cpus, monkeypatch, n_cpus, kind,
+                                              m_prime, m):
         cpus(n_cpus)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, m))
-        phi = draw_jl_matrix(m, 37, kind, seed=21)
+        phi = draw_jl_matrix(m, m_prime, kind, seed=21)
         want = _serial_compress(data, phi)
-        fill_threads, before = _record_fills(monkeypatch), threading.active_count()
+        fills, started = _record_fills(monkeypatch), _record_starts(monkeypatch)
+        before = threading.active_count()
         y = compress(data, phi).entries
         assert threading.active_count() == before
-        assert len(fill_threads) == -(-m // _block_rows(phi)) and len(set(fill_threads)) == 1
-        producer = n_cpus == 2 and m > _block_rows(phi)
-        assert (threading.main_thread().name in fill_threads) != producer
+        blocks = -(-m // _block_rows(phi))
+        split = n_cpus == 2 and blocks > 1
+        assert len(started) == split and len(fills) >= blocks
+        assert set(fills) == {threading.main_thread().name, *started}
         assert np.array_equal(y, want)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+    def test_blocks_come_in_order_one_at_a_time(self, cpus, kind):
+        cpus(2)
+        phi, calls, busy = draw_jl_matrix(10_007, 37, kind, seed=8), [], threading.Lock()
+
+        def use(start, block):
+            assert busy.acquire(blocking=False)  # no other call is running
+            calls.append((start, block.copy(), threading.current_thread().name))
+            time.sleep(0.001)
+            busy.release()
+
+        phi._in_order(use)
+        assert [start for start, _, _ in calls] == [0, 3542, 7084]
+        assert calls[0][2] == calls[2][2] == threading.main_thread().name != calls[1][2]
+        assert np.array_equal(np.concatenate([block for _, block, _ in calls]), phi.entries)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+    def test_every_join_falls_back_when_the_guesses_overshoot(self, set1_basis, cpus,
+                                                              monkeypatch, kind):
+        # Each guessed start lies 4096 raw words past the estimate, so no block finds the
+        # previous block's overflow: it takes that overflow and the previous generator.
+        cpus(2)
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 5000))  # ten 512-row blocks
+        phi = draw_jl_matrix(5000, 256, kind, seed=24)
+        want = _serial_compress(data, phi)
+        monkeypatch.setattr(sampling_module, "_SLACK", -4096)
+        fills = _record_fills(monkeypatch)
+        y = compress(data, phi).entries
+        assert len(fills) == 1 + 2 * 9  # block 0 from word 0, then a guess and a fallback each
+        assert np.array_equal(y, want)
+
+    @pytest.mark.parametrize("main", [True, False])
     @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_a_failed_fill_reaches_the_caller(self, set1_basis, cpus, monkeypatch, n_cpus):
-        # M' = 256: 512-row blocks, so M 5000 spans ten.
+    def test_a_failed_fill_reaches_the_caller(self, set1_basis, cpus, monkeypatch, n_cpus, main):
+        # M' = 256: 512-row blocks, so M 5000 spans ten; the second fill on the main thread,
+        # or on the helper, raises.
         cpus(n_cpus)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 5000))
-        fill_threads, before = _record_fills(monkeypatch, fail_on=3), threading.active_count()
-        with pytest.raises(_FillError, match="^block 3$"):
-            compress(data, draw_jl_matrix(5000, 256, "gaussian", seed=22))
-        assert threading.active_count() == before and len(fill_threads) == 4
+        phi = draw_jl_matrix(5000, 256, "gaussian", seed=22)
+        before = threading.active_count()
+        fills = _record_fills(monkeypatch, fail_on=(main, 1))
+        started = _record_starts(monkeypatch)
+        if n_cpus == 1 and not main:
+            assert np.array_equal(compress(data, phi).entries, _serial_compress(data, phi))
+            assert not started  # no helper, so no helper fill to fail
+        else:
+            with pytest.raises(_FillError, match="^main$" if main else "^helper$"):
+                compress(data, phi)
+        assert threading.active_count() == before and len(started) == (n_cpus == 2)
+        assert len(fills) >= 2
 
-    def test_an_abandoned_stream_stops_its_producer(self, cpus):
+    def test_row_blocks_start_no_thread(self, cpus):
+        # A partly read stream leaves nothing running.
         cpus(2)
         phi = draw_jl_matrix(5000, 256, "gaussian", seed=23)
         before = threading.active_count()
         blocks = phi.row_blocks()
         start, block = next(blocks)
         assert start == 0 and np.array_equal(block, phi.entries[:512])
-        assert threading.active_count() == before + 1
-        del blocks
         assert threading.active_count() == before
+        del blocks
 
-    def test_shared_compress_calls_under_fast_thread_switching(self, set1_basis, cpus,
-                                                                monkeypatch):
-        # Four shares with spare CPUs, so each starts its own producer, on fewer cores,
-        # switched out after about a microsecond: every Y is still its serial loop's.
-        cpus(8)
+    def test_split_draw_under_fast_thread_switching(self, set1_basis, cpus, monkeypatch):
+        # Switched out after about a microsecond, the two threads still use every block in
+        # order: Y is the serial loop's.
+        cpus(2)
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 10_000))
+        phi = draw_jl_matrix(10_000, 256, "gaussian", seed=5)
+        started, interval = _record_starts(monkeypatch), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            y = compress(data, phi).entries
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 1
+        assert np.array_equal(y, _serial_compress(data, phi))
+
+    def test_shares_under_fast_thread_switching_start_no_helper(self, set1_basis, cpus,
+                                                                 monkeypatch):
+        # Four shares on four CPUs leave each a budget of one, so each draws its Phi
+        # serially, switched out after about a microsecond: every Y is its serial loop's.
+        cpus(4)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 10_000))
         phis = [draw_jl_matrix(10_000, 256, "gaussian", seed) for seed in range(4)]
-        started, start = [], threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(
-            thread.name) or start(thread))
-        interval = sys.getswitchinterval()
+        started, interval = _record_starts(monkeypatch), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             ys = _shared_map(lambda phi: compress(data, phi).entries, phis)
         finally:
             sys.setswitchinterval(interval)
-        assert len(started) == 3 + 4  # three share threads, then four producers
+        assert len(started) == 3  # the three share threads, and no helper
         for y, phi in zip(ys, phis):
             assert np.array_equal(y, _serial_compress(data, phi))
 

@@ -6,8 +6,10 @@ Usage (from the repository root):
 
 Exports REV with ``git archive`` (as ``tools/bench_json.py`` does) and, in
 that export and in the working tree, runs ``modalcs.cli.run`` for exp1-exp5,
-for exp4 under an overlay whose Phi streams in five row blocks per seed
-(``compress``'s multi-block path, which no preset takes), and for realdata
+for exp4 under two overlays whose Phi streams in five row blocks per seed
+(``compress``'s multi-block path, which no preset takes): three seeds, drawn
+inside exp4's fan-out shares, and one seed, drawn at top level, where with
+two or more CPUs two threads split the blocks; and for realdata
 on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs, plus two variants
 of ``(1)``: one behind a header row (``"header": true``) and one with every
 cell quoted, which load_sensor_csv reads through its csv-module path. Each
@@ -44,9 +46,13 @@ from perfbench.workloads import synthetic_sensors  # noqa: E402
 
 PRESETS = ("exp1", "exp2", "exp3", "exp4", "exp5")
 # Preset run name: (preset, config overlay).  exp4 at M 10,001 and M' 64 streams each
-# seed's Phi in five 2,048-row blocks.
+# seed's Phi in five 2,048-row blocks.  With three seeds each is drawn inside a _shared_map
+# share, where the budget leaves one CPU and compress draws serially; one seed is drawn at
+# top level, where on two or more CPUs a helper thread draws every other block.
 OVERLAYS = {
     "exp4_blocks": ("exp4", {"sampling": {"t_s_super": 0.0002, "m_prime": 64}, "n_phi_seeds": 3}),
+    "exp4_blocks_top": ("exp4", {"sampling": {"t_s_super": 0.0002, "m_prime": 64},
+                                 "n_phi_seeds": 1}),
 }
 # realdata run name: (synthetic_sensors seed, header row, every cell quoted)
 SENSOR_FILES = {
