@@ -537,16 +537,15 @@ class _FillError(Exception):
 
 
 def _record_fills(monkeypatch, fail_on=None):
-    """Names of the threads that run each JlMatrix._fill.  fail_on = (main, i): the i-th fill
-    (from 0) on the main thread, or on any other thread, raises."""
+    """Names of the threads that run each JlMatrix._fill; with fail_on "main" or "helper",
+    that thread's second fill raises."""
     names, fill, main = [], JlMatrix._fill, threading.main_thread().name
 
     def recorded(phi, rng, out):
         name = threading.current_thread().name
         names.append(name)
-        if fail_on and (name == main) == fail_on[0] and sum(
-                (n == main) == fail_on[0] for n in names) == fail_on[1] + 1:
-            raise _FillError("main" if fail_on[0] else "helper")
+        if fail_on == ("main" if name == main else "helper") and names.count(name) == 2:
+            raise _FillError(fail_on)
         return fill(phi, rng, out)
 
     monkeypatch.setattr(JlMatrix, "_fill", recorded)
@@ -619,23 +618,18 @@ class TestSplitDraw:
         assert len(fills) == 1 + 2 * 9  # block 0 from word 0, then a guess and a fallback each
         assert np.array_equal(y, want)
 
-    @pytest.mark.parametrize("main", [True, False])
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_a_failed_fill_reaches_the_caller(self, set1_basis, cpus, monkeypatch, n_cpus, main):
-        # M' = 256: 512-row blocks, so M 5000 spans ten; the second fill on the main thread,
-        # or on the helper, raises.
+    @pytest.mark.parametrize("n_cpus, fail_on", [(1, "main"), (2, "main"), (2, "helper")])
+    def test_a_failed_fill_reaches_the_caller(self, set1_basis, cpus, monkeypatch, n_cpus,
+                                              fail_on):
+        # M' = 256: 512-row blocks, so M 5000 spans ten; the failing thread's second fill
+        # raises while the other thread may be waiting for its turn.
         cpus(n_cpus)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 5000))
-        phi = draw_jl_matrix(5000, 256, "gaussian", seed=22)
         before = threading.active_count()
-        fills = _record_fills(monkeypatch, fail_on=(main, 1))
+        fills = _record_fills(monkeypatch, fail_on=fail_on)
         started = _record_starts(monkeypatch)
-        if n_cpus == 1 and not main:
-            assert np.array_equal(compress(data, phi).entries, _serial_compress(data, phi))
-            assert not started  # no helper, so no helper fill to fail
-        else:
-            with pytest.raises(_FillError, match="^main$" if main else "^helper$"):
-                compress(data, phi)
+        with pytest.raises(_FillError, match=f"^{fail_on}$"):
+            compress(data, draw_jl_matrix(5000, 256, "gaussian", seed=22))
         assert threading.active_count() == before and len(started) == (n_cpus == 2)
         assert len(fills) >= 2
 
