@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +30,7 @@ _BLOCK_BYTES = 1 << 20
 # words a guessed block start sits early (131,072 normals take 67 words more or less, 1 sd),
 # and values each block draws past its rows.
 _NORMAL_WORDS, _SLACK, _MARGIN = 1.022, 384, 1024
-_HELPERS = set()  # live threads _beside started, process-wide, which the CPU budget charges
+_HELPERS = set()  # live threads _fan_out started, process-wide, which the CPU budget charges
 _MAX_PHI_ENTRIES = 100_000 * 256  # samples in a schedule, entries in a dense Phi: 205 MB at most
 # SeedSequence's running hash multipliers c * k**i mod 2**32: 16 mixing calls, then 4 output ones.
 _MIX_CONSTS, _OUT_CONSTS = (
@@ -51,48 +50,47 @@ def spawn_seeds(seed: int, n: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """Fan-out budget: affinity CPUs (else os.cpu_count() or 1) less live _beside threads, >= 1."""
+    """Fan-out budget: affinity CPUs (else os.cpu_count() or 1) less live _fan_out threads, >= 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, cpus - len(_HELPERS))
 
 
-@contextmanager
-def _beside(*jobs):
-    """Run each job on a thread of its own beside the with body; on leaving, join them all
-    and raise the first error a job raised."""
-    errors = []
+def _fan_out(share, n, stop=lambda: None):
+    """share(i, k) for i < k = max(1, min(n, _usable_cpus())), share 0 on the calling thread and
+    each other on a thread of its own.  A share or thread start that fails calls stop(); the
+    threads that started are joined and the first error is raised on the calling thread."""
+    k, errors = 1 if n < 2 else min(n, _usable_cpus()), []
 
-    def guarded(job):
+    def guarded(job, *args):
         try:
-            job()
+            job(*args)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
+            stop()
 
-    threads = [threading.Thread(target=guarded, args=(job,)) for job in jobs]
-    _HELPERS.update(threads)  # before any starts, so that every job sees the same budget
+    threads = [threading.Thread(target=guarded, args=(share, i, k)) for i in range(1, k)]
+    _HELPERS.update(threads)  # before any starts, so that every share sees the same budget
     try:
         for thread in threads:
-            thread.start()
-        yield
-    finally:
+            guarded(thread.start)
+        guarded(share, 0, k)
         for thread in threads:
-            thread.join()
+            if thread.ident is not None:  # it started
+                thread.join()
+    finally:
         _HELPERS.difference_update(threads)
-        if errors:
-            raise errors[0]
+    if errors:
+        raise errors[0]
 
 
 def _shared_map(f, items):
-    """[f(x) for x in items] over one interleaved share per usable CPU: the calling thread
-    computes share 0 while _beside runs each other share on a thread of its own."""
-    k = max(1, min(len(items), _usable_cpus()))
+    """[f(x) for x in items] over _fan_out's shares: share i takes items i, i + k, ..."""
     out = [None] * len(items)
 
-    def share(i):
+    def share(i, k):
         out[i::k] = [f(x) for x in items[i::k]]
 
-    with _beside(*(lambda i=i: share(i) for i in range(1, k))):
-        share(0)
+    _fan_out(share, len(items))
     return out
 
 
@@ -226,7 +224,7 @@ class DataMatrix:
     inputs.
     """
 
-    entries: np.ndarray
+    entries: np.ndarray = field(repr=False)  # a lazy one is built only when read
     kind: str
     schedule: SampleSchedule | None = None
 
@@ -332,70 +330,67 @@ class JlMatrix:
             out /= np.sqrt(self.m_prime)
         return out
 
+    @property
+    def _block_rows(self) -> int:  # rows in one ~_BLOCK_BYTES row block, at most M
+        return min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
+
     def row_blocks(self):
         """Yield (start, block) for consecutive row blocks of about 1 MB (_BLOCK_BYTES), drawn
         from the seed in stream order on the calling thread.  ``block`` is valid until the
         next block is asked for: copy it to keep it.
         """
-        rows = min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
-        rng, buf = rng_from_seed(self.seed), np.empty((rows, self.m_prime))
-        for start in range(0, self.m, rows):
-            yield start, self._fill(rng, buf[: min(rows, self.m - start)])
+        rng, buf = rng_from_seed(self.seed), np.empty((self._block_rows, self.m_prime))
+        for start in range(0, self.m, self._block_rows):
+            yield start, self._fill(rng, buf[: min(self._block_rows, self.m - start)])
 
     def _in_order(self, use):
         """use(start, block) for each row_blocks block in block order, one call at a time.
 
-        With two or more blocks and _usable_cpus() > 1, the caller draws the even blocks and a
-        _beside helper the odd ones, each from a Philox started _SLACK raw words before where
-        the words per value so far put it.  The true parse goes on where the previous block's
-        overflow (its values past its rows) reappears, else from that overflow and generator.
+        _fan_out's share i of k draws blocks i, i + k, ...: with k = 1 each from the previous
+        block's generator; with k > 1 each after the first, plus _MARGIN values (its overflow),
+        from a Philox started _SLACK raw words before where the words per value so far put it,
+        joined where the previous block's overflow reappears, else drawn from that overflow on.
         """
-        rows, mp = min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime))), self.m_prime
-        if rows == self.m or _usable_cpus() == 1:
-            for start, block in self.row_blocks():
-                use(start, block)
-            return
-        key = rng_from_seed(self.seed).bit_generator.state["state"]["key"]
-        turn = threading.Condition()
-        # The last block used (None once a thread failed), its overflow and generator, and the
-        # raw words per value drawn so far (a prior for block 1; block 0 takes words from 0).
+        rows, mp, turn = self._block_rows, self.m_prime, threading.Condition()
+        # The last block used (None once a share failed), its overflow and its generator.
         done, tail, prev = -1, np.empty(0), rng_from_seed(self.seed)
-        rate = 0.5 if self.kind == "bernoulli" else _NORMAL_WORDS
+        rate = 0.5 if self.kind == "bernoulli" else _NORMAL_WORDS  # raw words per value so far
 
-        def draw(first):
+        def stop():  # wakes every waiting share, which then returns
+            nonlocal done
+            with turn:
+                done = None
+                turn.notify_all()
+
+        def draw(first, k):
             nonlocal done, tail, prev, rate
-            try:
-                buf = np.empty(rows * mp + _MARGIN)
-                for k in range(first, -(-self.m // rows), 2):
-                    value, count = k * rows * mp, min(rows, self.m - k * rows) * mp
-                    if k:
-                        at = max(0, int(value * rate) - _SLACK) // 4  # 4 words a counter step
-                        gen = np.random.Generator(np.random.Philox(counter=at, key=key))
-                        self._fill(gen, buf[: count + _MARGIN])
-                    with turn:
-                        turn.wait_for(lambda: done in (k - 1, None))
-                        if done is None:
-                            return  # the other thread failed
-                        # A join: 64 values or more (no chance match of Bernoulli signs) that fit.
-                        hay = buf[: min(count, tail.size) + _MARGIN].tobytes()
-                        at = hay.find(tail.tobytes()) if k and tail.size >= 64 else -1
-                        if at % 8:  # -1 % 8 is 7
-                            buf[: tail.size], gen, at = tail, prev, 0
-                            self._fill(gen, buf[tail.size : count + _MARGIN])
-                        use(k * rows, buf[at // 8 : at // 8 + count].reshape(-1, mp))
-                        done, tail, prev = k, buf[at // 8 + count : count + _MARGIN].copy(), gen
-                        end = gen.bit_generator.state  # its words drawn, a half-used one too
+            margin = _MARGIN if k > 1 else 0
+            buf = np.empty(rows * mp + margin)
+            for b in range(first, -(-self.m // rows), k):
+                value, count = b * rows * mp, min(rows, self.m - b * rows) * mp
+                if b and k > 1:
+                    at = max(0, int(value * rate) - _SLACK) // 4  # 4 words a counter step
+                    gen = np.random.Generator(np.random.Philox(self.seed).advance(at))
+                    self._fill(gen, buf[: count + margin])
+                with turn:
+                    turn.wait_for(lambda: done in (b - 1, None))
+                    if done is None:
+                        return  # another share failed
+                    # A join: 64 values or more (no chance match of Bernoulli signs) that fit.
+                    hay = buf[: min(count, tail.size) + margin].tobytes()
+                    at = hay.find(tail.tobytes()) if b and tail.size >= 64 else -1
+                    if at % 8:  # -1 % 8 is 7
+                        buf[: tail.size], gen, at = tail, prev, 0
+                        self._fill(gen, buf[tail.size : count + margin])
+                    use(b * rows, buf[at // 8 : at // 8 + count].reshape(-1, mp))
+                    done, tail, prev = b, buf[at // 8 + count : count + margin].copy(), gen
+                    if k > 1:  # the next guesses' rate: gen's words drawn, a half-used one too
+                        end = gen.bit_generator.state
                         rate = (4 * int(end["state"]["counter"][0]) - 4 + end["buffer_pos"]) / (
                             value + count + tail.size)
-                        turn.notify_all()
-            except BaseException:
-                with turn:
-                    done = None  # wakes the other thread, which then stops
                     turn.notify_all()
-                raise
 
-        with _beside(lambda: draw(1)):
-            draw(0)
+        _fan_out(draw, -(-self.m // rows), stop)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -413,10 +408,10 @@ def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
 
     Measured data is one product with the cached dense [Phi], real and
     imaginary parts as two real products, so complex data with a zero
-    imaginary part gives real data's [Y] exactly.  Data from
-    build_data_matrix is never built: [Phi] streams one row block at a time, in
-    block order (JlMatrix._in_order), each block's steering columns [E] = e^{i w t}
-    go through one real GEMM as [Re E; Im E], and [Y] = [Psi] diag(A) ([E] [Phi]).
+    imaginary part gives real data's [Y] exactly.  Data from build_data_matrix
+    is never built: [Y] = [Psi] diag(A) ([E] [Phi]), where each row block of [Phi],
+    drawn over _fan_out's shares, meets its steering columns [E] = e^{i w t} in one
+    real GEMM as [Re E; Im E], one block at a time in block order (JlMatrix._in_order).
     """
     if _checked_type(data, DataMatrix, "data").kind != "raw":
         raise InvalidArgument("only raw data matrices can be compressed")
@@ -428,7 +423,7 @@ def compress(data: DataMatrix, phi: JlMatrix) -> DataMatrix:
         y = v @ dense if v.dtype == float else v.real @ dense + 1j * (v.imag @ dense)
         return DataMatrix(y, "compressed", schedule=data.schedule)
     acc, product = np.zeros((2, 2 * n, phi.m_prime))  # product: scratch for one block
-    stack = np.empty(2 * n * min(phi.m, max(1, _BLOCK_BYTES // (8 * phi.m_prime))))
+    stack = np.empty(2 * n * phi._block_rows)
 
     def add(start, block):
         e = data._steering(start, block.shape[0])

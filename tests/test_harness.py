@@ -1352,6 +1352,26 @@ class TestSharedMap:
         assert raised_on == [failing == 0]
         assert threading.active_count() == before
 
+    def test_a_thread_that_fails_to_start_raises_its_error_and_frees_the_budget(self, cpus,
+                                                                                monkeypatch):
+        # The second of three starts raises: the two threads that started are joined, the one
+        # that did not is not, and no thread stays charged to the CPU budget.
+        cpus(4)
+        starts, start = [], threading.Thread.start
+
+        def failing(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            sampling_module._shared_map(lambda x: x * x, list(range(8)))
+        assert threading.active_count() == before and len(starts) == 3
+        assert not sampling_module._HELPERS and sampling_module._usable_cpus() == 4
+
     def test_exp4_bytes_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch, cpus):
         compress, threads = runner_module.compress, []
         monkeypatch.setattr(runner_module, "compress", lambda data, phi: threads.append(
@@ -1452,7 +1472,7 @@ class TestSharedMap:
 
     def test_an_idle_thread_it_did_not_start_costs_no_cpu(self, tmp_path, monkeypatch, cpus,
                                                           set1_basis):
-        # The budget charges only the threads _beside started: with another thread blocked on
+        # The budget charges only the threads _fan_out started: with another thread blocked on
         # an event, exp4 still runs two shares at two CPUs and a scale-sized compress (M 10^5,
         # M' 256: 196 Phi blocks) still starts its helper.
         cpus(2)

@@ -341,7 +341,8 @@ class TestBuildDataMatrix:
         schedule = uniform_schedule(0.01, m) if scheme == "uniform" else random_schedule(50.0, m, 9)
         eager = _direct(basis, schedule.times)
         data = build_data_matrix(basis, schedule)
-        assert data.shape == (basis.n_dof, m) and "entries" not in vars(data)
+        assert data.shape == (basis.n_dof, m) and "kind='raw'" in repr(data)
+        assert "entries" not in vars(data)  # neither shape nor repr builds V
         assert np.array_equal(data.entries, eager)
         assert data.entries is data.entries
 
@@ -516,14 +517,9 @@ class TestCompress:
         assert not cast.imag.any()
 
 
-def _block_rows(phi):
-    """Rows in one ~_BLOCK_BYTES block of Phi, at most M."""
-    return min(phi.m, max(1, _BLOCK_BYTES // (8 * phi.m_prime)))
-
-
 def _serial_compress(data, phi):
     """compress's modal path as a plain loop: every block drawn on the calling thread."""
-    rng, rows, n = rng_from_seed(phi.seed), _block_rows(phi), data.shape[0]
+    rng, rows, n = rng_from_seed(phi.seed), phi._block_rows, data.shape[0]
     acc = np.zeros((2 * n, phi.m_prime))
     for start in range(0, phi.m, rows):
         block = phi._fill(rng, np.empty((min(rows, phi.m - start), phi.m_prime)))
@@ -532,40 +528,65 @@ def _serial_compress(data, phi):
     return (data.basis.mode_shapes * data.basis.amplitudes) @ (acc[:n] + 1j * acc[n:])
 
 
-class _FillError(Exception):
-    pass
+class _Injected(Exception):
+    """A failure that a test injects into a fill or a thread start."""
 
 
-def _record_fills(monkeypatch, fail_on=None):
-    """Names of the threads that run each JlMatrix._fill; with fail_on "main" or "helper",
-    that thread's second fill raises."""
-    names, fill, main = [], JlMatrix._fill, threading.main_thread().name
+_START = threading.Thread.start
 
-    def recorded(phi, rng, out):
+
+def _in_time(f, *args):
+    """(f(*args), the name of the thread it ran on): f runs on a daemon thread of its own,
+    joined with a timeout, so that a share left waiting fails the test instead of hanging it."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = f(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    _START(thread)  # not recorded by _record_draws: this thread is share 0's
+    thread.join(60)
+    assert not thread.is_alive(), "a share never woke"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"], thread.name
+
+
+def _record_draws(monkeypatch, fail_share=None, fail_start=None):
+    """(names of the threads that run each JlMatrix._fill, names of the threads started from
+    now on).  Share 0 runs on the calling thread and share i on the i-th thread started; the
+    second fill of share fail_share raises _Injected, and so does start call fail_start."""
+    fills, started, calls, fill, start = [], [], [], JlMatrix._fill, threading.Thread.start
+
+    def recorded_fill(phi, rng, out):
         name = threading.current_thread().name
-        names.append(name)
-        if fail_on == ("main" if name == main else "helper") and names.count(name) == 2:
-            raise _FillError(fail_on)
+        fills.append(name)
+        share = started.index(name) + 1 if name in started else 0
+        if share == fail_share and fills.count(name) == 2:
+            raise _Injected(f"share {share}")
         return fill(phi, rng, out)
 
-    monkeypatch.setattr(JlMatrix, "_fill", recorded)
-    return names
+    def recorded_start(thread):
+        calls.append(thread)
+        if len(calls) == fail_start:
+            raise _Injected(f"start {fail_start}")
+        started.append(thread.name)
+        start(thread)
 
-
-def _record_starts(monkeypatch):
-    """Names of the threads started from now on."""
-    started, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(
-        thread.name) or start(thread))
-    return started
+    monkeypatch.setattr(JlMatrix, "_fill", recorded_fill)
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    return fills, started
 
 
 class TestSplitDraw:
-    """JlMatrix._in_order: with two usable CPUs and two or more blocks, the calling thread
-    draws the even Phi blocks and one helper the odd ones, each from a guessed stream
-    position, joined to the true parse where the previous block's overflow reappears."""
+    """JlMatrix._in_order: with k = min(usable CPUs, blocks) shares, share i draws Phi blocks
+    i, i + k, ...; each block after the first comes from a guessed stream position, joined to
+    the true parse where the previous block's overflow reappears."""
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
     # M' = 37: 3542-row blocks; M' = 256: 512-row blocks.  One block, several ending short,
     # several full ones.
@@ -577,20 +598,21 @@ class TestSplitDraw:
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, m))
         phi = draw_jl_matrix(m, m_prime, kind, seed=21)
         want = _serial_compress(data, phi)
-        fills, started = _record_fills(monkeypatch), _record_starts(monkeypatch)
+        fills, started = _record_draws(monkeypatch)
         before = threading.active_count()
-        y = compress(data, phi).entries
+        compressed, caller = _in_time(compress, data, phi)
         assert threading.active_count() == before
-        blocks = -(-m // _block_rows(phi))
-        split = n_cpus == 2 and blocks > 1
-        assert len(started) == split and len(fills) >= blocks
-        assert set(fills) == {threading.main_thread().name, *started}
-        assert np.array_equal(y, want)
+        blocks = -(-m // phi._block_rows)
+        assert len(started) == min(n_cpus, blocks) - 1 and len(fills) >= blocks
+        assert set(fills) == {caller, *started}
+        assert np.array_equal(compressed.entries, want)
 
+    @pytest.mark.parametrize("n_cpus", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
-    def test_blocks_come_in_order_one_at_a_time(self, cpus, kind):
-        cpus(2)
-        phi, calls, busy = draw_jl_matrix(10_007, 37, kind, seed=8), [], threading.Lock()
+    def test_blocks_come_in_order_one_at_a_time(self, cpus, monkeypatch, n_cpus, kind):
+        cpus(n_cpus)
+        phi, calls, busy = draw_jl_matrix(5000, 256, kind, seed=8), [], threading.Lock()
+        _, started = _record_draws(monkeypatch)
 
         def use(start, block):
             assert busy.acquire(blocking=False)  # no other call is running
@@ -598,9 +620,11 @@ class TestSplitDraw:
             time.sleep(0.001)
             busy.release()
 
-        phi._in_order(use)
-        assert [start for start, _, _ in calls] == [0, 3542, 7084]
-        assert calls[0][2] == calls[2][2] == threading.main_thread().name != calls[1][2]
+        _, caller = _in_time(phi._in_order, use)
+        assert [start for start, _, _ in calls] == list(range(0, 5000, 512))  # ten blocks
+        shares = [caller, *started]  # share i draws blocks i, i + k, ...
+        assert len(shares) == n_cpus
+        assert [name for _, _, name in calls] == [shares[b % n_cpus] for b in range(10)]
         assert np.array_equal(np.concatenate([block for _, block, _ in calls]), phi.entries)
 
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
@@ -613,25 +637,39 @@ class TestSplitDraw:
         phi = draw_jl_matrix(5000, 256, kind, seed=24)
         want = _serial_compress(data, phi)
         monkeypatch.setattr(sampling_module, "_SLACK", -4096)
-        fills = _record_fills(monkeypatch)
-        y = compress(data, phi).entries
+        fills, _ = _record_draws(monkeypatch)
+        compressed, _ = _in_time(compress, data, phi)
         assert len(fills) == 1 + 2 * 9  # block 0 from word 0, then a guess and a fallback each
-        assert np.array_equal(y, want)
+        assert np.array_equal(compressed.entries, want)
 
-    @pytest.mark.parametrize("n_cpus, fail_on", [(1, "main"), (2, "main"), (2, "helper")])
+    @pytest.mark.parametrize("n_cpus, fail_share", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2),
+                                                    (4, 0), (4, 1), (4, 3)])
     def test_a_failed_fill_reaches_the_caller(self, set1_basis, cpus, monkeypatch, n_cpus,
-                                              fail_on):
-        # M' = 256: 512-row blocks, so M 5000 spans ten; the failing thread's second fill
-        # raises while the other thread may be waiting for its turn.
+                                              fail_share):
+        # M' = 256: 512-row blocks, so M 5000 spans ten; the failing share's second fill
+        # raises while the other shares may be waiting for their turns.
         cpus(n_cpus)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 5000))
         before = threading.active_count()
-        fills = _record_fills(monkeypatch, fail_on=fail_on)
-        started = _record_starts(monkeypatch)
-        with pytest.raises(_FillError, match=f"^{fail_on}$"):
-            compress(data, draw_jl_matrix(5000, 256, "gaussian", seed=22))
-        assert threading.active_count() == before and len(started) == (n_cpus == 2)
-        assert len(fills) >= 2
+        fills, started = _record_draws(monkeypatch, fail_share=fail_share)
+        with pytest.raises(_Injected, match=f"^share {fail_share}$"):
+            _in_time(compress, data, draw_jl_matrix(5000, 256, "gaussian", seed=22))
+        assert threading.active_count() == before and len(started) == n_cpus - 1
+        assert len(fills) >= 2 and not sampling_module._HELPERS
+
+    @pytest.mark.parametrize("n_cpus, fail_start", [(2, 1), (3, 2), (4, 2), (4, 3)])
+    def test_a_thread_that_fails_to_start_stops_the_draw(self, set1_basis, cpus, monkeypatch,
+                                                         n_cpus, fail_start):
+        # The shares that started wait for blocks that the missing share never draws, until
+        # the failure wakes them; the start error reaches the caller and the budget is whole.
+        cpus(n_cpus)
+        data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 5000))
+        before = threading.active_count()
+        _, started = _record_draws(monkeypatch, fail_start=fail_start)
+        with pytest.raises(_Injected, match=f"^start {fail_start}$"):
+            _in_time(compress, data, draw_jl_matrix(5000, 256, "gaussian", seed=22))
+        assert threading.active_count() == before and len(started) == n_cpus - 2
+        assert not sampling_module._HELPERS and sampling_module._usable_cpus() == n_cpus
 
     def test_row_blocks_start_no_thread(self, cpus):
         # A partly read stream leaves nothing running.
@@ -645,19 +683,19 @@ class TestSplitDraw:
         del blocks
 
     def test_split_draw_under_fast_thread_switching(self, set1_basis, cpus, monkeypatch):
-        # Switched out after about a microsecond, the two threads still use every block in
+        # Switched out after about a microsecond, the two shares still use every block in
         # order: Y is the serial loop's.
         cpus(2)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 10_000))
         phi = draw_jl_matrix(10_000, 256, "gaussian", seed=5)
-        started, interval = _record_starts(monkeypatch), sys.getswitchinterval()
+        (_, started), interval = _record_draws(monkeypatch), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            y = compress(data, phi).entries
+            compressed, _ = _in_time(compress, data, phi)
         finally:
             sys.setswitchinterval(interval)
         assert len(started) == 1
-        assert np.array_equal(y, _serial_compress(data, phi))
+        assert np.array_equal(compressed.entries, _serial_compress(data, phi))
 
     def test_shares_under_fast_thread_switching_start_no_helper(self, set1_basis, cpus,
                                                                  monkeypatch):
@@ -666,10 +704,10 @@ class TestSplitDraw:
         cpus(4)
         data = build_data_matrix(set1_basis, uniform_schedule(1e-3, 10_000))
         phis = [draw_jl_matrix(10_000, 256, "gaussian", seed) for seed in range(4)]
-        started, interval = _record_starts(monkeypatch), sys.getswitchinterval()
+        (_, started), interval = _record_draws(monkeypatch), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ys = _shared_map(lambda phi: compress(data, phi).entries, phis)
+            ys, _ = _in_time(_shared_map, lambda phi: compress(data, phi).entries, phis)
         finally:
             sys.setswitchinterval(interval)
         assert len(started) == 3  # the three share threads, and no helper

@@ -9,11 +9,14 @@ that export and in the working tree, runs ``modalcs.cli.run`` for exp1-exp5,
 for exp4 under two overlays whose Phi streams in five row blocks per seed
 (``compress``'s multi-block path, which no preset takes): three seeds, drawn
 inside exp4's fan-out shares, and one seed, drawn at top level, where with
-two or more CPUs two threads split the blocks; and for realdata
+two or more CPUs the blocks are split over one share per CPU; then both
+overlays again in a child process pinned to one CPU
+(``os.sched_setaffinity`` on its own process), so that the change's
+one-share draw is compared with the parent's on a single CPU; and for realdata
 on perfbench's ``synthetic_sensors(1)`` and ``(2)`` CSVs, plus two variants
 of ``(1)``: one behind a header row (``"header": true``) and one with every
 cell quoted, which load_sensor_csv reads through its csv-module path. Each
-side runs in a fresh interpreter on its own ``src/`` with
+side runs in fresh interpreters on its own ``src/`` with
 ``OPENBLAS_NUM_THREADS=1``, since realdata's bytes depend on the BLAS
 thread count; both read the same sensor files. It prints the
 thread count, compares the two output trees file by file, as ``diff -r``
@@ -47,8 +50,8 @@ from perfbench.workloads import synthetic_sensors  # noqa: E402
 PRESETS = ("exp1", "exp2", "exp3", "exp4", "exp5")
 # Preset run name: (preset, config overlay).  exp4 at M 10,001 and M' 64 streams each
 # seed's Phi in five 2,048-row blocks.  With three seeds each is drawn inside a _shared_map
-# share, where the budget leaves one CPU and compress draws serially; one seed is drawn at
-# top level, where on two or more CPUs a helper thread draws every other block.
+# share, where the budget leaves one CPU and compress draws on one share; one seed is drawn at
+# top level, where on two or more CPUs the blocks are split over one share per CPU.
 OVERLAYS = {
     "exp4_blocks": ("exp4", {"sampling": {"t_s_super": 0.0002, "m_prime": 64}, "n_phi_seeds": 3}),
     "exp4_blocks_top": ("exp4", {"sampling": {"t_s_super": 0.0002, "m_prime": 64},
@@ -66,20 +69,25 @@ BLAS_THREADS = "1"
 # Runs each argument list in turn and exits with the largest exit code.
 RUN_ALL = ("import json, sys; from modalcs.cli import run; "
            "sys.exit(max(run(argv) for argv in json.loads(sys.argv[1])))")
+# The same, in a process that first pins itself to one of its CPUs.
+PINNED = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1]); " + RUN_ALL
 
 
-def _runs(inputs: str, out: str) -> list[list[str]]:
-    """The cli.run argument lists: every preset, each overlay, then realdata on each
-    sensor file."""
+def _runs(inputs: str, out: str) -> dict[str, list[list[str]]]:
+    """The cli.run argument lists by child program: every preset, each overlay, then
+    realdata on each sensor file; and for the pinned child each overlay again."""
     runs = [["run", "--experiment", e, "--out", os.path.join(out, e)] for e in PRESETS]
+    pinned = []
     for name, (experiment, _) in OVERLAYS.items():
-        runs.append(["run", "--experiment", experiment, "--config",
-                     os.path.join(inputs, f"{name}.json"), "--out", os.path.join(out, name)])
+        for suffix, argvs in (("", runs), ("_1cpu", pinned)):
+            argvs.append(["run", "--experiment", experiment, "--config",
+                          os.path.join(inputs, f"{name}.json"), "--out",
+                          os.path.join(out, name + suffix)])
     for name in SENSOR_FILES:
         config = os.path.join(inputs, f"{name}.json")
         runs.append(["run", "--experiment", "realdata", "--config", config,
                      "--out", os.path.join(out, name)])
-    return runs
+    return {RUN_ALL: runs, PINNED: pinned}
 
 
 def _write_inputs(inputs: str):
@@ -161,12 +169,12 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                        OPENBLAS_NUM_THREADS=BLAS_THREADS)
-            argvs = json.dumps(_runs(inputs, os.path.join(tmp, "out", side)))
-            proc = subprocess.run([sys.executable, "-c", RUN_ALL, argvs], cwd=tmp, env=env,
-                                  capture_output=True, text=True)
-            if proc.returncode != 0:
-                print(f"{side}: a run exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-                return 2
+            for program, argvs in _runs(inputs, os.path.join(tmp, "out", side)).items():
+                proc = subprocess.run([sys.executable, "-c", program, json.dumps(argvs)],
+                                      cwd=tmp, env=env, capture_output=True, text=True)
+                if proc.returncode != 0:
+                    print(f"{side}: a run exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+                    return 2
         outs = [os.path.join(tmp, "out", side) for side in trees]
         diffs, count = differences(*outs), len(_files(outs[0]))
     print(f"differs: {len(diffs)} of {count} files" if diffs else f"identical ({count} files)")
