@@ -48,7 +48,6 @@ from .errors import (
 from .estimator import (
     ModeEstimate,
     align_and_error,
-    aligned_distance,
     estimate_modes,
     frequency_spectra,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "ShapeError",
     "SparseRecovery",
     "align_and_error",
-    "aligned_distance",
     "build_basis",
     "build_data_matrix",
     "build_steering",

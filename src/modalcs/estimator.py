@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # eager: np.fft's lazy loader recurses if a signal handler re-enters it
 
-from .errors import (DimensionMismatch, InvalidArgument, NonUniformSchedule, ShapeError,
-                     _checked_array, _checked_count, _checked_type)
+from .errors import (InvalidArgument, NonUniformSchedule, ShapeError, _checked_array,
+                     _checked_count, _checked_type)
 from .mdof import ModalBasis, _pivot_phases, _unit_phase, canonical_sign
 from .sampling import DataMatrix, SampleSchedule
 
@@ -113,22 +113,6 @@ def _phase_aligned(estimate, truth) -> np.ndarray:
     truth = np.asarray(truth, dtype=complex)
     inner = (np.conj(est)[..., None, :] @ truth[..., :, None])[..., 0, 0]
     return _unit_phase(inner)[..., None] * est
-
-
-def aligned_distance(estimate_vec, truth_vec) -> float:
-    """min over |c| = 1 of || truth - c * estimate ||_2, in [0, sqrt(2)].
-
-    Both vectors are assumed unit norm.  Evaluated as an explicit difference
-    norm: the algebraically equal sqrt(2 - 2|<est, truth>|) cancels
-    catastrophically near zero and cannot resolve distances below
-    sqrt(eps) ~ 1.5e-8.
-    """
-    est = _checked_array(estimate_vec, "estimate_vec", complex)
-    truth = _checked_array(truth_vec, "truth_vec", complex)
-    if est.ndim != 1 or est.shape != truth.shape:
-        error = ShapeError if est.ndim != 1 else DimensionMismatch
-        raise error(f"need two vectors of one length, got shapes {est.shape} and {truth.shape}")
-    return float(np.linalg.norm(truth - _phase_aligned(est, truth)))
 
 
 def _amplitude_rank(basis: ModalBasis) -> np.ndarray:

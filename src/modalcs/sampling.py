@@ -334,17 +334,8 @@ class JlMatrix:
     def _block_rows(self) -> int:  # rows in one ~_BLOCK_BYTES row block, at most M
         return min(self.m, max(1, _BLOCK_BYTES // (8 * self.m_prime)))
 
-    def row_blocks(self):
-        """Yield (start, block) for consecutive row blocks of about 1 MB (_BLOCK_BYTES), drawn
-        from the seed in stream order on the calling thread.  ``block`` is valid until the
-        next block is asked for: copy it to keep it.
-        """
-        rng, buf = rng_from_seed(self.seed), np.empty((self._block_rows, self.m_prime))
-        for start in range(0, self.m, self._block_rows):
-            yield start, self._fill(rng, buf[: min(self._block_rows, self.m - start)])
-
     def _in_order(self, use):
-        """use(start, block) for each row_blocks block in block order, one call at a time.
+        """use(start, block) for each _block_rows row block in block order, one call at a time.
 
         _fan_out's share i of k draws blocks i, i + k, ...: with k = 1 each from the previous
         block's generator; with k > 1 each after the first, plus _MARGIN values (its overflow),

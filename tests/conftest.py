@@ -8,6 +8,17 @@ from modalcs import MdofSystem, preset_config, build_basis, solve_modes
 from modalcs.config import PAPER_4DOF_STIFFNESS
 
 
+def reference_aligned_distance(est, truth):
+    """min over |c| = 1 of || truth - c * est ||_2 for two unit vectors, in [0, sqrt(2)]: the
+    one distance every test takes, and the one-vector alignment that the stacked helpers must
+    reproduce bit for bit.  An explicit difference norm, since sqrt(2 - 2 |<est, truth>|)
+    cancels below sqrt(eps)."""
+    est, truth = np.asarray(est, dtype=complex), np.asarray(truth, dtype=complex)
+    inner = np.vdot(est, truth)
+    phase = inner / np.abs(inner) if np.abs(inner) > 0.0 else 1.0
+    return np.linalg.norm(truth - phase * est)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the acceptance verdict lines after the run, capture or not."""
     module = sys.modules.get("test_acceptance")

@@ -19,12 +19,12 @@ from modalcs import (
     InsufficientPeaks,
     InvalidArgument,
     ShapeError,
-    aligned_distance,
     draw_jl_matrix,
     fdd_peaks,
     sparse_reconstruct,
     welch_csd,
 )
+from conftest import reference_aligned_distance
 from modalcs.mdof import canonical_sign
 from test_acceptance import synthetic_sensors
 
@@ -213,7 +213,8 @@ class TestFddPeaks:
         for n in range(2):
             j = int(np.argmin(np.abs(freqs - omega[n])))
             assert abs(freqs[j] - omega[n]) <= bin_width
-            assert aligned_distance(shapes[:, j], psi[:, n].astype(complex)) <= 1e-3
+            distance = reference_aligned_distance(shapes[:, j], psi[:, n].astype(complex))
+            assert distance <= 1e-3
 
     def test_orders_by_descending_height(self):
         cube = self.synthetic_cube([1.0, 5.0, 1.0, 3.0, 1.0])
@@ -241,6 +242,15 @@ class TestFddPeaks:
         cube = self.synthetic_cube([1.0, 5.0, 5.0, 1.0, 2.0])
         with pytest.raises(InsufficientPeaks):
             fdd_peaks(cube, 2)
+
+    def test_peaks_count_from_1e_10_of_the_largest(self):
+        # One channel, so each bin's top eigenvalue is its one spectrum squared: the ripple at
+        # 2e-10 of the largest peak is a peak, the one at 5e-11 is leakage.
+        heights = np.array([0.0, 1.0, 0.0, 2e-10, 0.0, 5e-11, 0.0, 0.0])
+        cube = CsdCube(np.arange(1.0, 9.0), np.sqrt(heights)[:, None, None])
+        npt.assert_array_equal(fdd_peaks(cube, 2)[0], [2.0, 4.0])
+        with pytest.raises(InsufficientPeaks):
+            fdd_peaks(cube, 3)
 
     # nan and 1.5 used to leak a TypeError from the peak slice.
     @pytest.mark.parametrize("n_modes", [0, math.nan, 1.5])

@@ -28,7 +28,6 @@ from modalcs import (
     SampleSchedule,
     ShapeError,
     align_and_error,
-    aligned_distance,
     build_data_matrix,
     build_steering,
     compress,
@@ -236,7 +235,6 @@ _DATA = build_data_matrix(_BASIS, uniform_schedule(0.1, 16))
     lambda: ModalBasis([["a"]], [1.0]),
     lambda: ModalBasis([[math.nan, 0.0], [0.0, 1.0]], [2.0, 1.0]),
     lambda: MdofSystem([["a"]], [[1.0]]),
-    lambda: aligned_distance(["a"], ["b"]),
     lambda: psinc("a", 3),
     lambda: psinc(math.nan, 3),
     lambda: canonical_sign([["a"]]),
@@ -269,7 +267,7 @@ _DATA = build_data_matrix(_BASIS, uniform_schedule(0.1, 16))
     "gershgorin_t_s", "gershgorin_m", "uniform_delta_min", "random_tau",
     "error_bound_epsilon", "error_bound_n", "kl_div_a",
     "gram_str", "gram_nan", "schedule_str", "schedule_nan", "basis_str", "basis_nan", "mdof_str",
-    "aligned_str", "psinc_str", "psinc_nan", "canonical_sign_str", "steering_str",
+    "psinc_str", "psinc_nan", "canonical_sign_str", "steering_str",
     "amplitudes_str", "estimate_str", "estimate_nan", "estimate_0d", "csd_str", "csd_nan",
     "sparse_nan_phi", "data_matrix_text", "welch_complex", "jl_str", "jl_fraction", "spawn_str",
     "harmonic_str", "estimate_array", "compress_array", "compress_phi_array", "align_array",
@@ -351,7 +349,6 @@ def _estimate_with_schedule(schedule):
     (lambda: solve_modes(_SENSORS), InvalidArgument, "^system must be a"),
     (lambda: build_steering([1.0], _SENSORS), InvalidArgument, "^schedule must be a"),
     (lambda: DataMatrix(_SENSORS, "raw", schedule=_SENSORS), InvalidArgument, "^schedule must"),
-    (lambda: aligned_distance(1.0, 1.0), ShapeError, "^need two vectors of one length"),
     (lambda: ResultTable("x", None, ((1,),), {}), InvalidArgument, "^columns must be a"),
     (lambda: frequency_spectra(_estimate_with_schedule(_SENSORS)), InvalidArgument,
      "^schedule must be a"),
@@ -366,7 +363,7 @@ def _estimate_with_schedule(schedule):
      "^mode_shapes must be square and non-empty"),
 ], ids=["psinc_bool", "psinc_np_bool", "spectra_bool", "harmonic_digits", "spawn_digits",
         "write_array", "run_array", "solve_array", "steering_array", "data_schedule_array",
-        "aligned_scalars", "table_columns_none", "estimate_schedule_array",
+        "table_columns_none", "estimate_schedule_array",
         "compressed_schedule_array", "uniform_m", "random_m", "jl_entries", "welch_no_samples",
         "basis_empty"])
 def test_wrong_counts_objects_and_shapes_are_refused(call, error, match):

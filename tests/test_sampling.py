@@ -382,13 +382,18 @@ class TestJlMatrices:
             draw_jl_matrix(*args)
 
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
-    def test_row_blocks_equal_entries(self, kind):
-        # Odd M' = 37 gives 3542-row blocks, so M = 10007 ends in a short one.
+    def test_one_share_blocks_equal_entries(self, cpus, kind):
+        # Odd M' = 37 gives 3542-row blocks, so M = 10007 ends in a short one.  On one CPU,
+        # _in_order draws each block from the previous block's generator.
+        cpus(1)
         phi = draw_jl_matrix(10_007, 37, kind, seed=8)
         starts, blocks = [], []
-        for start, block in phi.row_blocks():
+
+        def use(start, block):
             starts.append(start)
             blocks.append(block.copy())
+
+        phi._in_order(use)
         assert len(blocks) >= 3 and starts[0] == 0
         assert [b.shape[0] for b in blocks[:-1]] == [starts[1]] * (len(blocks) - 1)
         npt.assert_array_equal(np.concatenate(blocks), phi.entries)
@@ -588,10 +593,10 @@ class TestSplitDraw:
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
-    # M' = 37: 3542-row blocks; M' = 256: 512-row blocks.  One block, several ending short,
-    # several full ones.
+    # M' = 37: 3542-row blocks; M' = 256: 512-row blocks; M' = 64: 2048-row blocks.  One
+    # block, several ending short, several full ones, and twenty.
     @pytest.mark.parametrize("m_prime, m", [(37, 3000), (37, 10_007), (37, 14_168),
-                                            (256, 500), (256, 5000), (256, 5120)])
+                                            (256, 500), (256, 5000), (256, 5120), (64, 40_000)])
     def test_y_is_the_serial_loop_bit_for_bit(self, set1_basis, cpus, monkeypatch, n_cpus, kind,
                                               m_prime, m):
         cpus(n_cpus)
@@ -603,7 +608,8 @@ class TestSplitDraw:
         compressed, caller = _in_time(compress, data, phi)
         assert threading.active_count() == before
         blocks = -(-m // phi._block_rows)
-        assert len(started) == min(n_cpus, blocks) - 1 and len(fills) >= blocks
+        # One fill per block: every join after block 0 is found, and no block falls back.
+        assert len(started) == min(n_cpus, blocks) - 1 and len(fills) == blocks
         assert set(fills) == {caller, *started}
         assert np.array_equal(compressed.entries, want)
 
@@ -671,16 +677,13 @@ class TestSplitDraw:
         assert threading.active_count() == before and len(started) == n_cpus - 2
         assert not sampling_module._HELPERS and sampling_module._usable_cpus() == n_cpus
 
-    def test_row_blocks_start_no_thread(self, cpus):
-        # A partly read stream leaves nothing running.
-        cpus(2)
+    def test_one_share_starts_no_thread(self, cpus, monkeypatch):
+        # On one CPU the ten blocks are drawn on the calling thread.
+        cpus(1)
         phi = draw_jl_matrix(5000, 256, "gaussian", seed=23)
-        before = threading.active_count()
-        blocks = phi.row_blocks()
-        start, block = next(blocks)
-        assert start == 0 and np.array_equal(block, phi.entries[:512])
-        assert threading.active_count() == before
-        del blocks
+        fills, started = _record_draws(monkeypatch)
+        _, caller = _in_time(phi._in_order, lambda start, block: None)
+        assert not started and fills == [caller] * 10
 
     def test_split_draw_under_fast_thread_switching(self, set1_basis, cpus, monkeypatch):
         # Switched out after about a microsecond, the two shares still use every block in

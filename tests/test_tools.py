@@ -1,5 +1,6 @@
-"""The output comparison in tools/same_output.py, on two small output trees, and
-tools/bench_json.py's parse and summary of perfbench runs and its source line count."""
+"""The output comparison in tools/same_output.py, on two small output trees,
+tools/bench_json.py's parse and summary of perfbench runs and its source line count, and
+tools/acc6_scan.py's seed scan."""
 
 import os
 import subprocess
@@ -7,7 +8,10 @@ import sys
 
 import pytest
 
+from modalcs import preset_config, run_experiment
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+import acc6_scan  # noqa: E402
 import bench_json  # noqa: E402
 import same_output  # noqa: E402
 
@@ -134,3 +138,14 @@ def test_src_lines_counts_newlines_of_the_package_modules_as_wc_does(tmp_path):
     assert bench_json.src_lines(bench_json.ROOT) == int(subprocess.run(
         "cat src/modalcs/*.py | wc -l", shell=True, cwd=bench_json.ROOT, capture_output=True,
         text=True, check=True).stdout)
+
+
+def test_acc6_scan_first_block_is_the_exp4_mean():
+    # spawn_seeds is prefix-stable, so 40 seeds start with the preset's 20.
+    table = run_experiment(preset_config("exp4"))
+    [mean] = [row[-1] for row in table.rows if row[0] == "compressed_mean"]
+    result = acc6_scan.scan(seeds=40)
+    assert len(result["block_means"]) == 2 and result["worst"].size == 40
+    assert result["block_means"][0] == mean  # bit for bit: 0.12774674289642665 here
+    assert result["eps"].shape == (20,) and result["bounds"].shape == (20, 4)
+    assert (result["first_errors"] <= result["bounds"]).all()  # the compressed bound holds
