@@ -110,6 +110,8 @@ def fdd_peaks(cube: CsdCube, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n_modes = _checked_count(n_modes, "n_modes")
     spectra = _checked_type(cube, CsdCube, "cube").spectra
+    if (excess := np.frexp(np.abs(spectra).max(initial=0.0))[1] - 500) > 0:  # X X^H overflows
+        spectra = spectra * 2.0**-excess  # exact; shapes and relative peak heights stay the same
     gram = spectra @ np.conj(spectra).transpose(0, 2, 1)
     top = np.linalg.eigvalsh(gram)[:, -1]
     interior = np.arange(1, top.size - 1)

@@ -62,7 +62,7 @@ def kl_div(a: float, b: float) -> float:
     a = _checked_real(a, "a", lo=-np.inf)  # a number; the closed range is checked below
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"a must lie in [0, 1], got {a}")
-    _checked_real(b, "b", hi=1.0)
+    b = _checked_real(b, "b", hi=1.0)
     total = 0.0
     if a > 0.0:
         total += a * math.log(a / b)
@@ -108,10 +108,9 @@ class SamplingPlan:
     tau: float | None = None
 
 
-def _check_common(n: int, epsilon: float) -> float:
+def _check_common(n: int, epsilon: float) -> tuple[int, float, float]:
     n = _checked_count(n, "n", lo=2)
-    _checked_real(epsilon, "epsilon", hi=1.0)
-    return math.log(n // 2) + _HARMONIC_PAD
+    return n, _checked_real(epsilon, "epsilon", hi=1.0), math.log(n // 2) + _HARMONIC_PAD
 
 
 def uniform_requirements(n: int, delta_min: float, delta_max: float, epsilon: float) -> SamplingPlan:
@@ -123,13 +122,15 @@ def uniform_requirements(n: int, delta_min: float, delta_max: float, epsilon: fl
     guaranteeing gram_deviation(S) <= epsilon for any N frequencies whose
     pairwise separations lie in [delta_min, delta_max].
     """
-    log_term = _check_common(n, epsilon)
-    if not _checked_real(delta_min, "delta_min") <= _checked_real(delta_max, "delta_max"):
+    n, epsilon, log_term = _check_common(n, epsilon)
+    delta_min = _checked_real(delta_min, "delta_min")
+    delta_max = _checked_real(delta_max, "delta_max")
+    if not delta_min <= delta_max:
         raise DomainError("need 0 < delta_min <= delta_max")
     t_s = math.pi / delta_max
     t_max_min = 2.0 * math.pi * log_term / (epsilon * delta_min)
     m_raw = 2.0 * log_term / epsilon * (delta_max / delta_min) + 1.0
-    m_min = max(int(math.ceil(m_raw)), n)
+    m_min = max(math.ceil(_checked_real(m_raw, "the M bound")), n)  # ceil(inf) would overflow
     return SamplingPlan("uniform", n, t_max_min, m_min, epsilon, t_s=t_s)
 
 
@@ -143,9 +144,8 @@ def random_requirements(n: int, delta_min: float, epsilon: float, tau: float) ->
     D1, D2 are binary KL divergences comparing the target deviation
     (1 +/- epsilon)/N against the expected one (1 +/- epsilon/10)/N.
     """
-    log_term = _check_common(n, epsilon)
-    _checked_real(delta_min, "delta_min")
-    _checked_real(tau, "tau", hi=1.0)
+    n, epsilon, log_term = _check_common(n, epsilon)
+    delta_min, tau = _checked_real(delta_min, "delta_min"), _checked_real(tau, "tau", hi=1.0)
     t_max_min = 40.0 * log_term / (epsilon * delta_min)
     d1 = kl_div((1.0 + epsilon) / n, (1.0 + epsilon / 10.0) / n)
     d2 = kl_div((1.0 - epsilon) / n, (1.0 - epsilon / 10.0) / n)
@@ -174,7 +174,7 @@ def sep_values(magnitudes, epsilon: float) -> np.ndarray:
     changes over [-1, 1] (then sep_n = inf) and otherwise sits at one of the
     endpoints.  Modes with identical magnitudes also give inf.
     """
-    _checked_real(epsilon, "epsilon", hi=1.0)
+    epsilon = _checked_real(epsilon, "epsilon", hi=1.0)
     mags = np.abs(_checked_array(magnitudes, "magnitudes", float))
     if mags.ndim != 1 or mags.size < 2:
         raise InvalidArgument("need at least two magnitudes")
@@ -203,8 +203,8 @@ def mode_error_bound(magnitudes, epsilon: float, n: int) -> float:
     values of the uncompressed data matrix for compressed sampling; the
     formula is the same, only the inputs differ.  ``n`` indexes magnitudes.
     """
+    epsilon, n = _checked_real(epsilon, "epsilon", hi=1.0), _checked_count(n, "n", lo=0)
     seps = sep_values(magnitudes, epsilon)
-    n = _checked_count(n, "n", lo=0)
     if n >= seps.size:
         raise InvalidArgument(f"mode index {n} out of range")
     factor = epsilon * math.sqrt(1.0 + epsilon) / math.sqrt(1.0 - epsilon)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgument, NonPositiveEigenvalue
+from .errors import ConfigError, InvalidArgument, NonPositiveEigenvalue, _checked_type
 from .mdof import MdofSystem, ModalBasis, solve_modes
 
 EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4", "exp5", "realdata")
@@ -195,23 +195,23 @@ class ExperimentConfig:
     header: bool = False
     n_benchmark_modes: int | None = None
 
+    def __post_init__(self):
+        """Validate as from_dict does; frequencies and magnitudes become tuples of floats."""
+        for key, value in _checked(self.as_dict(), CONFIG_SCHEMA).items():
+            object.__setattr__(self, key, tuple(map(float, value)) if key in _MODAL else value)
+        _validate_semantics(self)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         # CONFIG_SCHEMA's properties are the dataclass fields (a test checks).
-        raw = _checked(raw, CONFIG_SCHEMA)
-        for key in ("frequencies", "magnitudes"):
-            if key in raw:
-                raw[key] = tuple(float(v) for v in raw[key])
-        cfg = cls(**raw)
-        _validate_semantics(cfg)
-        return cfg
+        return cls(**_checked(raw, CONFIG_SCHEMA))
 
     def as_dict(self) -> dict:
-        """JSON-serializable echo of the resolved configuration, without its None fields."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        """JSON-serializable echo of the configuration, without the optional fields left None."""
         return {
-            key: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
-            for key, v in values.items() if v is not None
+            f.name: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+            for f in fields(self)
+            if (v := getattr(self, f.name)) is not None or f.default is not None
         }
 
 
@@ -311,10 +311,7 @@ def _validate_semantics(cfg: ExperimentConfig):
 def build_system(cfg: ExperimentConfig) -> MdofSystem:
     if cfg.system == "paper-4dof":
         return MdofSystem(np.eye(4), PAPER_4DOF_STIFFNESS)
-    try:
-        return MdofSystem(cfg.system["mass"], cfg.system["stiffness"])
-    except InvalidArgument as exc:  # every MdofSystem rejection, ragged rows included
-        raise ConfigError(f"system: {exc}") from exc
+    return MdofSystem(cfg.system["mass"], cfg.system["stiffness"])
 
 
 def build_basis(cfg: ExperimentConfig) -> ModalBasis:
@@ -324,11 +321,11 @@ def build_basis(cfg: ExperimentConfig) -> ModalBasis:
     frequencies and magnitudes override the system's natural frequencies
     index-wise (listed ascending order against ascending natural order).
     """
-    system = build_system(cfg)
+    _checked_type(cfg, ExperimentConfig, "config")
     try:
-        modes = solve_modes(system)
+        modes = solve_modes(build_system(cfg))
     except (InvalidArgument, NonPositiveEigenvalue) as exc:
-        # The system comes from the config, so a fault the solve finds names it.
+        # The system comes from the config, so a fault MdofSystem or the solve finds names it.
         raise ConfigError(f"system: {exc}") from exc
     n = modes.n_dof
     _need(cfg, *_MODAL)
@@ -354,8 +351,7 @@ _EXP5_SEED = 5
 
 def preset(name: str) -> dict:
     """Raw configuration dict for a named experiment preset."""
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
+    _checked(name, CONFIG_SCHEMA["properties"]["experiment"], "experiment")
     gamma = [1.0, 0.45, 0.15, 0.01]
     if name == "exp1":
         return {

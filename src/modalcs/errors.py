@@ -76,7 +76,7 @@ class RaggedRows(ParseError):
 
 def _checked_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed!r}; seeds are integers")
+        raise InvalidArgument(f"seed must be >= 0, got {_shown(seed)}; seeds are integers")
     return seed
 
 
@@ -88,32 +88,37 @@ def _shown(x) -> str:
 
 
 def _checked_count(m, name: str = "m", lo: int = 1, hi: int = 2**53) -> int:
-    try:  # float64 holds every index up to 2**53; a bool is no count
-        valid = lo <= m <= hi and m == int(m) and not isinstance(m, (bool, np.bool_))
+    try:  # float64 holds every index up to 2**53; no bool, complex value or other object is one
+        if np.asarray(m).dtype.kind in "iuf" and lo <= m <= hi and m == int(m):
+            return int(m)
     except (TypeError, ValueError):  # not a number
-        valid = False
-    if not valid:
-        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(m)}")
-    return int(m)
+        pass
+    raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(m)}")
 
 
 def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
-    """x as a float if lo < x < hi, else DomainError; nan and non-numbers fail."""
-    try:
-        valid, value = lo < x < hi, float(x)
+    """x as a float if lo < x < hi, else DomainError; nan, complex values and non-numbers fail."""
+    try:  # numpy orders complex values, and float() would drop the imaginary part
+        if not np.iscomplexobj(x) and lo < x < hi:
+            return float(x)
     except (TypeError, ValueError):  # not a number
-        valid = False
+        pass
     except OverflowError:  # an int past float64
         raise DomainError(f"{name} must be a float64, got {_shown(x)}") from None
-    if not valid:
-        bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
-        raise DomainError(f"{name} must {bound}, got {x!r}")
-    return value
+    bound = f"be finite and > {lo:g}" if hi == np.inf else f"lie in ({lo:g}, {hi:g})"
+    raise DomainError(f"{name} must {bound}, got {_shown(x)}")
 
 
 def _checked_type(value, cls, name: str):
-    if not isinstance(value, cls):  # a wrong object would fail later on a missing attribute
-        raise InvalidArgument(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+    if not isinstance(value, cls):  # cls may be a tuple; a wrong object fails later, obscurely
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise InvalidArgument(f"{name} must be a {names}, not {type(value).__name__}")
+    return value
+
+
+def _checked_choice(value, options: tuple, name: str) -> str:
+    if not (isinstance(value, str) and value in options):  # an array's `in` is elementwise
+        raise InvalidArgument(f"unknown {name} {_shown(value)}; expected one of {options}")
     return value
 
 

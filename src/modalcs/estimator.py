@@ -15,7 +15,7 @@ import numpy as np
 import numpy.fft  # eager: np.fft's lazy loader recurses if a signal handler re-enters it
 
 from .errors import (InvalidArgument, NonUniformSchedule, ShapeError, _checked_array,
-                     _checked_count, _checked_type)
+                     _checked_choice, _checked_count, _checked_type)
 from .mdof import ModalBasis, _pivot_phases, _unit_phase, canonical_sign
 from .sampling import DataMatrix, SampleSchedule
 
@@ -46,12 +46,12 @@ class ModeEstimate:
         s = _checked_array(self.singular_values, "singular_values", float)
         vh = _checked_array(self.right_factors_hat, "right_factors_hat", complex)
         n = s.size
-        if u.shape != (n, n) or s.shape != (n,) or vh.shape[0] != n:
+        if u.shape != (n, n) or s.shape != (n,) or vh.ndim != 2 or vh.shape[0] != n:
             raise ShapeError("inconsistent factor shapes")
         if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
             raise InvalidArgument("singular values must be non-negative and descending")
-        if self.schedule is not None:
-            _checked_type(self.schedule, SampleSchedule, "schedule")
+        _checked_type(self.schedule, (SampleSchedule, type(None)), "schedule")
+        _checked_choice(self.kind, ("raw", "compressed"), "kind")
         object.__setattr__(self, "mode_shapes_hat", u)
         object.__setattr__(self, "singular_values", s)
         object.__setattr__(self, "right_factors_hat", vh)

@@ -42,7 +42,7 @@ def _csv_text(header, columns, shown=None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if header is not None:
-        writer.writerow(header)
+        writer.writerow(_checked_type(header, Sequence, "header"))  # csv.Error otherwise
     texts = [shown[id(col)] for col in columns] if shown else list(map(_repr_column, columns))
     if None not in texts:
         buf.write("\r\n".join([*map(",".join, zip(*texts, strict=True)), ""]))
@@ -52,10 +52,11 @@ def _csv_text(header, columns, shown=None) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    _checked_type(path, (str, os.PathLike), "path")  # open() takes an int as a file descriptor
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
@@ -87,12 +88,12 @@ class ResultTable:
 
     def __post_init__(self):
         _checked_type(self.columns, Sequence, "columns")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(_checked_type(self.rows, Sequence, "rows")):
             if len(_checked_type(row, Sequence, f"row {i}")) != len(self.columns):
                 raise InvalidArgument(
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )
-        for p in self.panels:
+        for p in _checked_type(self.panels, Sequence, "panels"):
             data = _checked_type(_checked_type(p, Panel, "panel").data, Sequence, f"panel {p.file} data")
             if not p.columns or len(data) != len(p.columns) or len(
                     {len(_checked_type(col, Sequence, f"panel {p.file} column")) for col in data}) > 1:
@@ -130,13 +131,15 @@ def load_sensor_csv(path: str, header: bool = False) -> np.ndarray:
     Every cell must be a finite number.  Line and column numbers in errors
     are 1-based and count the header row.  Blank lines are ignored.
     """
+    _checked_type(header, bool, "header")  # both readers below skip `header` rows
+    _checked_type(path, (str, os.PathLike), "path")  # open() takes an int as a file descriptor
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise IoError(f"cannot read {path}: {exc}") from exc
     # numpy strips "\x1c".."\x1f" and splitlines() splits at "\x0b" etc.; csv and float() do neither.
     if not any(map(text.__contains__, "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029")):
         lines = iter(text.splitlines(keepends=True))
@@ -179,9 +182,10 @@ def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
     produces a manifest with zero curves and no CSVs.
     """
     _checked_type(table, ResultTable, "table")
+    _checked_type(out_dir, (str, os.PathLike), "out_dir")
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     # Each column object once, by id ([0.0] == [-0.0] prints otherwise); the panels keep them
     # alive.  A column's text is made for the first panel that holds it, dropped after the last.

@@ -36,11 +36,7 @@ from .sampling import (
 )
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    try:
-        runner = _RUNNERS[_checked_type(config, ExperimentConfig, "config").experiment]
-    except KeyError:
-        raise ConfigError(f"unknown experiment {config.experiment!r}") from None
-    return runner(config)
+    return _RUNNERS[_checked_type(config, ExperimentConfig, "config").experiment](config)
 
 
 def _stacked_errors(basis, points, t_s, gram=False):

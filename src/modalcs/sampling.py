@@ -18,11 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DimensionMismatch, InvalidArgument, ShapeError, _checked_array,
-                     _checked_count, _checked_real, _checked_seed, _checked_type)
+                     _checked_choice, _checked_count, _checked_real, _checked_seed, _checked_type)
 from .mdof import ModalBasis
 
-_UNIFORM_KINDS = ("uniform", "random")
-_JL_KINDS = ("gaussian", "bernoulli")
 # Working-set size of one streamed block: Phi rows in compress, V columns in build_data_matrix,
 # the runners' stacked schedules.  About one L2 cache; 512 Phi rows at M' = 256.
 _BLOCK_BYTES = 1 << 20
@@ -111,8 +109,7 @@ class SampleSchedule:
         times = _checked_array(self.times, "times", float)
         if times.ndim != 1 or times.size < 1:
             raise InvalidArgument("times must be a non-empty 1-d array")
-        if self.scheme not in _UNIFORM_KINDS:
-            raise InvalidArgument(f"unknown scheme {self.scheme!r}")
+        _checked_choice(self.scheme, ("uniform", "random"), "scheme")
         if np.any(np.diff(times) <= 0.0):
             raise InvalidArgument("times must be strictly increasing")
         t_max = _checked_real(self.t_max, "t_max", lo=-np.inf)  # a negative one fails below
@@ -120,8 +117,9 @@ class SampleSchedule:
             raise InvalidArgument("times must lie within [0, t_max]")
         if self.scheme == "uniform":
             t_s = _checked_real(self.t_s, "t_s")
-            if times.size > 1 and np.any(times != np.arange(times.size) * t_s):
-                raise InvalidArgument("uniform times must equal (m-1)*t_s exactly")
+            with np.errstate(over="ignore"):  # (m-1)*t_s past float64 is inf, which no time equals
+                if times.size > 1 and np.any(times != np.arange(times.size) * t_s):
+                    raise InvalidArgument("uniform times must equal (m-1)*t_s exactly")
         object.__setattr__(self, "times", times)
 
     @property
@@ -139,7 +137,8 @@ def uniform_schedule(t_s: float, m: int) -> SampleSchedule:
 
 def random_schedule(t_max: float, m: int, seed: int) -> SampleSchedule:
     """M i.i.d. uniform draws over [0, t_max], sorted ascending: _random_times for one seed."""
-    return SampleSchedule(_random_times(t_max, m, [seed])[0], "random", t_max=float(t_max))
+    t_max, m = _checked_real(t_max, "t_max"), _checked_count(m, hi=_MAX_PHI_ENTRIES)
+    return SampleSchedule(_random_times(t_max, m, [seed])[0], "random", t_max=t_max)
 
 
 def _philox_keys(seeds: np.ndarray) -> np.ndarray:
@@ -163,14 +162,13 @@ def _philox_keys(seeds: np.ndarray) -> np.ndarray:
 def _random_times(t_max, m, seeds) -> np.ndarray:
     """(len(seeds), max M) times; row i is m[i] i.i.d. uniform draws over [0, t_max[i]]
     from rng_from_seed(seeds[i]), sorted, then zeros (one t_max or m serves every row).
+    Each t_max must be finite and positive and each m a count, as random_schedule checks.
     A row with a repeated time (possible in floats) is redrawn from its own stream, so
     it stays a function of its seed; 64 colliding draws mean t_max is too small to hold
     M distinct floats.  Philox is counter-based, so all rows share the first row's
     generator: a row's key (from _philox_keys) and a zeroed counter restart its stream.
     """
-    t_max = np.broadcast_to([_checked_real(t, "t_max") for t in np.atleast_1d(t_max)], len(seeds))
-    m = np.broadcast_to([_checked_count(k, hi=_MAX_PHI_ENTRIES) for k in np.atleast_1d(m)],
-                        len(seeds))
+    t_max, m = (np.broadcast_to(np.atleast_1d(v), len(seeds)) for v in (t_max, m))
     rest = [int(_checked_seed(seed)) for seed in seeds[1:]]
     if rest and max(rest) >> 64:
         raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")
@@ -232,12 +230,10 @@ class DataMatrix:
         entries = _checked_array(self.entries, "entries")
         if entries.ndim != 2:
             raise ShapeError("data matrix must be 2-d")
-        if self.kind not in ("raw", "compressed"):
-            raise InvalidArgument(f"unknown data-matrix kind {self.kind!r}")
-        if self.schedule is not None:
-            samples = _checked_type(self.schedule, SampleSchedule, "schedule").n_samples
-            if self.kind == "raw" and entries.shape[1] != samples:
-                raise DimensionMismatch("column count disagrees with the schedule")
+        _checked_choice(self.kind, ("raw", "compressed"), "data-matrix kind")
+        schedule = _checked_type(self.schedule, (SampleSchedule, type(None)), "schedule")
+        if self.kind == "raw" and schedule is not None and entries.shape[1] != schedule.n_samples:
+            raise DimensionMismatch("column count disagrees with the schedule")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -310,8 +306,7 @@ class JlMatrix:
         object.__setattr__(self, "m_prime", _checked_count(self.m_prime, "M'"))
         if self.m_prime > self.m:
             raise InvalidArgument(f"need 1 <= M' <= M, got M'={self.m_prime}, M={self.m}")
-        if self.kind not in _JL_KINDS:
-            raise InvalidArgument(f"unknown compression kind {self.kind!r}")
+        _checked_choice(self.kind, ("gaussian", "bernoulli"), "compression kind")
         _checked_seed(self.seed)
 
     @property

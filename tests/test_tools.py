@@ -1,6 +1,6 @@
 """The output comparison in tools/same_output.py, on two small output trees,
-tools/bench_json.py's parse and summary of perfbench runs and its source line count, and
-tools/acc6_scan.py's seed scan."""
+tools/bench_json.py's parse and summary of perfbench runs and its source line count,
+tools/acc6_scan.py's seed scan, and tools/mutants.py's mutant list."""
 
 import os
 import subprocess
@@ -13,6 +13,7 @@ from modalcs import preset_config, run_experiment
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 import acc6_scan  # noqa: E402
 import bench_json  # noqa: E402
+import mutants  # noqa: E402
 import same_output  # noqa: E402
 
 _TABLE = "mode,freq,label\r\n1,1.0,a\r\n2,0.25,b\r\n"
@@ -149,3 +150,11 @@ def test_acc6_scan_first_block_is_the_exp4_mean():
     assert result["block_means"][0] == mean  # bit for bit: 0.12774674289642665 here
     assert result["eps"].shape == (20,) and result["bounds"].shape == (20, 4)
     assert (result["first_errors"] <= result["bounds"]).all()  # the compressed bound holds
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_each_mutant_edits_one_line_it_finds_exactly_once(mutant):
+    # So that the list cannot rot: a src change that moves an old text fails here.
+    text = mutants.source(mutants.ROOT, mutant)
+    assert text.count(mutant.old) == 1
+    assert "\n" not in mutant.old and "\n" not in mutant.new and mutant.old != mutant.new
