@@ -88,8 +88,8 @@ def _shown(x) -> str:
 
 
 def _checked_count(m, name: str = "m", lo: int = 1, hi: int = 2**53) -> int:
-    try:  # float64 holds every index up to 2**53; no bool, complex value or other object is one
-        if np.asarray(m).dtype.kind in "iuf" and lo <= m <= hi and m == int(m):
+    try:  # float64 holds every index up to 2**53; no bool, complex value, array or object is one
+        if (a := np.asarray(m)).ndim == 0 and a.dtype.kind in "iuf" and lo <= m <= hi and m == int(m):
             return int(m)
     except (TypeError, ValueError):  # not a number
         pass
@@ -97,9 +97,9 @@ def _checked_count(m, name: str = "m", lo: int = 1, hi: int = 2**53) -> int:
 
 
 def _checked_real(x, name: str, lo: float = 0.0, hi: float = np.inf) -> float:
-    """x as a float if lo < x < hi, else DomainError; nan, complex values and non-numbers fail."""
+    """x as a float if lo < x < hi, else DomainError; nan, complex, array and non-number x fail."""
     try:  # numpy orders complex values, and float() would drop the imaginary part
-        if not np.iscomplexobj(x) and lo < x < hi:
+        if np.ndim(x) == 0 and not np.iscomplexobj(x) and lo < x < hi:
             return float(x)
     except (TypeError, ValueError):  # not a number
         pass

@@ -160,15 +160,16 @@ def _philox_keys(seeds: np.ndarray) -> np.ndarray:
 
 
 def _random_times(t_max, m, seeds) -> np.ndarray:
-    """(len(seeds), max M) times; row i is m[i] i.i.d. uniform draws over [0, t_max[i]]
-    from rng_from_seed(seeds[i]), sorted, then zeros (one t_max or m serves every row).
-    Each t_max must be finite and positive and each m a count, as random_schedule checks.
-    A row with a repeated time (possible in floats) is redrawn from its own stream, so
-    it stays a function of its seed; 64 colliding draws mean t_max is too small to hold
-    M distinct floats.  Philox is counter-based, so all rows share the first row's
-    generator: a row's key (from _philox_keys) and a zeroed counter restart its stream.
+    """(len(seeds), max M) times; row i is m[i] i.i.d. uniform draws over [0, t_max[i]] from
+    rng_from_seed(seeds[i]), sorted, then zeros (one t_max or m serves every row; each m must
+    be a count, as random_schedule checks).  A row with a repeated time is redrawn from its
+    own stream, so it stays a function of its seed; 64 colliding draws mean t_max is too
+    small to hold M distinct floats.  Philox is counter-based, so all rows share the first
+    row's generator: a row's key (from _philox_keys) and a zeroed counter restart its stream.
     """
     t_max, m = (np.broadcast_to(np.atleast_1d(v), len(seeds)) for v in (t_max, m))
+    for bound in (t_max.min(), t_max.max()):  # a t_max <= 0 fails here, not after 64 draws
+        _checked_real(bound, "t_max")  # so does a nan anywhere: min and max propagate it
     rest = [int(_checked_seed(seed)) for seed in seeds[1:]]
     if rest and max(rest) >> 64:
         raise InvalidArgument("a batch of seeds must lie in [0, 2**64)")

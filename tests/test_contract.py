@@ -157,6 +157,22 @@ def test_random_schedule_takes_scalars_only(t_max, m):
     _raises_under_w_error(DomainError, lambda: random_schedule(t_max, m, 3))
 
 
+@pytest.mark.parametrize("m_values", [[4], [4, 100_000]])
+def test_an_exp3_t_max_that_rounds_to_zero_fails_before_any_draw(m_values):
+    # round((m - 1) * t_s, 10) is 0.0 here; every row then collided 64 times, drawing up to
+    # 64 M values each, before an InvalidArgument.
+    raw = preset("exp3")
+    raw["sampling"] = {**raw["sampling"], "t_s": 1e-12, "m_values": m_values}
+    _raises_under_w_error(DomainError, lambda: run_experiment(ExperimentConfig(**raw)),
+                          "^t_max must be finite and > 0, got np.float64\\(0.0\\)$")
+
+
+@pytest.mark.parametrize("t_max", [[2.0, 0.0], [2.0, np.inf], [np.nan, 2.0]])
+def test_every_row_t_max_of_a_batch_is_checked(t_max):
+    _raises_under_w_error(DomainError, lambda: sampling._random_times(np.array(t_max), 8, [1, 2]),
+                          "^t_max must be finite and > 0")
+
+
 # Family 4: open() took an int as a file descriptor, and other objects leaked its errors.
 _PATH_CALLS = {
     "write_result_csv": lambda path: write_result_csv(_TABLE, path),

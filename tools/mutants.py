@@ -9,7 +9,9 @@ Copies the working tree's ``src/``, ``tests/``, ``tools/``, ``perfbench/``
 For each mutant in MUTANTS it replaces the mutant's ``old`` text, which must
 occur exactly once in its file, by ``new``; runs tier-1 there with ``-x``,
 acceptance 6 (the one known failure) deselected; and restores the file.  A
-mutant survives if tier-1 passes with it applied.
+mutant is caught if a test fails with it applied (pytest exit status 1) and
+survives if tier-1 passes.  The unmutated copy runs first and must pass, and
+any other pytest status (an import or collection error, say) stops the run.
 Prints one line per mutant, then the survivors.  Exit status: 0 if every
 mutant was caught, 1 if any survived.  Each run takes up to one tier-1 wall
 time (about 50 s on 2 CPUs); caught mutants stop at their first failure.
@@ -67,14 +69,27 @@ MUTANTS = (
            "    if not (isinstance(value, str) and value in options):",
            "    if not (value in options):"),
     Mutant("_checked_real takes complex values", "errors.py",
-           "        if not np.iscomplexobj(x) and lo < x < hi:",
-           "        if lo < x < hi:"),
+           "        if np.ndim(x) == 0 and not np.iscomplexobj(x) and lo < x < hi:",
+           "        if np.ndim(x) == 0 and lo < x < hi:"),
 )
 
 
 def source(tree: str, mutant: Mutant) -> str:
     with open(os.path.join(tree, "src", "modalcs", mutant.file), encoding="utf-8") as fh:
         return fh.read()
+
+
+def tier1_failed(tree: str, label: str) -> bool:
+    """Whether tier-1 failed a test in tree.  Any other outcome than pass or fail (a
+    collection or import error, an internal error, no tests) ends the run: it would
+    otherwise read as a caught mutant."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--deselect", KNOWN_FAILURE]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):  # pytest: 0 all passed, 1 some test failed
+        raise SystemExit(f"{label}: pytest exited {proc.returncode}:\n{(proc.stdout + proc.stderr)[-2000:]}")
+    return proc.returncode == 1
 
 
 def caught(tree: str, mutant: Mutant) -> tuple[bool, float]:
@@ -85,16 +100,13 @@ def caught(tree: str, mutant: Mutant) -> tuple[bool, float]:
         raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} times")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text.replace(mutant.old, mutant.new))
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--deselect", KNOWN_FAILURE]
     start = time.monotonic()
     try:
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+        failed = tier1_failed(tree, mutant.name)
     finally:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return proc.returncode != 0, time.monotonic() - start
+    return failed, time.monotonic() - start
 
 
 def main(argv=None) -> int:
@@ -108,6 +120,8 @@ def main(argv=None) -> int:
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", "out"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)
+        if tier1_failed(tree, "unmutated tree"):  # else every mutant would read as caught
+            raise SystemExit("unmutated tree: tier-1 fails; fix that before judging mutants")
         for mutant in mutants:
             failed, seconds = caught(tree, mutant)
             print(f"{'caught  ' if failed else 'SURVIVED'} {seconds:6.1f} s  {mutant.name}",
