@@ -64,10 +64,6 @@ class MdofSystem:
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "stiffness", stiffness)
 
-    @property
-    def n_dof(self) -> int:
-        return self.mass.shape[0]
-
 
 @dataclass(frozen=True)
 class ModalBasis:
@@ -112,9 +108,6 @@ class ModalBasis:
     @property
     def n_dof(self) -> int:
         return self.mode_shapes.shape[0]
-
-    def with_amplitudes(self, amplitudes) -> "ModalBasis":
-        return ModalBasis(self.mode_shapes, self.frequencies, amplitudes)
 
 
 def _unit_phase(values: np.ndarray) -> np.ndarray:

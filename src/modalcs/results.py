@@ -53,10 +53,11 @@ def _csv_text(header, columns, shown=None) -> str:
 
 def _write_text(path: str, text: str) -> None:
     _checked_type(path, (str, os.PathLike), "path")  # open() takes an int as a file descriptor
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+    try:  # encoded first, so that a text that cannot be encoded leaves the file as it was
+        data = text.encode("utf-8")
+        with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+            fh.truncate(fh.write(data))  # in place: O_TRUNC frees blocks this write takes again
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, a lone surrogate
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
@@ -95,13 +96,14 @@ class ResultTable:
                 )
         for p in _checked_type(self.panels, Sequence, "panels"):
             data = _checked_type(_checked_type(p, Panel, "panel").data, Sequence, f"panel {p.file} data")
+            texts = [p.file, p.label, *_checked_type(p.columns, Sequence, f"panel {p.file} columns"),
+                     *_checked_type(p.series, Sequence, f"panel {p.file} series")]
+            if not all(isinstance(t, str) for t in texts) or p.file in ("", ".", "..") or (
+                    os.path.basename(p.file) != p.file):  # a separator would write outside out_dir
+                raise InvalidArgument(f"panel {p.file!r}: need a plain file name and str names")
             if not p.columns or len(data) != len(p.columns) or len(
                     {len(_checked_type(col, Sequence, f"panel {p.file} column")) for col in data}) > 1:
                 raise InvalidArgument(f"panel {p.file}: need one equal-length data column per name")
-
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
 
     def to_csv(self) -> str:
         return _csv_text(self.columns, list(zip(*self.rows)))
@@ -179,10 +181,25 @@ def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
 
     The manifest path comes first, then one path per panel in table order.
     Output bytes are a pure function of the table.  A table without panels
-    produces a manifest with zero curves and no CSVs.
+    produces a manifest with zero curves and no CSVs.  A config or axes value
+    that JSON cannot hold strictly (nan, say) raises InvalidArgument before
+    any file is written.
     """
     _checked_type(table, ResultTable, "table")
     _checked_type(out_dir, (str, os.PathLike), "out_dir")
+    try:  # before any file is written; allow_nan=False: json writes nan as NaN, which is no JSON
+        manifest = json.dumps({
+            "experiment": table.experiment,
+            "config": table.config,
+            "axes": table.axes,
+            "curves": [
+                {"file": p.file, "x": p.columns[0], "series": list(p.series), "label": p.label}
+                for p in table.panels
+            ],
+            "files": [p.file for p in table.panels],
+        }, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"cannot write the manifest of {table.experiment!r}: {exc}") from None
     try:
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
@@ -196,16 +213,6 @@ def emit_plot_data(table: ResultTable, out_dir: str) -> list[str]:
         written.append(os.path.join(out_dir, panel.file))
         _write_text(written[-1], _csv_text(panel.columns, panel.data, shown))
         shown = {key: text for key, text in shown.items() if last[key] > i}
-    manifest = {
-        "experiment": table.experiment,
-        "config": table.config,
-        "axes": table.axes,
-        "curves": [
-            {"file": p.file, "x": p.columns[0], "series": list(p.series), "label": p.label}
-            for p in table.panels
-        ],
-        "files": [p.file for p in table.panels],
-    }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_text(manifest_path, manifest)
     return [manifest_path] + written

@@ -282,7 +282,7 @@ def build_data_matrix(basis: ModalBasis, schedule: SampleSchedule) -> DataMatrix
     one ~1 MB column block of e^{i w t} at a time.  compress never builds [V].
     """
     if _checked_type(basis, ModalBasis, "basis").amplitudes is None:
-        raise InvalidArgument("basis has no amplitudes; use with_amplitudes() first")
+        raise InvalidArgument("basis has no amplitudes; give ModalBasis its amplitudes")
     return _ModalData(basis, _checked_type(schedule, SampleSchedule, "schedule"))
 
 

@@ -19,6 +19,12 @@ def reference_aligned_distance(est, truth):
     return np.linalg.norm(truth - phase * est)
 
 
+def table_column(table, name):
+    """The cells of a ResultTable's column name, top to bottom."""
+    idx = table.columns.index(name)
+    return [row[idx] for row in table.rows]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the acceptance verdict lines after the run, capture or not."""
     module = sys.modules.get("test_acceptance")

@@ -37,7 +37,7 @@ from modalcs import (
     uniform_schedule,
     welch_csd,
 )
-from conftest import reference_aligned_distance
+from conftest import reference_aligned_distance, table_column
 from modalcs.bounds import harmonic_number_bounds, kl_div, psinc
 from modalcs.mdof import canonical_sign
 from modalcs.sampling import rng_from_seed
@@ -241,8 +241,8 @@ def test_05_close_frequencies_degrade_and_extension_helps(exp1, exp2, exp3):
             np.all(errors_at(table2, 2.0, scheme) > errors_at(table1, 2.0, scheme))
         )
     table3, _ = exp3
-    matched = np.array(table3.column("err_random_matched_mean_max"))
-    extended = np.array(table3.column("err_random_extended_mean_max"))
+    matched = np.array(table_column(table3, "err_random_matched_mean_max"))
+    extended = np.array(table_column(table3, "err_random_extended_mean_max"))
     helps = bool(np.all(extended < matched))
     ok = degraded and helps
     _report(5, ok, f"0.32pi gap inflates every mode error at t_max=2 ({degraded}); "
@@ -266,8 +266,8 @@ def test_06_compression_beats_subnyquist(exp4):
 
 def test_07_frequency_readout_within_resolution(exp5):
     table, _ = exp5
-    errs = np.array(table.column("abs_error"))
-    tols = np.array(table.column("tolerance"))
+    errs = np.array(table_column(table, "abs_error"))
+    tols = np.array(table_column(table, "tolerance"))
     ok = bool(np.all(errs <= tols)) and tols[0] == pytest.approx(2 * math.pi / 6.03, rel=1e-9)
     _report(7, ok, f"four frequency estimates within 2pi/t_max={tols[0]:.3f} rad/s "
                    f"(worst deviation {float(errs.max()):.4f})")
@@ -372,8 +372,8 @@ def test_10_baselines_and_sensor_benchmark(realdata):
     fdd_ok = fdd_err <= 0.05
 
     table, _ = realdata
-    svd_errs = np.array(table.column("err_svd"))
-    cs_errs = np.array(table.column("err_csfdd"))
+    svd_errs = np.array(table_column(table, "err_svd"))
+    cs_errs = np.array(table_column(table, "err_csfdd"))
     bench_ok = bool(np.all(svd_errs < cs_errs))
 
     ok = sparse_ok and fdd_ok and bench_ok

@@ -280,6 +280,43 @@ def test_header_must_be_a_bool(tmp_path, quoted, header):
                           "^header must be a bool")
 
 
+# Family 7: Panel fields that nothing checked.  Each leaked a TypeError from ResultTable or
+# emit_plot_data, after the panels before it were written, or wrote outside out_dir.
+@pytest.mark.parametrize("panel", [
+    Panel("a.csv", 5, ([1.0],), ("x",), "l"),
+    Panel("a.csv", (1,), ([1.0],), ("x",), "l"),
+    Panel(5, ("x",), ([1.0],), ("x",), "l"),
+    Panel("a.csv", ("x",), ([1.0],), 5, "l"),
+    Panel("a.csv", ("x",), ([1.0],), (None,), "l"),
+    Panel("a.csv", ("x",), ([1.0],), ("x",), object()),
+    Panel("../../x.csv", ("x",), ([1.0],), ("x",), "l"),
+    Panel("sub/x.csv", ("x",), ([1.0],), ("x",), "l"),
+    Panel("", ("x",), ([1.0],), ("x",), "l"),
+    Panel(".", ("x",), ([1.0],), ("x",), "l"),
+    Panel("..", ("x",), ([1.0],), ("x",), "l"),
+], ids=["int_columns", "int_column_name", "int_file", "int_series", "none_series_name",
+        "object_label", "parent_dir_file", "subdir_file", "empty_file", "dot_file", "dotdot_file"])
+def test_panel_fields_are_checked(tmp_path, panel):
+    out = tmp_path / "a" / "b"  # "../../x.csv" would land in tmp_path
+    _raises_under_w_error(InvalidArgument, lambda: emit_plot_data(
+        ResultTable("x", ("a",), (), {}, {}, (_PANEL, panel)), str(out)), "^panel ")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("config, axes", [
+    ({}, {"x": math.nan}),
+    ({"t_s": math.inf}, {}),
+    ({}, {"x": object()}),
+    ({1: "a", "b": "c"}, {}),  # sort_keys cannot order int and str keys
+], ids=["nan_axis", "inf_config", "object_axis", "mixed_keys"])
+def test_a_manifest_json_cannot_write_strictly_writes_no_file(tmp_path, config, axes):
+    # json wrote nan as NaN, which is no JSON; the other two leaked a TypeError after the panels.
+    out = tmp_path / "out"
+    _raises_under_w_error(InvalidArgument, lambda: emit_plot_data(
+        ResultTable("x", ("a",), (), config, axes, (_PANEL,)), str(out)), "^cannot write the manifest")
+    assert not out.exists()
+
+
 # ---- Library fuzz ------------------------------------------------------------------------
 
 def _public_callables():

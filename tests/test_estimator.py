@@ -28,7 +28,7 @@ from modalcs import (
     run_experiment,
     uniform_schedule,
 )
-from conftest import reference_aligned_distance
+from conftest import reference_aligned_distance, table_column
 from modalcs.config import _samples_for
 from modalcs import estimator as estimator_module
 from modalcs import runner as runner_module
@@ -349,7 +349,7 @@ class TestStackedTrials:
             float(gram_chain_errors(basis, build_data_matrix(basis, uniform_schedule(t_s, m))).max())
             for m in sorted(config.sampling["m_values"])
         ]
-        assert _run_exp3(config).column("err_uniform_max") == expected
+        assert table_column(_run_exp3(config), "err_uniform_max") == expected
 
     def test_exp4_seed_rows_match_seed_by_seed_reference(self):
         config = preset_config("exp4")

@@ -199,16 +199,14 @@ class TestModalBasis:
         npt.assert_allclose(basis.mode_shapes[:, 0], [0.0, 1.0, 0.0], atol=1e-14)
         npt.assert_allclose(basis.mode_shapes[:, 2], [1.0, 0.0, 0.0], atol=1e-14)
 
-    def test_with_amplitudes(self):
-        basis = ModalBasis(np.eye(2), np.array([2.0, 1.0]))
-        assert basis.amplitudes is None
-        assert basis.with_amplitudes([1.0, 2.0]).amplitudes.shape == (2,)
+    def test_amplitudes_are_optional(self):
+        assert ModalBasis(np.eye(2), np.array([2.0, 1.0])).amplitudes is None
+        assert ModalBasis(np.eye(2), np.array([2.0, 1.0]), [1.0, 2.0]).amplitudes.shape == (2,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
-    def test_with_amplitudes_rejects_non_finite(self, bad):
-        basis = ModalBasis(np.eye(2), np.array([2.0, 1.0]))
+    def test_amplitudes_reject_non_finite(self, bad):
         with pytest.raises(InvalidArgument):
-            basis.with_amplitudes([1.0, bad])
+            ModalBasis(np.eye(2), np.array([2.0, 1.0]), [1.0, bad])
 
 
 class TestResponseEvaluation:

@@ -239,7 +239,7 @@ _DATA = build_data_matrix(_BASIS, uniform_schedule(0.1, 16))
     lambda: psinc(math.nan, 3),
     lambda: canonical_sign([["a"]]),
     lambda: build_steering(["a"], uniform_schedule(0.1, 3)),
-    lambda: _BASIS.with_amplitudes(["a"] * 2),
+    lambda: ModalBasis(_BASIS.mode_shapes, _BASIS.frequencies, ["a"] * 2),
     lambda: ModeEstimate([["a"]], [1.0], [[1.0]]),
     lambda: ModeEstimate([[math.nan]], [1.0], [[1.0]]),
     lambda: ModeEstimate(1.0, [1.0], [[1.0]]),

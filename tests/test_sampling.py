@@ -25,6 +25,7 @@ from modalcs import (
     random_schedule,
     uniform_schedule,
 )
+from conftest import table_column
 from modalcs.config import ExperimentConfig, build_basis, preset
 from modalcs.estimator import _gram_modes, _mode_errors
 from modalcs import sampling as sampling_module
@@ -868,5 +869,5 @@ class TestStreamingMemory:
         raw = preset("exp1")
         raw["sampling"].update({"t_s": 1e-4, "t_max_start": 4.0, "t_max_step": 1.0, "t_max_stop": 5.0})
         table, peak = _traced_peak(run_experiment, ExperimentConfig.from_dict(raw))
-        assert table.column("m") == [40_001, 40_001, 50_001, 50_001]
+        assert table_column(table, "m") == [40_001, 40_001, 50_001, 50_001]
         assert peak < 4 * 16 * 4 * 50_001

@@ -71,6 +71,10 @@ MUTANTS = (
     Mutant("_checked_real takes complex values", "errors.py",
            "        if np.ndim(x) == 0 and not np.iscomplexobj(x) and lo < x < hi:",
            "        if np.ndim(x) == 0 and lo < x < hi:"),
+    Mutant("_write_text without its trim", "results.py",
+           "fh.truncate(fh.write(data))", "fh.write(data)"),
+    Mutant("_write_text with O_TRUNC", "results.py",
+           "flags & ~os.O_TRUNC", "flags"),
 )
 
 
