@@ -211,18 +211,17 @@ def sparse_reconstruct(measurements, phi) -> SparseRecovery:
     # All-zero rows get theta = 0 and stay exactly zero: nothing exceeds it.
     theta = 0.9 * mags.max(axis=1, keepdims=True)
     # Every iteration writes into these buffers and allocates no large array.
-    shrink, step = np.empty_like(mags), np.empty_like(alpha)
-    resid = np.empty(rows.shape, rows.dtype)
+    step, resid = np.empty_like(alpha), np.empty(rows.shape, rows.dtype)
     history = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_N_STAGES):
             stage = []
             for _ in range(_ITERS_PER_STAGE):
-                # max(1 - theta/|alpha|, 0): fmax turns a zero row's 0/0 = nan into 0.
-                np.divide(theta, mags, out=shrink)
-                np.subtract(1.0, shrink, out=shrink)
-                np.fmax(shrink, 0.0, out=shrink)
-                alpha *= shrink
+                # mags = max(1 - theta/|alpha|, 0); fmax turns a zero row's 0/0 = nan into 0.
+                np.divide(theta, mags, out=mags)
+                np.subtract(1.0, mags, out=mags)
+                np.fmax(mags, 0.0, out=mags)
+                alpha *= mags
                 np.matmul(alpha.view(a_op.dtype), a_op, out=resid)
                 np.subtract(rows, resid, out=resid)
                 np.matmul(resid, pinv_op, out=step.view(pinv_op.dtype))
@@ -232,6 +231,7 @@ def sparse_reconstruct(measurements, phi) -> SparseRecovery:
             history.append(tuple(stage))
             theta *= _THRESHOLD_RATIO
 
+    del spectrum, a_op, pinv_op, mags, step, resid  # the synthesis below needs only alpha
     if real:
         signal = np.fft.irfft(alpha, n=m, axis=1, norm="ortho")
         alpha = np.concatenate([alpha, alpha[:, paired - 1:0:-1].conj()], axis=1)

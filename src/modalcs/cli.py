@@ -88,7 +88,7 @@ def run(argv=None) -> int:
         config = _resolve_config(args)
         table = run_experiment(config)
         written = emit_plot_data(table, args.out)  # creates args.out
-        csv_path = os.path.join(args.out, f"{config.experiment}_results.csv")
+        csv_path = os.path.join(args.out, table.results_file)
         write_result_csv(table, csv_path)
         print(f"{config.experiment}: {len(table.rows)} rows -> {csv_path}")
         for path in written:

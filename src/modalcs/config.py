@@ -356,7 +356,6 @@ def preset(name: str) -> dict:
     if name == "exp1":
         return {
             "experiment": "exp1",
-            "system": "paper-4dof",
             "frequencies": _pi_multiples(2.1, 4.28, 6.02, 8.24),
             "magnitudes": list(gamma),
             "sampling": {"t_s": 0.1, "t_max_start": 0.0, "t_max_step": 0.1, "t_max_stop": 2.0},
@@ -372,7 +371,6 @@ def preset(name: str) -> dict:
     if name == "exp3":
         return {
             "experiment": "exp3",
-            "system": "paper-4dof",
             "frequencies": _pi_multiples(2.1, 4.28, 4.6, 8.24),
             "magnitudes": list(gamma),
             "sampling": {"t_s": 0.1, "m_values": [6, 10, 14, 18, 21], "extension": 2.0},
@@ -382,7 +380,6 @@ def preset(name: str) -> dict:
     if name == "exp4":
         return {
             "experiment": "exp4",
-            "system": "paper-4dof",
             "frequencies": _pi_multiples(10.6, 106.2, 200.8, 360.0),
             "magnitudes": list(gamma),
             "sampling": {"t_s_sub": 0.0629, "t_s_super": 0.002, "t_max": 2.0, "m_prime": 32},
@@ -392,7 +389,6 @@ def preset(name: str) -> dict:
     if name == "exp5":
         return {
             "experiment": "exp5",
-            "system": "paper-4dof",
             "frequencies": _pi_multiples(6.24, 20.50, 30.06, 40.22),
             "magnitudes": list(gamma),
             "sampling": {"t_s": 0.03, "t_max": 6.03, "zero_pad_factor": 8},
@@ -400,11 +396,8 @@ def preset(name: str) -> dict:
         }
     return {
         "experiment": "realdata",
-        # data_path and sampling.t_s depend on the dataset; supply them in a
-        # config file on top of this preset.
         "sampling": {"m_prime": 50},
         "n_benchmark_modes": 3,
-        "header": False,
         "seed": 424242,
     }
 

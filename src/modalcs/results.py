@@ -75,9 +75,9 @@ class Panel(NamedTuple):
 class ResultTable:
     """One experiment's output rows plus the resolved config that made them.
 
-    ``axes`` names the plot axes and ``panels`` describes the plot CSVs in
-    the order emit_plot_data writes them; each runner fills both from the
-    values it computed.  Neither is serialized into the results CSV.
+    ``axes`` names the plot axes and ``panels`` the plot CSVs, in the order
+    emit_plot_data writes them beside manifest.json and ``results_file``;
+    each runner fills both.  Neither is serialized into the results CSV.
     """
 
     experiment: str
@@ -87,20 +87,27 @@ class ResultTable:
     axes: dict = field(default_factory=dict)
     panels: tuple[Panel, ...] = ()
 
+    @property
+    def results_file(self) -> str:
+        return f"{self.experiment}_results.csv"
+
     def __post_init__(self):
+        _checked_type(self.experiment, str, "experiment")  # results_file formats it
         _checked_type(self.columns, Sequence, "columns")
         for i, row in enumerate(_checked_type(self.rows, Sequence, "rows")):
             if len(_checked_type(row, Sequence, f"row {i}")) != len(self.columns):
                 raise InvalidArgument(
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )
+        taken = ["manifest.json", self.results_file]  # one run writes these and the panels
         for p in _checked_type(self.panels, Sequence, "panels"):
             data = _checked_type(_checked_type(p, Panel, "panel").data, Sequence, f"panel {p.file} data")
             texts = [p.file, p.label, *_checked_type(p.columns, Sequence, f"panel {p.file} columns"),
                      *_checked_type(p.series, Sequence, f"panel {p.file} series")]
-            if not all(isinstance(t, str) for t in texts) or p.file in ("", ".", "..") or (
+            if not all(isinstance(t, str) for t in texts) or p.file in ("", ".", "..", *taken) or (
                     os.path.basename(p.file) != p.file):  # a separator would write outside out_dir
-                raise InvalidArgument(f"panel {p.file!r}: need a plain file name and str names")
+                raise InvalidArgument(f"panel {p.file!r}: need a plain file name of its own and str names")
+            taken.append(p.file)
             if not p.columns or len(data) != len(p.columns) or len(
                     {len(_checked_type(col, Sequence, f"panel {p.file} column")) for col in data}) > 1:
                 raise InvalidArgument(f"panel {p.file}: need one equal-length data column per name")

@@ -161,7 +161,7 @@ def _run_exp3(config: ExperimentConfig) -> ResultTable:
     panel = Panel("max_error_vs_m.csv", ("m",) + series, (cells[0], *cells[3:6]), series,
                   "max error vs M")
     axes = {"x": "number of samples M", "y": "max aligned error"}
-    return ResultTable("exp3", columns, tuple(rows), config.as_dict(), axes, (panel,))
+    return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, (panel,))
 
 
 def _run_exp4(config: ExperimentConfig) -> ResultTable:
@@ -214,7 +214,7 @@ def _run_exp4(config: ExperimentConfig) -> ResultTable:
         "per-mode errors",
     )
     axes = {"x": "mode", "y": "aligned mode-shape error"}
-    return ResultTable("exp4", columns, tuple(rows), config.as_dict(), axes, (panel,))
+    return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, (panel,))
 
 
 def _run_exp5(config: ExperimentConfig) -> ResultTable:
@@ -253,7 +253,7 @@ def _run_exp5(config: ExperimentConfig) -> ResultTable:
         for k in range(len(mags))
     )
     axes = {"x": "omega [rad/s]", "y": "row FFT magnitude"}
-    return ResultTable("exp5", columns, tuple(rows), config.as_dict(), axes, panels)
+    return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, panels)
 
 
 def _run_realdata(config: ExperimentConfig) -> ResultTable:
@@ -311,7 +311,7 @@ def _run_realdata(config: ExperimentConfig) -> ResultTable:
         )
     columns = ("mode", "benchmark_freq", "err_svd", "err_csfdd")
     axes = {"x": "sensor index", "y": "mode-shape component"}
-    return ResultTable("realdata", columns, tuple(rows), config.as_dict(), axes, tuple(panels))
+    return ResultTable(config.experiment, columns, tuple(rows), config.as_dict(), axes, tuple(panels))
 
 
 _RUNNERS = {

@@ -444,6 +444,20 @@ class TestSparseReconstruct:
         assert got.coefficients.tobytes() == coefficients.tobytes()
         assert got.signal.tobytes() == signal.tobytes()
 
+    def test_real_path_peak_memory_at_k_equal_m_prime(self):
+        # Synthesis runs after the loop drops its operators and buffers: with them held, the
+        # traced peak was 9.06 Phi-sized arrays at (K, M, M') = (32, 2048, 32); it is 5.04.
+        phi = draw_jl_matrix(2048, 32, "gaussian", seed=1)
+        y = np.random.Generator(np.random.Philox(5)).normal(size=(32, 32))
+        phi_bytes = phi.entries.nbytes  # drawn before tracing
+        tracemalloc.start()
+        try:
+            sparse_reconstruct(y, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * phi_bytes
+
     def test_real_two_tone_support(self):
         # Conjugate-symmetric spectrum (4 active bins) from a real signal.
         alpha0 = np.zeros(self.M, dtype=complex)

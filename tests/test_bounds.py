@@ -232,6 +232,10 @@ class TestJlRequirements:
 
 
 class TestSepAndErrorBound:
+    def test_zero_magnitude_rejected(self):
+        with pytest.raises(InvalidArgument, match="^magnitudes must be finite and nonzero$"):
+            sep_values([1.0, 0.0], 0.1)
+
     def test_reference_magnitudes(self):
         seps = sep_values(GAMMA_DIAG, 0.1)
         assert seps[0] == pytest.approx(0.9124, abs=2e-4)

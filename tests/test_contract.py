@@ -303,6 +303,26 @@ def test_panel_fields_are_checked(tmp_path, panel):
     assert not os.listdir(tmp_path)
 
 
+# Family 8: output files that one run writes over one another.  Each panel was written without
+# an error, and the last writer's bytes won.
+@pytest.mark.parametrize("files", [
+    ["manifest.json"],
+    ["p.csv", "p.csv"],
+    ["x_results.csv"],
+], ids=["manifest", "two_panels_one_file", "results_table"])
+def test_colliding_output_files_are_refused(files):
+    panels = tuple(_PANEL._replace(file=name) for name in files)
+    _raises_under_w_error(InvalidArgument, lambda: ResultTable("x", ("a",), (), {}, {}, panels),
+                          f"^panel '{files[-1]}': need a plain file name of its own")
+    assert ResultTable("x", ("a",), (), {}).results_file == "x_results.csv"
+
+
+def test_a_non_str_experiment_is_refused():
+    # results_file formats it, and f"{10**5000}" raises ValueError past 4,300 digits.
+    _raises_under_w_error(InvalidArgument, lambda: ResultTable(10**5000, ("a",), (), {}),
+                          "^experiment must be a str, not int$")
+
+
 @pytest.mark.parametrize("config, axes", [
     ({}, {"x": math.nan}),
     ({"t_s": math.inf}, {}),

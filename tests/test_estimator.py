@@ -204,6 +204,12 @@ class TestAlignAndError:
         with pytest.raises(InvalidArgument):
             align_and_error(estimate, stripped)
 
+    def test_mode_count_mismatch_rejected(self, set1_basis):
+        estimate = estimate_modes(build_data_matrix(set1_basis, uniform_schedule(0.1, 21)))
+        two = ModalBasis(np.eye(2), [2.0, 1.0], [1.0, 0.5])
+        with pytest.raises(ShapeError, match="^estimate and truth disagree on the number of modes"):
+            align_and_error(estimate, two)
+
     def test_greedy_match_agrees_on_easy_case(self):
         # On well-separated on-grid tones, pairing each estimated mode with the
         # true mode it correlates with most gives the amplitude-rank pairing

@@ -259,6 +259,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             preset("exp9")
 
+    def test_sweep_stop_below_start(self):
+        raw = preset("exp1")
+        raw["sampling"].update(t_max_start=1.0, t_max_stop=0.5)
+        with pytest.raises(ConfigError, match="^sampling.t_max_stop: must be >= t_max_start$"):
+            ExperimentConfig.from_dict(raw)
+
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="experiment"):
             ExperimentConfig.from_dict({"seed": 1})
@@ -1605,6 +1611,30 @@ class TestCli:
     def test_requires_some_source(self, tmp_path, capsys):
         assert cli_run(["run", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        # A directory: open() raises IsADirectoryError, an OSError that run() exits 4 on.
+        assert cli_run(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {tmp_path}: ")
+
+    @pytest.mark.parametrize("content", ["[]", "5", '"exp1"', "null"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        assert cli_run(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: top level must be a JSON object\n"
+
+    def test_a_broken_stdout_exits_4(self, tmp_path, capsys, monkeypatch):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert cli_run(["run", "--experiment", "exp5", "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     def test_bad_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

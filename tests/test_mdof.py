@@ -97,6 +97,10 @@ class TestSolveModes:
             with pytest.raises(InvalidArgument, match="positive multiple of the identity"):
                 MdofSystem(np.diag([1.0, 4.0]), np.array(stiffness))
 
+    def test_mismatched_sizes_rejected(self):
+        with pytest.raises(InvalidArgument, match=r"^mass \(2, 2\) and stiffness \(3, 3\) differ"):
+            MdofSystem(np.eye(2), 2.0 * np.eye(3))
+
     def test_asymmetric_stiffness_rejected(self):
         with pytest.raises(NotSymmetric):
             MdofSystem(np.eye(2), np.array([[2.0, -1.0], [0.0, 2.0]]))

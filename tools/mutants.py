@@ -75,6 +75,10 @@ MUTANTS = (
            "fh.truncate(fh.write(data))", "fh.write(data)"),
     Mutant("_write_text with O_TRUNC", "results.py",
            "flags & ~os.O_TRUNC", "flags"),
+    Mutant("ResultTable without its file-name collision check", "results.py",
+           'p.file in ("", ".", "..", *taken)', 'p.file in ("", ".", "..")'),
+    Mutant("sparse_reconstruct keeps its loop state through synthesis", "baselines.py",
+           "    del spectrum, a_op, pinv_op, mags, step, resid", "    pass"),
 )
 
 
